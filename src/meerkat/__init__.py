@@ -61,7 +61,6 @@ from .runtime import (
     ActionFailed,
     Config,
     Executed,
-    LockTable,
     QueueDied,
     RandomSchedule,
     Rejected,
@@ -77,7 +76,6 @@ from .runtime import (
     step_do_two,
     step_evolve_many,
     step_evolve_one,
-    step_evolve_two,
     step_queue_die,
     submit_do,
     submit_evolution,

@@ -38,7 +38,8 @@ in effect once a later request on the same session has been answered.
 
 A session is closed only at EOF, on a refused hello (a version mismatch),
 or when its outbound buffer overflows, never for being idle.  Slow
-subscribers never block stepping: the overflowing session is disconnected.
+subscribers never block stepping: an overflowing session loses its
+backlog, is sent ``{"type": "error", "reason": "overflow"}`` and is closed.
 """
 
 from __future__ import annotations
@@ -65,10 +66,12 @@ from .runtime import (
     apply_step,
     enabled_steps,
     initial_config,
+    outcome_to_json,
+    run_until_quiescent,
     submit_do,
     submit_evolution,
 )
-from .store import EvalError, snapshot_read, store_to_json, value_to_json
+from .store import EvalError, change_to_json, snapshot_read, store_to_json, value_to_json
 from .syntax import ParseError, Program, parse_do, parse_program
 from .typesys import TypeCheckError
 
@@ -81,7 +84,6 @@ class ServerConfig:
     bind: tuple[str, int] = DEFAULT_BIND
     initial: Program | None = None
     open_mode: bool = False  # let user-role sessions evolve code
-    hist_cap: int = 1024
     trace_path: str | None = None
     seed: int = 0
     buffer_limit: int = 256  # queued outbound messages per session
@@ -94,7 +96,6 @@ class Session:
     subscriptions: set[str] = field(default_factory=set)
     outbox: queue.Queue = field(default_factory=lambda: queue.Queue())
     sock: socket.socket | None = None
-    alive: bool = True
 
 
 @dataclass
@@ -196,14 +197,7 @@ def outcome_messages(state: ServerState, outcome: StepOutcome) -> list[tuple[int
                 if isinstance(who, tuple) and len(who) == 2 and isinstance(who[0], int):
                     out.append((who[0], _rejection_payload(who[1], outcome.report)))
     elif isinstance(outcome, Executed):
-        changes = [
-            {
-                "name": c.name,
-                "old": None if c.old is None else value_to_json(c.old),
-                "new": value_to_json(c.new),
-            }
-            for c in outcome.changes
-        ]
+        changes = [change_to_json(c) for c in outcome.changes]
         for who in outcome.who:
             terminal(who, {"type": "executed", "changes": changes})
     elif isinstance(outcome, ActionFailed):
@@ -221,18 +215,7 @@ def outcome_messages(state: ServerState, outcome: StepOutcome) -> list[tuple[int
     if isinstance(outcome, (Accepted, Executed)) and outcome.txn is not None:
         for c in outcome.changes:
             for sid in sorted(state.subscribers.get(c.name, ())):
-                out.append(
-                    (
-                        sid,
-                        {
-                            "type": "changed",
-                            "name": c.name,
-                            "old": None if c.old is None else value_to_json(c.old),
-                            "new": value_to_json(c.new),
-                            "txn": outcome.txn,
-                        },
-                    )
-                )
+                out.append((sid, {"type": "changed", **change_to_json(c), "txn": outcome.txn}))
     return out
 
 
@@ -241,10 +224,10 @@ class MeerkatServer:
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
-        cfg = initial_config(self.config.hist_cap)
+        cfg = initial_config()
         if self.config.initial is not None:
             cfg = submit_evolution(cfg, self.config.initial, ("__init__", None))
-            cfg, outcomes = _step_to_quiescence_plain(cfg, RandomSchedule(self.config.seed))
+            cfg, outcomes = run_until_quiescent(cfg, RandomSchedule(self.config.seed))
             if not any(isinstance(o, Accepted) for o in outcomes):
                 raise ValueError(f"initial program rejected: {outcomes}")
         self.state = ServerState(cfg=cfg, open_mode=self.config.open_mode)
@@ -344,7 +327,7 @@ class MeerkatServer:
             session.outbox.put({"type": "hello", "version": PROTOCOL_VERSION})
             writer = threading.Thread(target=self._writer_loop, args=(session,), daemon=True)
             writer.start()
-            while not self.stop_event.is_set() and session.alive:
+            while not self.stop_event.is_set():
                 line = self._read_line(reader)
                 if line is None:
                     break
@@ -368,23 +351,30 @@ class MeerkatServer:
         return line or None
 
     def _writer_loop(self, session: Session):
-        while session.alive and not self.stop_event.is_set():
+        # None in the outbox means: close the connection after what precedes it
+        while not self.stop_event.is_set():
             try:
                 payload = session.outbox.get(timeout=0.2)
             except queue.Empty:
                 continue
+            if payload is None:
+                self._close_connection(session.sock)
+                break
             try:
                 session.sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
             except OSError:
                 break
-        session.alive = False
 
-    def _drop_session(self, session: Session):
-        session.alive = False
+    def _unregister(self, session: Session):
+        """After this the engine sends the session nothing more."""
         with self._lock:
             self.state.sessions.pop(session.id, None)
             for subs in self.state.subscribers.values():
                 subs.discard(session.id)
+
+    def _drop_session(self, session: Session):
+        self._unregister(session)
+        session.outbox.put(None)  # ends the writer
         self._close_connection(session.sock)
 
     def _close_connection(self, sock: socket.socket):
@@ -400,12 +390,17 @@ class MeerkatServer:
     def _send(self, sid: int, payload: dict):
         with self._lock:
             session = self.state.sessions.get(sid)
-        if session is None or not session.alive:
+        if session is None:
             return
         if session.outbox.qsize() >= self.config.buffer_limit:
-            # a subscriber that cannot keep up must not stall the stepper
+            # a subscriber that cannot keep up must not stall the stepper:
+            # drop its backlog, and its writer sends the notice and closes
+            self._unregister(session)
+            with contextlib.suppress(queue.Empty):
+                while True:
+                    session.outbox.get_nowait()
             session.outbox.put({"type": "error", "reason": "overflow"})
-            self._drop_session(session)
+            session.outbox.put(None)
             return
         session.outbox.put(payload)
 
@@ -443,21 +438,9 @@ class MeerkatServer:
                 for sid, payload in outcome_messages(self.state, outcome):
                     self._send(sid, payload)
                 if self.trace_fh:
-                    from .runtime import outcome_to_json
-
                     record = dict(step.to_json(), **outcome_to_json(outcome))
                     self.trace_fh.write(json.dumps(record) + "\n")
                     self.trace_fh.flush()
-
-
-def _step_to_quiescence_plain(cfg, schedule):
-    outcomes = []
-    while True:
-        options = enabled_steps(cfg)
-        if not options:
-            return cfg, outcomes
-        cfg, outs = apply_step(cfg, schedule.choose(cfg, options))
-        outcomes.extend(outs)
 
 
 def serve(config: ServerConfig) -> None:
@@ -477,7 +460,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--bind", default="127.0.0.1:7788", metavar="HOST:PORT")
     parser.add_argument("--init", metavar="FILE.mk", help="program to evolve before accepting clients")
     parser.add_argument("--open", action="store_true", help="let user-role sessions evolve code")
-    parser.add_argument("--hist-cap", type=int, default=1024, metavar="N")
     parser.add_argument("--trace", metavar="FILE", help="append step outcomes as JSON lines")
     parser.add_argument("--seed", type=int, default=0, help="schedule seed")
     args = parser.parse_args(argv)
@@ -497,7 +479,6 @@ def main(argv: list[str] | None = None) -> int:
         bind=(host, int(port_text)),
         initial=initial,
         open_mode=args.open,
-        hist_cap=args.hist_cap,
         trace_path=args.trace,
         seed=args.seed,
     )

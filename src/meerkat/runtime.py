@@ -33,6 +33,7 @@ from .store import (
     StringV,
     UnitV,
     Value,
+    change_to_json,
     empty_store,
     eval_expr,
     init_cells,
@@ -86,46 +87,8 @@ def _remove(queue: tuple[Submission, ...], subs: Sequence[Submission]) -> tuple[
     return tuple(out)
 
 
-def initial_config(hist_cap: int | None = None) -> Config:
-    store = empty_store(hist_cap) if hist_cap else empty_store()
-    return Config(store=store)
-
-
-# ---------------------------------------------------------------------------
-# Lock table
-# ---------------------------------------------------------------------------
-
-class LockTable:
-    """Name-level read/write locks used to judge concurrent steps.
-
-    A write lock admits its owner for both reading and writing and
-    excludes every other task entirely; read locks share.
-    """
-
-    def __init__(self):
-        self.held: dict[str, tuple[str, object]] = {}  # name -> ("read", count) | ("write", owner)
-
-    def try_write(self, name: str, owner: object) -> bool:
-        cur = self.held.get(name)
-        if cur is None:
-            self.held[name] = ("write", owner)
-            return True
-        return cur == ("write", owner)
-
-    def try_read(self, name: str, owner: object) -> bool:
-        cur = self.held.get(name)
-        if cur is None:
-            self.held[name] = ("read", 1)
-            return True
-        if cur[0] == "read":
-            self.held[name] = ("read", cur[1] + 1)
-            return True
-        return cur[1] == owner  # a writer may read its own locked name
-
-    def write_locked_by_others(self, owner: object) -> frozenset[str]:
-        return frozenset(
-            n for n, (mode, who) in self.held.items() if mode == "write" and who != owner
-        )
+def initial_config() -> Config:
+    return Config()
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +145,14 @@ class QueueDied(StepOutcome):
 
 
 def outcome_to_json(o: StepOutcome) -> dict:
-    from .store import value_to_json
-
-    def chs(changes):
-        return [
-            {"name": c.name, "old": None if c.old is None else value_to_json(c.old), "new": value_to_json(c.new)}
-            for c in changes
-        ]
-
     if isinstance(o, Accepted):
-        return {"outcome": "accepted", "txn": o.txn, "changes": chs(o.changes)}
+        return {"outcome": "accepted", "txn": o.txn, "changes": [change_to_json(c) for c in o.changes]}
     if isinstance(o, Rejected):
         rep = o.report
         detail = rep.to_json() if hasattr(rep, "to_json") else {"message": str(rep)}
         return {"outcome": "rejected", "final": o.final, "detail": detail}
     if isinstance(o, Executed):
-        return {"outcome": "executed", "txn": o.txn, "changes": chs(o.changes)}
+        return {"outcome": "executed", "txn": o.txn, "changes": [change_to_json(c) for c in o.changes]}
     if isinstance(o, ActionFailed):
         err = o.error
         detail = err.to_json() if hasattr(err, "to_json") else {"message": str(err)}
@@ -266,21 +221,21 @@ def _partition_envs(env: TypeEnv, write_sets: Sequence[frozenset[str]]) -> list[
     """Build each task's visible environment under the lock discipline, or
     None when any two write sets collide.
 
-    Task i sees the full environment minus every name write-locked by a
-    different task: a write lock admits only its owner, for reading too.
+    Task i sees the full environment minus every name another task
+    writes: a write lock admits only its owner, for reading too.
     """
-    table = LockTable()
-    for owner, names in enumerate(write_sets):
-        for n in sorted(names):
-            if not table.try_write(n, owner):
-                return None
-    return [env.without(table.write_locked_by_others(owner)) for owner in range(len(write_sets))]
+    written: set[str] = set()
+    for names in write_sets:
+        if written & names:
+            return None
+        written |= names
+    return [env.without(written - names) for names in write_sets]
 
 
 def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, StepOutcome]:
     """Approve several evolutions in one step.
 
-    The scheduler's default width is two (see step_evolve_two), but the
+    The scheduler's default width is two (the "evolve_two" step), but the
     premises generalize: pairwise-disjoint rebind sets, each submission
     typed with every other submission's rebound names hidden, and the
     combined delta compatible with the environment.  All commit under a
@@ -329,11 +284,6 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
         next_txn=cfg.next_txn + consumed,
     )
     return new_cfg, Accepted(combined, prop.changes, prop.txn, whos, prop.recomputed)
-
-
-def step_evolve_two(cfg: Config, pick1: Submission, pick2: Submission) -> tuple[Config, StepOutcome]:
-    """Approve two evolutions in one step (the scheduler's default width)."""
-    return step_evolve_many(cfg, (pick1, pick2))
 
 
 def step_queue_die(cfg: Config) -> tuple[Config, StepOutcome]:
@@ -396,20 +346,9 @@ def do_pair_viable(cfg: Config, d1: DoStmt, d2: DoStmt) -> bool:
         p2 = check_do(cfg.env, d2)
     except TypeCheckError:
         return False
-    table = LockTable()
-    for n in sorted(p1.writes):
-        if not table.try_write(n, 1):
-            return False
-    for n in sorted(p2.writes):
-        if not table.try_write(n, 2):
-            return False
-    for n in sorted(p1.read_vars):
-        if not table.try_read(n, 1):
-            return False
-    for n in sorted(p2.read_vars):
-        if not table.try_read(n, 2):
-            return False
-    return True
+    return not (
+        p1.writes & p2.writes or p1.read_vars & p2.writes or p2.read_vars & p1.writes
+    )
 
 
 def step_do_two(
@@ -460,7 +399,7 @@ def step_do_two(
         merged_vars.update({n: st1.vars[n] for n in pend1})
         merged_vars.update({n: st2.vars[n] for n in pend2})
         try:
-            defs = merge_defs(st1.defs, st2.defs, merged_vars, base.depgraph, base.hist_cap)
+            defs = merge_defs(st1.defs, st2.defs, merged_vars, base.depgraph)
         except EvalError as e:
             # combined writes fault a definition the halves computed fine;
             # the earlier transaction stands, the later aborts
@@ -469,17 +408,15 @@ def step_do_two(
                 Executed(prop1.changes, t1, (pick1.who,), prop1.recomputed),
                 ActionFailed(e, (pick2.who,)),
             )
-        merged = Store(merged_vars, defs, base.depgraph, t2, base.hist_cap)
-        before: dict[str, Value | None] = {}
-        for prop in (prop1, prop2):
-            for ch in prop.changes:
-                before.setdefault(ch.name, ch.old)
-        changes = tuple(
-            Change(n, before[n], merged.value_of(n))
-            for n in sorted(before)
-            if before[n] != merged.value_of(n)
-        )
+        merged = Store(merged_vars, defs, base.depgraph, t2)
         recomputed = tuple(dict.fromkeys(prop1.recomputed + prop2.recomputed))
+        # a definition may change only once both writes land, so diff every
+        # written or recomputed name against the base
+        changes = tuple(
+            Change(n, base.value_of(n), merged.value_of(n))
+            for n in sorted({*pend1, *pend2, *recomputed})
+            if base.value_of(n) != merged.value_of(n)
+        )
         new_cfg = replace(gone, store=merged, next_txn=t2 + 1)
         return new_cfg, (Executed(changes, t2, (pick1.who, pick2.who), recomputed),)
     if res1:
@@ -574,7 +511,7 @@ def apply_step(cfg: Config, step: Step) -> tuple[Config, tuple[StepOutcome, ...]
         cfg2, out = step_evolve_one(cfg, cfg.q_r[step.i])
         return cfg2, (out,)
     if step.kind == "evolve_two":
-        cfg2, out = step_evolve_two(cfg, cfg.q_r[step.i], cfg.q_r[step.j])
+        cfg2, out = step_evolve_many(cfg, (cfg.q_r[step.i], cfg.q_r[step.j]))
         return cfg2, (out,)
     if step.kind == "do_one":
         cfg2, out = step_do_one(cfg, cfg.q_do[step.i])
@@ -670,7 +607,8 @@ def check_config(cfg: Config) -> list[str]:
 
     Checks environment well-formedness, that the store covers exactly the
     environment's names with the right cell kinds, that every stored value
-    matches its declared type, and the per-cell bookkeeping invariants.
+    matches its declared type, and that the store's dependency edges match
+    the environment.
     """
     problems: list[str] = []
     report = well_formed(cfg.env)
@@ -694,10 +632,6 @@ def check_config(cfg: Config) -> list[str]:
                 continue
             if not value_conforms(cell.c, binding.ty):
                 problems.append(f"'{name}' value does not match its type")
-            if cell.done & cell.upda:
-                problems.append(f"'{name}' has transactions both done and pending")
-            if cell.hist and cell.hist[-1][1] != cell.c:
-                problems.append(f"'{name}' history head disagrees with current value")
             if cfg.store.depgraph.get(name) != binding.deps.names():
                 problems.append(f"'{name}' dependency edges disagree with the environment")
     return problems

@@ -70,15 +70,13 @@ def oracle_recompute(
     Definitions are computed in dependency order against the given
     state-variable values, using none of the incremental machinery.
     """
-    vars = {n: VarCell(v, v) for n, v in var_values.items()}
-    defs: dict[str, DefCell] = {}
     edges = dep_edges(env)
+    scratch = Store({n: VarCell(v) for n, v in var_values.items()}, {}, edges, 0)
     out: dict[str, Value] = {}
-    for name in topo_order(env):
-        scratch = Store(vars, defs, edges, 0)
+    for name in topo_order(edges, def_exprs):
         v = eval_expr(scratch, {}, def_exprs[name])
         out[name] = v
-        defs[name] = DefCell(c=v, e=def_exprs[name], prev=v)
+        scratch.defs[name] = DefCell(v, def_exprs[name])
     return out
 
 
@@ -220,8 +218,8 @@ def observable(cfg: Config) -> tuple:
 # Exploration
 # ---------------------------------------------------------------------------
 
-def build_config(scenario: Scenario, hist_cap: int | None = None) -> Config:
-    cfg = initial_config(hist_cap)
+def build_config(scenario: Scenario) -> Config:
+    cfg = initial_config()
     if scenario.initial:
         cfg = submit_evolution(cfg, parse_program(scenario.initial), "__init__")
         cfg, outcomes = run_until_quiescent(cfg)

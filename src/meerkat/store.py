@@ -1,19 +1,20 @@
 """Runtime store: value cells for state variables and definitions, plus the
 transactional, glitch-free propagation engine.
 
-The store never mutates in place.  Every operation returns a fresh `Store`
-sharing unchanged cells, so an exception anywhere leaves the caller's
-store exactly as it was, and any `Store` value is a consistent committed
-snapshot that can be read from other threads without locking.
+A cell holds a value, and a definition cell also its expression.  The
+store never mutates in place.  Every operation returns a fresh `Store`
+sharing every cell it did not rewrite, so an exception anywhere leaves the
+caller's store exactly as it was, and any `Store` value is a consistent
+committed snapshot that can be read from other threads without locking.
+Its `txn` is the last transaction it has applied.
 
 A propagation wave recomputes each affected definition exactly once, in
 dependency order, so no definition ever observes a mix of pre- and
-post-transaction inputs.
+post-transaction inputs.  The wave writes only the cells it recomputes.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -32,9 +33,7 @@ from .syntax import (
     Unit,
     render,
 )
-from .typesys import TypeEnv
-
-DEFAULT_HIST_CAP = 1024
+from .typesys import TypeEnv, topo_order
 
 _WRAP = 2**64
 _INT_MIN = -(2**63)
@@ -143,55 +142,19 @@ def value_to_json(v: Value):
 
 @dataclass(frozen=True)
 class VarCell:
-    """A state-variable cell: current value and the pre-image of the last
-    committed write."""
+    """A state-variable cell: its current value."""
 
     c: Value
-    prev: Value
-
-
-# history entries are (txn, value) pairs in ascending txn order
-History = tuple[tuple[int, Value], ...]
 
 
 @dataclass(frozen=True)
 class DefCell:
-    """A definition cell.
-
-    `done` holds the transactions whose propagation fully reached this
-    cell; `hist` keeps the committed value per transaction that actually
-    recomputed it (a bounded ring); `upda` holds admitted-but-unapplied
-    transactions (transient inside a wave); `repi` tags the logical
-    replicas where the definition is materialized.
-    """
+    """A definition cell: its current value and the expression that
+    computes it.  Which transactions have reached a cell is not stored: a
+    committed store has applied every transaction up to `Store.txn`."""
 
     c: Value
     e: Expr
-    prev: Value
-    done: frozenset[int] = frozenset()
-    hist: History = ()
-    upda: frozenset[int] = frozenset()
-    repi: frozenset[str] = frozenset({"local"})
-
-
-def _hist_put(hist: History, txn: int, v: Value, cap: int) -> History:
-    if hist and hist[-1][0] == txn:
-        hist = hist[:-1] + ((txn, v),)
-    else:
-        hist = hist + ((txn, v),)
-    if len(hist) > cap:
-        hist = hist[len(hist) - cap:]
-    return hist
-
-
-def hist_value_at(cell: DefCell, txn: int) -> Value | None:
-    """The committed value of the cell as of transaction `txn`, if recorded."""
-    out = None
-    for t, v in cell.hist:
-        if t > txn:
-            break
-        out = v
-    return out
 
 
 @dataclass(frozen=True)
@@ -201,6 +164,15 @@ class Change:
     name: str
     old: Value | None  # None when the name is newly created
     new: Value
+
+
+def change_to_json(c: Change) -> dict:
+    """The wire form of a change, shared by replies, events and traces."""
+    return {
+        "name": c.name,
+        "old": None if c.old is None else value_to_json(c.old),
+        "new": value_to_json(c.new),
+    }
 
 
 @dataclass(frozen=True)
@@ -216,7 +188,7 @@ class PropagationResult:
 class Store:
     """The full runtime store: V cells, D cells, and the dependency graph."""
 
-    __slots__ = ("vars", "defs", "depgraph", "txn", "hist_cap")
+    __slots__ = ("vars", "defs", "depgraph", "txn")
 
     def __init__(
         self,
@@ -224,13 +196,11 @@ class Store:
         defs: Mapping[str, DefCell] | None = None,
         depgraph: Mapping[str, frozenset[str]] | None = None,
         txn: int = 0,
-        hist_cap: int = DEFAULT_HIST_CAP,
     ):
         self.vars: dict[str, VarCell] = dict(vars or {})
         self.defs: dict[str, DefCell] = dict(defs or {})
         self.depgraph: dict[str, frozenset[str]] = dict(depgraph or {})
         self.txn = txn
-        self.hist_cap = hist_cap
 
     def names(self) -> frozenset[str]:
         return frozenset(self.vars) | frozenset(self.defs)
@@ -274,8 +244,8 @@ class Store:
         return f"Store(txn={self.txn}, vars=[{vs}], defs=[{ds}])"
 
 
-def empty_store(hist_cap: int = DEFAULT_HIST_CAP) -> Store:
-    return Store(hist_cap=hist_cap)
+def empty_store() -> Store:
+    return Store()
 
 
 def store_to_json(store: Store) -> dict:
@@ -401,74 +371,24 @@ def _affected_defs(store: Store, seeds: Iterable[str]) -> set[str]:
     return out
 
 
-def _topo_defs(store: Store, names: set[str]) -> list[str]:
-    """Dependency-first order over `names`, lexicographic tie-break."""
-    indeg = {}
-    rdeps: dict[str, list[str]] = {}
-    for n in names:
-        deps_in = [d for d in store.depgraph.get(n, ()) if d in names]
-        indeg[n] = len(deps_in)
-        for d in deps_in:
-            rdeps.setdefault(d, []).append(n)
-    heap = sorted(n for n, d in indeg.items() if d == 0)
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        n = heapq.heappop(heap)
-        out.append(n)
-        for m in rdeps.get(n, ()):
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                heapq.heappush(heap, m)
-    if len(out) != len(names):
-        raise ValueError("dependency graph has a cycle")
-    return out
-
-
-def _run_wave(
-    vars: dict[str, VarCell],
-    defs: dict[str, DefCell],
-    store_proto: Store,
-    affected: set[str],
-    txn: int,
-    cap: int,
-) -> list[str]:
-    """Recompute `affected` definitions in dependency order, in place on the
-    working dicts.  Every other definition just records the transaction.
+def _run_wave(store: Store, affected: set[str]) -> list[str]:
+    """Recompute `affected` definitions in dependency order, writing each
+    new cell into `store`, which is still private to the caller and serves
+    as the wave's one scratch view.  Every other cell is left as it was.
     Returns the recomputation order."""
-    order = _topo_defs(store_proto, affected)
-    # admit the transaction on every cell it will touch
+    order = topo_order(store.depgraph, affected)
+    defs = store.defs
     for name in order:
-        cell = defs[name]
-        defs[name] = DefCell(
-            cell.c, cell.e, cell.prev, cell.done, cell.hist, cell.upda | {txn}, cell.repi
-        )
-    for name in order:
-        cell = defs[name]
-        scratch = Store(vars, defs, store_proto.depgraph, txn, cap)
-        new_c = eval_expr(scratch, {}, cell.e)
-        defs[name] = DefCell(
-            c=new_c,
-            e=cell.e,
-            prev=cell.prev if txn in {t for t, _ in cell.hist} else cell.c,
-            done=cell.done | {txn},
-            hist=_hist_put(cell.hist, txn, new_c, cap),
-            upda=cell.upda - {txn},
-            repi=cell.repi,
-        )
-    for name, cell in defs.items():
-        if name not in affected and txn not in cell.done:
-            defs[name] = DefCell(
-                cell.c, cell.e, cell.prev, cell.done | {txn}, cell.hist, cell.upda, cell.repi
-            )
+        e = defs[name].e
+        defs[name] = DefCell(eval_expr(store, {}, e), e)
     return order
 
 
-def _diff(before: Mapping[str, Value | None], vars: dict, defs: dict) -> tuple[Change, ...]:
+def _diff(before: Mapping[str, Value | None], store: Store) -> tuple[Change, ...]:
     changes = []
     for name in sorted(before):
         old = before[name]
-        new = vars[name].c if name in vars else defs[name].c
+        new = store.value_of(name)
         if old != new:
             changes.append(Change(name, old, new))
     return tuple(changes)
@@ -480,23 +400,21 @@ def propagate(
     """Commit a set of state-variable writes as one transaction.
 
     All writes land atomically, then every transitively affected
-    definition is recomputed exactly once, in dependency order.
-    Unaffected definitions record the transaction without recomputation.
+    definition is recomputed exactly once, in dependency order.  Every
+    other cell of the result is the very object it was in `store`.
     A fault during recomputation raises EvalError and commits nothing.
     """
     for name in changed_vars:
         if name not in store.vars:
             raise EvalError("NotAStateVariable", f"'{name}' is not a state variable")
-    vars = dict(store.vars)
-    defs = dict(store.defs)
-    before: dict[str, Value | None] = {n: vars[n].c for n in changed_vars}
     affected = _affected_defs(store, changed_vars)
-    before.update({n: defs[n].c for n in affected})
+    before: dict[str, Value | None] = {n: store.vars[n].c for n in changed_vars}
+    before.update({n: store.defs[n].c for n in affected})
+    new = Store(store.vars, store.defs, store.depgraph, txn)
     for name, v in changed_vars.items():
-        vars[name] = VarCell(c=v, prev=vars[name].c)
-    order = _run_wave(vars, defs, store, affected, txn, store.hist_cap)
-    new_store = Store(vars, defs, store.depgraph, txn, store.hist_cap)
-    return new_store, PropagationResult(txn, _diff(before, vars, defs), tuple(order))
+        new.vars[name] = VarCell(v)
+    order = _run_wave(new, affected)
+    return new, PropagationResult(txn, _diff(before, new), tuple(order))
 
 
 def init_cells(
@@ -513,47 +431,29 @@ def init_cells(
     """
     if not r.decls:
         return store, PropagationResult(None)
-    vars = dict(store.vars)
-    defs = dict(store.defs)
-    depgraph = dict(store.depgraph)
-    cap = store.hist_cap
+    new = Store(store.vars, store.defs, store.depgraph, txn)
     before: dict[str, Value | None] = {}
     declared: list[str] = []
     for d in r.decls:
         name = d.name
         if name not in before:
-            before[name] = (
-                vars[name].c if name in vars else defs[name].c if name in defs else None
-            )
+            before[name] = new.value_of(name) if name in new else None
         declared.append(name)
-        scratch = Store(vars, defs, depgraph, txn, cap)
-        v = eval_expr(scratch, {}, d.init)
+        v = eval_expr(new, {}, d.init)
         if d.kind is DeclKind.STATE:
-            old = vars.get(name)
-            vars[name] = VarCell(c=v, prev=old.c if old else v)
-            depgraph[name] = frozenset()
+            new.vars[name] = VarCell(v)
+            new.depgraph[name] = frozenset()
         else:
             binding = delta_env.get(name)
             assert binding is not None and not binding.is_state
-            old_def = defs.get(name)
-            defs[name] = DefCell(
-                c=v,
-                e=d.init,
-                prev=old_def.c if old_def else v,
-                done=(old_def.done if old_def else frozenset()) | {txn},
-                hist=_hist_put(old_def.hist if old_def else (), txn, v, cap),
-                upda=old_def.upda if old_def else frozenset(),
-                repi=old_def.repi if old_def else frozenset({"local"}),
-            )
-            depgraph[name] = binding.deps.names()
-    proto = Store(vars, defs, depgraph, txn, cap)
+            new.defs[name] = DefCell(v, d.init)
+            new.depgraph[name] = binding.deps.names()
     # the wave covers everything downstream of a declared name, including
     # declarations from this very program that read a name redeclared later
-    affected = _affected_defs(proto, declared)
-    before.update({n: defs[n].c for n in affected if n not in before})
-    order = _run_wave(vars, defs, proto, affected, txn, cap)
-    new_store = Store(vars, defs, depgraph, txn, cap)
-    return new_store, PropagationResult(txn, _diff(before, vars, defs), tuple(order))
+    affected = _affected_defs(new, declared)
+    before.update({n: new.defs[n].c for n in affected if n not in before})
+    order = _run_wave(new, affected)
+    return new, PropagationResult(txn, _diff(before, new), tuple(order))
 
 
 def snapshot_read(store: Store, names: Iterable[str], txn_floor: int = 0) -> dict[str, Value]:
@@ -573,61 +473,22 @@ def merge_defs(
     d2: Mapping[str, DefCell],
     merged_vars: Mapping[str, VarCell],
     depgraph: Mapping[str, frozenset[str]],
-    hist_cap: int = DEFAULT_HIST_CAP,
 ) -> dict[str, DefCell]:
     """Merge the definition maps of two transactions run from the same base
     store with disjoint state-variable write sets.
 
-    Bookkeeping sets union; each definition's current value is recomputed
-    against the merged variable state (in dependency order), and the
-    history entry of the later transaction is fixed up to that merged
-    value so replay stays coherent.  Symmetric in its arguments.
+    A cell both maps share is one neither transaction recomputed, so no
+    input of it changed and it stands.  Every other definition is
+    recomputed against the merged variable state, in dependency order.
+    Symmetric in its arguments.
     """
     if set(d1) != set(d2):
         raise ValueError("definition maps must cover the same names")
-    merged: dict[str, DefCell] = {}
-    vars = dict(merged_vars)
-    scratch_defs = dict(d1)
-    proto = Store(vars, scratch_defs, dict(depgraph), 0, hist_cap)
-    for name in _topo_defs(proto, set(d1)):
-        c1, c2 = d1[name], d2[name]
-        if c1.e != c2.e:
+    merged = Store(merged_vars, d1, depgraph)
+    stale = {n for n, c1 in d1.items() if c1 is not d2[n]}
+    for name in topo_order(depgraph, stale):
+        e = d1[name].e
+        if e != d2[name].e:
             raise ValueError(f"'{name}' has diverging expressions; merge needs a common base")
-        keys1 = {t for t, _ in c1.hist}
-        keys2 = {t for t, _ in c2.hist}
-        new1 = max(keys1 - keys2, default=None)
-        new2 = max(keys2 - keys1, default=None)
-        hist_map = dict(c1.hist)
-        for t, v in c2.hist:
-            if t in hist_map and hist_map[t] != v:
-                raise ValueError(
-                    f"'{name}' disagrees on transaction {t}; the inputs do not share a base"
-                )
-            hist_map[t] = v
-        hist: History = tuple(sorted(hist_map.items()))
-        scratch = Store(vars, scratch_defs, dict(depgraph), 0, hist_cap)
-        new_c = eval_expr(scratch, {}, c1.e)
-        if new1 is not None and new2 is not None:
-            later, earlier_cell = (new1, c2) if new1 > new2 else (new2, c1)
-            prev = earlier_cell.c
-            hist = tuple((t, new_c if t == later else v) for t, v in hist)
-        elif new1 is not None:
-            prev = c1.prev
-        elif new2 is not None:
-            prev = c2.prev
-        else:
-            prev = c1.prev
-        if len(hist) > hist_cap:
-            hist = hist[len(hist) - hist_cap:]
-        cell = DefCell(
-            c=new_c,
-            e=c1.e,
-            prev=prev,
-            done=c1.done | c2.done,
-            hist=hist,
-            upda=c1.upda | c2.upda,
-            repi=c1.repi | c2.repi,
-        )
-        merged[name] = cell
-        scratch_defs[name] = cell
-    return merged
+        merged.defs[name] = DefCell(eval_expr(merged, {}, e), e)
+    return merged.defs

@@ -371,14 +371,13 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
     return CompatReport(tuple(violations))
 
 
-def topo_order(env: TypeEnv, names: Iterable[str] | None = None) -> list[str]:
-    """Dependency-first order over `names` (all definitions by default).
+def topo_order(edges: Mapping[str, Iterable[str]], names: Iterable[str]) -> list[str]:
+    """Dependency-first order over `names`, given each name's direct reads
+    (`dep_edges(env)` or a store's dependency graph).
 
-    Deterministic: ties break lexicographically.  Requires an acyclic
-    environment.
+    Deterministic: ties break lexicographically.  Requires acyclic edges.
     """
-    edges = dep_edges(env)
-    wanted = set(names) if names is not None else {n for n, b in env.items() if not b.is_state}
+    wanted = set(names)
     indeg = {}
     rdeps: dict[str, list[str]] = {}
     for n in wanted:

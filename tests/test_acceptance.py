@@ -31,8 +31,8 @@ from meerkat.runtime import (
     run_until_quiescent,
     step_do_one,
     step_do_two,
+    step_evolve_many,
     step_evolve_one,
-    step_evolve_two,
     submit_do,
     submit_evolution,
 )
@@ -408,7 +408,7 @@ def test_criterion_7_confluence():
             r1 = parse_program(f"def e{trial}a = inc2 + {rng.randrange(5)}; var w{trial} = 1;")
             r2 = parse_program(f"def e{trial}b = inc1 * {rng.randrange(5)};")
             cfg = submit_evolution(submit_evolution(base, r1, "p1"), r2, "p2")
-            merged, outcome = step_evolve_two(cfg, cfg.q_r[0], cfg.q_r[1])
+            merged, outcome = step_evolve_many(cfg, cfg.q_r[:2])
             assert isinstance(outcome, Accepted)
             for order in ((r1, r2), (r2, r1)):
                 serial = base

@@ -365,3 +365,27 @@ def test_stop_closes_idle_sessions():
     assert silent.recv(1) == b""
     idle.close()
     silent.close()
+
+
+def test_overflowing_subscriber_reads_the_notice_before_eof():
+    srv = MeerkatServer(
+        ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(LISTING), buffer_limit=1)
+    )
+    srv.start()
+    try:
+        watcher = Client(srv.address)
+        assert watcher.recv() == {"type": "hello", "version": 1}
+        watcher.subscribe("x", "inc1", "inc2")
+        actor = Client(srv.address)
+        actor.recv()
+        # one transaction pushes three events into a one-message buffer
+        assert actor.request({"type": "do", "expr": "do (action { x := 5 })"}, req=1)["type"] == "executed"
+        notice = watcher.recv_until(lambda m: m.get("type") != "changed")
+        assert notice == {"type": "error", "reason": "overflow"}
+        assert watcher.reader.readline() == ""
+        # the overflow dropped only the watcher
+        assert actor.request({"type": "read", "name": "inc2"}, req=2)["value"] == 7
+        watcher.close()
+        actor.close()
+    finally:
+        srv.stop()

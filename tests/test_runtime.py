@@ -9,7 +9,6 @@ from meerkat.runtime import (
     ActionFailed,
     Config,
     Executed,
-    LockTable,
     QueueDied,
     RandomSchedule,
     Rejected,
@@ -21,8 +20,8 @@ from meerkat.runtime import (
     run_until_quiescent,
     step_do_one,
     step_do_two,
+    step_evolve_many,
     step_evolve_one,
-    step_evolve_two,
     step_queue_die,
     submit_do,
     submit_evolution,
@@ -115,7 +114,7 @@ class TestEvolveTwo:
         cfg = quiesced()
         cfg = submit_evolution(cfg, parse_program("def inc3 = inc1 + 1;"), "p1")
         cfg = submit_evolution(cfg, parse_program("def dec1 = x - 1;"), "p2")
-        cfg2, outcome = step_evolve_two(cfg, cfg.q_r[0], cfg.q_r[1])
+        cfg2, outcome = step_evolve_many(cfg, cfg.q_r[:2])
         assert isinstance(outcome, Accepted)
         assert values(cfg2)["inc3"] == 3
         assert values(cfg2)["dec1"] == 0
@@ -127,7 +126,7 @@ class TestEvolveTwo:
         base = quiesced()
         r1, r2 = parse_program("def inc3 = inc1 + 1;"), parse_program("def dec1 = x - 1;")
         cfg = submit_evolution(submit_evolution(base, r1, "p1"), r2, "p2")
-        merged, outcome = step_evolve_two(cfg, cfg.q_r[0], cfg.q_r[1])
+        merged, outcome = step_evolve_many(cfg, cfg.q_r[:2])
         for first, second in ((r1, r2), (r2, r1)):
             serial = base
             serial = submit_evolution(serial, first, "a")
@@ -141,14 +140,12 @@ class TestEvolveTwo:
         cfg = quiesced()
         cfg = submit_evolution(cfg, parse_program("def inc1 = x + 5;"), "p1")
         cfg = submit_evolution(cfg, parse_program("def inc1 = x + 7;"), "p2")
-        cfg2, outcome = step_evolve_two(cfg, cfg.q_r[0], cfg.q_r[1])
+        cfg2, outcome = step_evolve_many(cfg, cfg.q_r[:2])
         assert isinstance(outcome, Rejected) and not outcome.final
         assert len(cfg2.q_r) == 2  # both stay queued
         assert cfg2.env == cfg.env
 
     def test_three_way_approval_generalizes_the_pair_rule(self):
-        from meerkat.runtime import step_evolve_many
-
         cfg = quiesced()
         cfg = submit_evolution(cfg, parse_program("def inc3 = inc1 + 1;"), "p1")
         cfg = submit_evolution(cfg, parse_program("def dec1 = x - 1;"), "p2")
@@ -160,8 +157,6 @@ class TestEvolveTwo:
         assert cfg2.next_txn == cfg.next_txn + 1
 
     def test_three_way_with_any_overlap_is_blocked(self):
-        from meerkat.runtime import step_evolve_many
-
         cfg = quiesced()
         cfg = submit_evolution(cfg, parse_program("def n1 = x + 1;"), "p1")
         cfg = submit_evolution(cfg, parse_program("def n2 = x + 2;"), "p2")
@@ -178,7 +173,7 @@ class TestEvolveTwo:
         )
         cfg = submit_evolution(cfg, parse_program("def d = x + 1;"), "p2")
         assert not evolve_pair_viable(cfg, cfg.q_r[0], cfg.q_r[1])
-        cfg2, outcome = step_evolve_two(cfg, cfg.q_r[0], cfg.q_r[1])
+        cfg2, outcome = step_evolve_many(cfg, cfg.q_r[:2])
         assert isinstance(outcome, Rejected) and not outcome.final
         # but each one alone is fine
         _, o1 = step_evolve_one(cfg, cfg.q_r[0])
@@ -264,21 +259,33 @@ class TestDoTwo:
         return quiesced("var a = 0; var b = 0; def s = a + b;")
 
     def test_disjoint_actions_merge_to_serial_result(self):
-        cfg = self.base()
-        cfg = submit_do(cfg, parse_do("do (action { a := 1 })"), "u1")
-        cfg = submit_do(cfg, parse_do("do (action { b := 2 })"), "u2")
-        cfg2, outcomes = step_do_two(cfg, cfg.q_do[0], cfg.q_do[1])
-        (outcome,) = outcomes
-        assert isinstance(outcome, Executed)
-        assert values(cfg2) == {"a": 1, "b": 2, "s": 3}
-        # equals serial execution in either order
-        for first, second in (("u1", "u2"), ("u2", "u1")):
-            serial = self.base()
-            serial = submit_do(serial, parse_do(f"do (action {{ {'a := 1' if first == 'u1' else 'b := 2'} }})"), first)
-            serial, _ = step_do_one(serial, serial.q_do[0])
-            serial = submit_do(serial, parse_do(f"do (action {{ {'a := 1' if second == 'u1' else 'b := 2'} }})"), second)
-            serial, _ = step_do_one(serial, serial.q_do[0])
-            assert values(serial) == values(cfg2)
+        cases = (
+            ("var a = 0; var b = 0; def s = a + b;", "a := 1", "b := 2", {"a": 1, "b": 2, "s": 3}),
+            # the product changes only once both writes land
+            ("var a = 0; var b = 0; def d = a * b;", "a := 1", "b := 1", {"a": 1, "b": 1, "d": 1}),
+        )
+        for source, w1, w2, want in cases:
+            base = quiesced(source)
+            cfg = submit_do(base, parse_do(f"do (action {{ {w1} }})"), "u1")
+            cfg = submit_do(cfg, parse_do(f"do (action {{ {w2} }})"), "u2")
+            cfg2, outcomes = step_do_two(cfg, cfg.q_do[0], cfg.q_do[1])
+            (outcome,) = outcomes
+            assert isinstance(outcome, Executed)
+            assert values(cfg2) == want
+            pair_changes = {c.name: (c.old, c.new) for c in outcome.changes}
+            # equals serial execution in either order: cells and net changes
+            for order in ((w1, w2), (w2, w1)):
+                serial = base
+                for w in order:
+                    serial = submit_do(serial, parse_do(f"do (action {{ {w} }})"), "s")
+                    serial, _ = step_do_one(serial, serial.q_do[0])
+                assert values(serial) == values(cfg2)
+                net = {
+                    n: (base.store.value_of(n), v)
+                    for n, v in serial.store.values().items()
+                    if base.store.value_of(n) != v
+                }
+                assert pair_changes == net, (source, order)
 
     def test_write_write_conflict_is_not_viable(self):
         cfg = self.base()
@@ -352,17 +359,3 @@ class TestQuiescence:
             cfg, _ = apply_step(cfg, schedule.choose(cfg, options))
             assert check_config(cfg) == []
 
-
-class TestLockTable:
-    def test_write_excludes_other_readers_and_writers(self):
-        t = LockTable()
-        assert t.try_write("x", 1)
-        assert not t.try_write("x", 2)
-        assert not t.try_read("x", 2)
-        assert t.try_read("x", 1)  # the owner may read its own write lock
-
-    def test_readers_share(self):
-        t = LockTable()
-        assert t.try_read("x", 1)
-        assert t.try_read("x", 2)
-        assert not t.try_write("x", 3)

@@ -11,13 +11,13 @@ from meerkat.store import (
     BoolV,
     Change,
     ClosureV,
+    DefCell,
     EvalError,
     IntV,
     UNIT_V,
     VarCell,
     empty_store,
     eval_expr,
-    hist_value_at,
     init_cells,
     merge_defs,
     propagate,
@@ -100,7 +100,7 @@ class TestEval:
 class TestInitCells:
     def test_listing_initial_values(self):
         _, store, result = build(LISTING)
-        assert store.vars["x"] == VarCell(IntV(1), IntV(1))
+        assert store.vars["x"] == VarCell(IntV(1))
         assert store.defs["inc1"].c == IntV(2)
         assert store.defs["inc2"].c == IntV(3)
         assert {c.name: c.new for c in result.changes} == {
@@ -114,8 +114,8 @@ class TestInitCells:
         env2, store2, result = build("def inc1 = x + 10;", env, store, txn=2)
         assert store2.defs["inc1"].c == IntV(11)
         assert store2.defs["inc2"].c == IntV(12)
-        assert store2.vars["x"] == store.vars["x"]
-        assert store2.defs["inc1"].prev == IntV(2)
+        assert store2.vars["x"] is store.vars["x"]
+        assert Change("inc1", IntV(2), IntV(11)) in result.changes
         assert "inc2" in result.recomputed
 
     def test_empty_evolution_is_identity(self):
@@ -137,7 +137,7 @@ class TestInitCells:
     def test_redeclared_var_resets_cell_and_propagates(self):
         env, store, _ = build(LISTING)
         env2, store2, _ = build("var x = 5;", env, store, txn=2)
-        assert store2.vars["x"] == VarCell(IntV(5), IntV(1))
+        assert store2.vars["x"] == VarCell(IntV(5))
         assert store2.defs["inc1"].c == IntV(6)
         assert store2.defs["inc2"].c == IntV(7)
 
@@ -146,22 +146,18 @@ class TestInitCells:
         env, store, _ = build("var x = 1;")
         env2, store2, _ = build("def g = x + 1; var x = 5;", env, store, txn=2)
         assert store2.defs["g"].c == IntV(6)
-        assert store2.defs["g"].hist == ((2, IntV(6)),)
 
-    def test_new_def_hist_and_done_are_seeded(self):
+    def test_new_def_cell_holds_value_and_expression(self):
         _, store, _ = build(LISTING)
-        cell = store.defs["inc1"]
-        assert cell.hist == ((1, IntV(2)),)
-        assert cell.done == frozenset({1})
-        assert cell.upda == frozenset()
-        assert cell.repi == frozenset({"local"})
+        assert store.defs["inc1"] == DefCell(IntV(2), parse_expr("x + 1"))
+        assert store.txn == 1
 
 
 class TestPropagate:
     def test_listing_propagation(self):
         _, store, _ = build(LISTING)
         store2, result = propagate(store, {"x": IntV(2)}, 2)
-        assert store2.vars["x"] == VarCell(IntV(2), IntV(1))
+        assert store2.vars["x"] == VarCell(IntV(2))
         assert store2.defs["inc1"].c == IntV(3)
         assert store2.defs["inc2"].c == IntV(4)
         assert [c for c in result.changes] == [
@@ -175,8 +171,9 @@ class TestPropagate:
         store2, result = propagate(store, {}, 2)
         assert result.changes == ()
         assert result.recomputed == ()
-        for cell in store2.defs.values():
-            assert 2 in cell.done
+        assert store2.txn == 2
+        for name, cell in store2.defs.items():
+            assert cell is store.defs[name]
         assert store2.vars == store.vars
 
     def test_diamond_recomputes_each_definition_once_in_order(self):
@@ -191,13 +188,20 @@ class TestPropagate:
         assert store2.defs["d"].c == IntV(23)
 
     def test_unaffected_definitions_are_not_recomputed(self):
-        src = "var a = 1; var z = 1; def b = a + 1; def y = z + 1;"
+        src = (
+            "var a = 1; var z = 1; def b = a + 1; def c = b * 2; "
+            "def y = z + 1; def w = y + z; def k = 7;"
+        )
         _, store, _ = build(src)
         store2, result = propagate(store, {"a": IntV(5)}, 2)
-        assert result.recomputed == ("b",)
-        assert store2.defs["y"].c == store.defs["y"].c
-        assert 2 in store2.defs["y"].done
-        assert store2.defs["y"].hist == store.defs["y"].hist
+        assert result.recomputed == ("b", "c")
+        # every cell the wave did not recompute is returned as it was received
+        for name, cell in store2.defs.items():
+            if name not in result.recomputed:
+                assert cell is store.defs[name], name
+        assert store2.vars["z"] is store.vars["z"]
+        assert store.defs["c"].c == IntV(4)  # the input store is untouched
+        assert store2.defs["c"].c == IntV(12)
 
     def test_fault_rolls_back_everything(self):
         _, store, _ = build("var x = 1; def d = 10 / x;")
@@ -213,38 +217,30 @@ class TestPropagate:
             propagate(store, {"inc1": IntV(9)}, 2)
 
     def test_history_tracks_committed_values(self):
-        _, store, _ = build(LISTING)
-        store, _ = propagate(store, {"x": IntV(2)}, 2)
-        store, _ = propagate(store, {"x": IntV(5)}, 3)
-        cell = store.defs["inc1"]
-        assert hist_value_at(cell, 1) == IntV(2)
-        assert hist_value_at(cell, 2) == IntV(3)
-        assert hist_value_at(cell, 3) == IntV(6)
-        assert cell.prev == IntV(3)
-
-    def test_history_ring_is_bounded(self):
-        _, store, _ = build(LISTING, base_store=empty_store(hist_cap=4))
-        for k in range(2, 12):
-            store, _ = propagate(store, {"x": IntV(k)}, k)
-        cell = store.defs["inc1"]
-        assert len(cell.hist) == 4
-        assert cell.hist[-1] == (11, IntV(12))
+        # the store's history is its sequence of committed snapshots: a
+        # later commit leaves every earlier snapshot as it was
+        _, s1, _ = build(LISTING)
+        s2, r2 = propagate(s1, {"x": IntV(2)}, 2)
+        s3, _ = propagate(s2, {"x": IntV(5)}, 3)
+        assert [s.defs["inc1"].c for s in (s1, s2, s3)] == [IntV(2), IntV(3), IntV(6)]
+        assert [s.txn for s in (s1, s2, s3)] == [1, 2, 3]
+        assert Change("inc1", IntV(2), IntV(3)) in r2.changes
 
     def test_history_entries_match_a_replay_from_scratch(self):
-        # every recorded (txn, value) pair must equal what a fresh store
-        # holds after applying the writes up to that transaction
+        # every committed snapshot must equal what a fresh store holds
+        # after applying the writes up to that transaction
         writes = {2: {"x": IntV(4)}, 3: {"x": IntV(9)}, 4: {"x": IntV(1)}}
         _, store, _ = build(LISTING)
+        snapshots = {}
         for txn, ws in writes.items():
             store, _ = propagate(store, ws, txn)
-        for name, cell in store.defs.items():
-            for txn, recorded in cell.hist:
-                assert txn in cell.done
-                _, rebuilt, _ = build(LISTING)
-                for t in sorted(writes):
-                    if t <= txn:
-                        rebuilt, _ = propagate(rebuilt, writes[t], t)
-                assert rebuilt.defs[name].c == recorded, (name, txn)
+            snapshots[txn] = store
+        for txn, snap in snapshots.items():
+            _, rebuilt, _ = build(LISTING)
+            for t in sorted(writes):
+                if t <= txn:
+                    rebuilt, _ = propagate(rebuilt, writes[t], t)
+            assert store_to_json(snap) == store_to_json(rebuilt), txn
 
 
 class TestSnapshotRead:
@@ -335,12 +331,11 @@ class TestMergeDefs:
         merged = merge_defs(st1.defs, st2.defs, merged_vars, store.depgraph)
         assert merged["p"].c == IntV(2)
         assert merged["q"].c == IntV(3)
-        assert merged["p"].done == st1.defs["p"].done | st2.defs["p"].done
 
-    def test_diverging_shared_history_is_rejected(self):
-        _, store, _ = self.base()
+    def test_diverging_expressions_are_rejected(self):
+        env, store, _ = self.base()
         st1, _ = propagate(store, {"a": IntV(1)}, 2)
-        st2, _ = propagate(store, {"b": IntV(2)}, 2)  # txn collision
+        _, st2, _ = build("def s = a * b;", env, store, txn=2)  # not a common base
         with pytest.raises(ValueError):
             merge_defs(st1.defs, st2.defs, dict(store.vars), store.depgraph)
 
