@@ -27,19 +27,23 @@ Responses and pushed events:
     {"type": "queue_died", "req": s}
     {"type": "error", "reason": str, ...}
 
-All configuration changes funnel through one engine thread: submissions
-are queued into the runtime config and a seeded random schedule drives the
-stepper to quiescence after each message batch, so clients observe only
-committed transactions, in commit order.
+One thread runs one ``selectors`` loop.  Each turn it accepts connections,
+reads every ready session, handles the batch of lines in arrival order,
+steps the runtime to quiescence with a seeded random schedule, and then
+writes the replies with non-blocking sends; what a socket cannot take yet
+waits until it is writable.  So clients observe only committed transactions,
+in commit order.  Session sockets set ``TCP_NODELAY``: a small reply is not
+held back behind an unacknowledged one.
 
-Every session's lines pass through one FIFO inbox, so a session's messages
-are handled in the order it sent them.  ``subscribe`` has no reply; it is
-in effect once a later request on the same session has been answered.
+A session's messages are handled in the order it sent them.  ``subscribe``
+has no reply; it is in effect once a later request on the same session has
+been answered.
 
 A session is closed only at EOF, on a refused hello (a version mismatch),
 or when its outbound buffer overflows, never for being idle.  Slow
-subscribers never block stepping: an overflowing session loses its
-backlog, is sent ``{"type": "error", "reason": "overflow"}`` and is closed.
+subscribers never block stepping: a session with ``buffer_limit`` unsent
+messages keeps only the first (it may be partly sent), is sent ``{"type":
+"error", "reason": "overflow"}`` and is closed.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ import argparse
 import contextlib
 import itertools
 import json
-import queue
+import selectors
 import socket
 import sys
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 from .runtime import (
@@ -73,7 +78,7 @@ from .runtime import (
 )
 from .store import EvalError, change_to_json, snapshot_read, store_to_json, value_to_json
 from .syntax import ParseError, Program, parse_do, parse_program
-from .typesys import TypeCheckError
+from .typesys import CompatReport, TypeCheckError
 
 PROTOCOL_VERSION = 1
 DEFAULT_BIND = ("127.0.0.1", 7788)
@@ -86,21 +91,22 @@ class ServerConfig:
     open_mode: bool = False  # let user-role sessions evolve code
     trace_path: str | None = None
     seed: int = 0
-    buffer_limit: int = 256  # queued outbound messages per session
+    buffer_limit: int = 256  # unsent outbound messages per session
 
 
-@dataclass
+@dataclass(eq=False)
 class Session:
-    id: int
+    id: int | None  # None while the hello is awaited
     role: str = "programmer"
-    subscriptions: set[str] = field(default_factory=set)
-    outbox: queue.Queue = field(default_factory=lambda: queue.Queue())
     sock: socket.socket | None = None
+    inbuf: bytearray = field(default_factory=bytearray)  # bytes after the last newline
+    outbox: deque[bytes] = field(default_factory=deque)  # unsent lines, the first maybe in part
+    closing: bool = False  # drop its input; close once the outbox is sent
 
 
 @dataclass
 class ServerState:
-    """Everything the engine thread owns."""
+    """Everything the engine owns."""
 
     cfg: Config
     open_mode: bool = False
@@ -108,15 +114,10 @@ class ServerState:
     subscribers: dict[str, set[int]] = field(default_factory=dict)
 
 
-def _rejection_payload(req, report) -> dict:
-    if isinstance(report, TypeCheckError):
-        return {"type": "rejected", "req": req, "reason": report.reason, "detail": report.to_json()}
-    if isinstance(report, EvalError):
-        return {"type": "rejected", "req": req, "reason": report.reason, "detail": report.to_json()}
-    # a compatibility report
-    detail = report.to_json() if hasattr(report, "to_json") else {"message": str(report)}
-    reasons = detail.get("violations") or [{"kind": "incompatible"}]
-    return {"type": "rejected", "req": req, "reason": reasons[0]["kind"], "detail": detail}
+def _rejection_payload(report: TypeCheckError | EvalError | CompatReport) -> dict:
+    detail = report.to_json()
+    reason = getattr(report, "reason", None) or detail["violations"][0]["kind"]
+    return {"type": "rejected", "reason": reason, "detail": detail}
 
 
 def handle_message(state: ServerState, session: Session, msg: dict) -> list[tuple[int, dict]]:
@@ -131,26 +132,20 @@ def handle_message(state: ServerState, session: Session, msg: dict) -> list[tupl
     kind = msg["type"]
     req = msg.get("req")
     sid = session.id
-    if kind == "evolve":
-        if not isinstance(msg.get("code"), str):
+    if kind in ("evolve", "do"):
+        evolve = kind == "evolve"
+        source = msg.get("code" if evolve else "expr")
+        if not isinstance(source, str):
             return [(sid, {"type": "error", "reason": "schema", "req": req})]
-        if session.role != "programmer" and not state.open_mode:
+        if evolve and session.role != "programmer" and not state.open_mode:
             return [(sid, {"type": "rejected", "req": req, "reason": "role",
                            "detail": {"message": "user sessions may not evolve code"}})]
         try:
-            program = parse_program(msg["code"])
+            parsed = parse_program(source) if evolve else parse_do(source)
         except ParseError as err:
             return [(sid, {"type": "rejected", "req": req, "reason": "parse", "detail": err.to_json()})]
-        state.cfg = submit_evolution(state.cfg, program, (sid, req))
-        return []
-    if kind == "do":
-        if not isinstance(msg.get("expr"), str):
-            return [(sid, {"type": "error", "reason": "schema", "req": req})]
-        try:
-            stmt = parse_do(msg["expr"])
-        except ParseError as err:
-            return [(sid, {"type": "rejected", "req": req, "reason": "parse", "detail": err.to_json()})]
-        state.cfg = submit_do(state.cfg, stmt, (sid, req))
+        submit = submit_evolution if evolve else submit_do
+        state.cfg = submit(state.cfg, parsed, (sid, req))
         return []
     if kind == "read":
         name = msg.get("name")
@@ -163,13 +158,11 @@ def handle_message(state: ServerState, session: Session, msg: dict) -> list[tupl
     if kind == "subscribe":
         name = msg.get("name")
         if isinstance(name, str):
-            session.subscriptions.add(name)
             state.subscribers.setdefault(name, set()).add(sid)
         return []
     if kind == "unsubscribe":
         name = msg.get("name")
         if isinstance(name, str):
-            session.subscriptions.discard(name)
             state.subscribers.get(name, set()).discard(sid)
         return []
     if kind == "env":
@@ -194,8 +187,7 @@ def outcome_messages(state: ServerState, outcome: StepOutcome) -> list[tuple[int
     elif isinstance(outcome, Rejected):
         if outcome.final:
             for who in outcome.notified:
-                if isinstance(who, tuple) and len(who) == 2 and isinstance(who[0], int):
-                    out.append((who[0], _rejection_payload(who[1], outcome.report)))
+                terminal(who, _rejection_payload(outcome.report))
     elif isinstance(outcome, Executed):
         changes = [change_to_json(c) for c in outcome.changes]
         for who in outcome.who:
@@ -203,7 +195,7 @@ def outcome_messages(state: ServerState, outcome: StepOutcome) -> list[tuple[int
     elif isinstance(outcome, ActionFailed):
         err = outcome.error
         if isinstance(err, TypeCheckError):
-            payload = {"type": "rejected", "reason": err.reason, "detail": err.to_json()}
+            payload = _rejection_payload(err)
         else:
             payload = {"type": "failed", "reason": getattr(err, "reason", "runtime")}
         for who in outcome.notified:
@@ -220,7 +212,7 @@ def outcome_messages(state: ServerState, outcome: StepOutcome) -> list[tuple[int
 
 
 class MeerkatServer:
-    """Threaded TCP server around one runtime configuration."""
+    """TCP server around one runtime configuration, served by one loop."""
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
@@ -232,200 +224,190 @@ class MeerkatServer:
                 raise ValueError(f"initial program rejected: {outcomes}")
         self.state = ServerState(cfg=cfg, open_mode=self.config.open_mode)
         self.schedule = RandomSchedule(self.config.seed)
-        self.inbox: queue.Queue = queue.Queue()
         self.listener: socket.socket | None = None
-        self.threads: list[threading.Thread] = []
-        self.stop_event = threading.Event()
+        self.selector = selectors.DefaultSelector()
+        self.thread: threading.Thread | None = None
         self.trace_fh = None
         self._session_ids = itertools.count(1)
-        self._conns: set[socket.socket] = set()  # accepted and not yet closed
-        self._lock = threading.Lock()  # guards the sessions registry and _conns
+        self._wake_r = self._wake_w = None  # stop() writes to _wake_w
+        self._unsent: dict[Session, None] = {}  # sessions to flush after the batch
 
     # -- lifecycle
 
-    def start(self):
+    def listen(self):
         self.listener = socket.create_server(self.config.bind)
-        self.listener.settimeout(0.2)
+        self.listener.setblocking(False)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self.selector.register(self.listener, selectors.EVENT_READ)
+        self.selector.register(self._wake_r, selectors.EVENT_READ)
         if self.config.trace_path:
             self.trace_fh = open(self.config.trace_path, "a", encoding="utf-8")
-        for target in (self._accept_loop, self._engine_loop):
-            t = threading.Thread(target=target, daemon=True)
-            t.start()
-            self.threads.append(t)
+
+    def start(self):
+        """Listen, and run the loop on a background thread."""
+        self.listen()
+        self.thread = threading.Thread(target=self.run, daemon=True)
+        self.thread.start()
 
     @property
     def address(self) -> tuple[str, int]:
         return self.listener.getsockname()
 
     def stop(self):
-        self.stop_event.set()
-        for t in self.threads:
-            t.join(timeout=2)
-        with self._lock:
-            conns = list(self._conns)
-        # each woken reader thread then drops its own session
-        for sock in conns:
-            self._close_connection(sock)
-        if self.listener:
-            self.listener.close()
-        if self.trace_fh:
-            self.trace_fh.close()
+        """End the loop, which closes every connection, and wait for it."""
+        with contextlib.suppress(OSError):
+            self._wake_w.send(b"\0")
+        if self.thread is not None:
+            self.thread.join()
 
-    def wait(self):
+    def run(self):
+        """Serve until stop() or Ctrl-C, then close every socket."""
         try:
-            while not self.stop_event.wait(0.5):
-                pass
-        except KeyboardInterrupt:
-            pass
+            while True:
+                batch = []
+                for key, events in self.selector.select():
+                    if key.fileobj is self._wake_r:
+                        return
+                    if key.fileobj is self.listener:
+                        self._accept()
+                        continue
+                    if events & selectors.EVENT_WRITE:
+                        self._unsent[key.data] = None
+                    if events & selectors.EVENT_READ:
+                        batch += self._receive(key.data)
+                for session, msg in batch:
+                    if self.state.sessions.get(session.id) is not session:
+                        continue  # dropped earlier in this batch
+                    if isinstance(msg, Exception):
+                        replies = [(session.id, {"type": "error", "reason": "parse"})]
+                    else:
+                        replies = handle_message(self.state, session, msg)
+                    for sid, payload in replies:
+                        self._send(sid, payload)
+                if batch:
+                    self._step_to_quiescence()
+                for session in list(self._unsent):
+                    self._flush(session)
+        finally:
+            for key in list(self.selector.get_map().values()):
+                key.fileobj.close()
+            self.selector.close()
+            self._wake_w.close()
+            if self.trace_fh:
+                self.trace_fh.close()
 
-    # -- socket handling
+    # -- sockets
 
-    def _accept_loop(self):
-        while not self.stop_event.is_set():
-            try:
-                sock, _addr = self.listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            with self._lock:
-                self._conns.add(sock)
-            t = threading.Thread(target=self._serve_connection, args=(sock,), daemon=True)
-            t.start()
-
-    def _serve_connection(self, sock: socket.socket):
-        # Plain blocking reads: an idle session stays open.  (After one read
-        # timeout a makefile reader refuses every further read.)  Stop and
-        # overflow wake a blocked read through _close_connection.
-        sock.settimeout(None)
-        with sock.makefile("r", encoding="utf-8", errors="replace") as reader:
-            hello = self._read_line(reader)
-            if hello is None:
-                self._close_connection(sock)
-                return
-            try:
-                doc = json.loads(hello)
-            except json.JSONDecodeError:
-                doc = None
-            if (
-                not isinstance(doc, dict)
-                or doc.get("type") != "hello"
-                or doc.get("version") != PROTOCOL_VERSION
-            ):
-                try:
-                    sock.sendall(
-                        (json.dumps({"type": "error", "reason": "version"}) + "\n").encode("utf-8")
-                    )
-                except OSError:
-                    pass
-                self._close_connection(sock)
-                return
-            role = doc.get("role") if doc.get("role") in ("programmer", "user") else "programmer"
-            session = Session(id=next(self._session_ids), role=role, sock=sock)
-            with self._lock:
-                self.state.sessions[session.id] = session
-            session.outbox.put({"type": "hello", "version": PROTOCOL_VERSION})
-            writer = threading.Thread(target=self._writer_loop, args=(session,), daemon=True)
-            writer.start()
-            while not self.stop_event.is_set():
-                line = self._read_line(reader)
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    msg = json.loads(line)
-                except json.JSONDecodeError:
-                    session.outbox.put({"type": "error", "reason": "parse"})
-                    continue
-                self.inbox.put((session.id, msg))
-        self._drop_session(session)
-
-    @staticmethod
-    def _read_line(reader) -> str | None:
-        """The next line, or None at EOF or once the socket is shut down."""
+    def _accept(self):
         try:
-            line = reader.readline()
+            sock, _addr = self.listener.accept()
+        except OSError:  # taken already, or out of descriptors
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.selector.register(sock, selectors.EVENT_READ, Session(id=None, sock=sock))
+
+    def _receive(self, session: Session) -> list[tuple[Session, object]]:
+        """Read from a session; return its complete lines, parsed, except the
+        hello, which is answered here."""
+        try:
+            data = session.sock.recv(65536)
+        except BlockingIOError:
+            return []
         except OSError:
-            return None
-        return line or None
-
-    def _writer_loop(self, session: Session):
-        # None in the outbox means: close the connection after what precedes it
-        while not self.stop_event.is_set():
-            try:
-                payload = session.outbox.get(timeout=0.2)
-            except queue.Empty:
+            data = b""
+        if not data:
+            self._close(session)
+            return []
+        session.inbuf += data
+        if b"\n" not in data:  # so a long line costs time linear in its length
+            return []
+        *lines, session.inbuf = session.inbuf.split(b"\n")
+        batch = []
+        for raw in lines:
+            if session.closing:
+                break
+            if session.id is not None and not raw.strip():
                 continue
-            if payload is None:
-                self._close_connection(session.sock)
-                break
             try:
-                session.sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
-            except OSError:
-                break
+                msg = json.loads(raw.decode("utf-8", errors="replace"))
+            except (ValueError, RecursionError) as err:
+                msg = err  # not JSON: answered in turn with a parse error
+            if session.id is None:
+                self._hello(session, msg)
+            else:
+                batch.append((session, msg))
+        return batch
+
+    def _hello(self, session: Session, doc):
+        hello = isinstance(doc, dict) and doc.get("type") == "hello"
+        if not hello or doc.get("version") != PROTOCOL_VERSION:
+            self._queue(session, {"type": "error", "reason": "version"})
+            session.closing = True
+            return
+        if doc.get("role") in ("programmer", "user"):
+            session.role = doc["role"]
+        session.id = next(self._session_ids)
+        self.state.sessions[session.id] = session
+        self._queue(session, {"type": "hello", "version": PROTOCOL_VERSION})
+
+    def _queue(self, session: Session, payload: dict):
+        session.outbox.append((json.dumps(payload) + "\n").encode("utf-8"))
+        self._unsent[session] = None
+
+    def _send(self, sid: int, payload: dict):
+        session = self.state.sessions.get(sid)
+        if session is None:
+            return
+        if len(session.outbox) >= self.config.buffer_limit:
+            # a subscriber that cannot keep up must not stall the stepper:
+            # drop its backlog but the first line, which may be partly sent,
+            # then send the notice and close
+            self._unregister(session)
+            while len(session.outbox) > 1:
+                session.outbox.pop()
+            self._queue(session, {"type": "error", "reason": "overflow"})
+            session.closing = True
+            return
+        self._queue(session, payload)
+
+    def _flush(self, session: Session):
+        """Send what the socket takes without blocking; the rest waits for
+        EVENT_WRITE."""
+        self._unsent.pop(session, None)
+        outbox = session.outbox
+        try:
+            while outbox:
+                n = session.sock.send(outbox[0])
+                if n < len(outbox[0]):
+                    outbox[0] = outbox[0][n:]
+                    break
+                outbox.popleft()
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._close(session)
+            return
+        if session.closing and not outbox:
+            self._close(session)
+            return
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if outbox else 0)
+        if self.selector.get_key(session.sock).events != events:
+            self.selector.modify(session.sock, events, session)
 
     def _unregister(self, session: Session):
         """After this the engine sends the session nothing more."""
-        with self._lock:
-            self.state.sessions.pop(session.id, None)
-            for subs in self.state.subscribers.values():
-                subs.discard(session.id)
+        self.state.sessions.pop(session.id, None)
+        for subs in self.state.subscribers.values():
+            subs.discard(session.id)
 
-    def _drop_session(self, session: Session):
+    def _close(self, session: Session):
         self._unregister(session)
-        session.outbox.put(None)  # ends the writer
-        self._close_connection(session.sock)
-
-    def _close_connection(self, sock: socket.socket):
-        """Shut the socket down, which wakes a reader blocked in recv and a
-        writer blocked in sendall on it, then close it."""
-        with self._lock:
-            self._conns.discard(sock)
-        with contextlib.suppress(OSError):
-            sock.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            sock.close()
-
-    def _send(self, sid: int, payload: dict):
-        with self._lock:
-            session = self.state.sessions.get(sid)
-        if session is None:
-            return
-        if session.outbox.qsize() >= self.config.buffer_limit:
-            # a subscriber that cannot keep up must not stall the stepper:
-            # drop its backlog, and its writer sends the notice and closes
-            self._unregister(session)
-            with contextlib.suppress(queue.Empty):
-                while True:
-                    session.outbox.get_nowait()
-            session.outbox.put({"type": "error", "reason": "overflow"})
-            session.outbox.put(None)
-            return
-        session.outbox.put(payload)
+        self._unsent.pop(session, None)
+        self.selector.unregister(session.sock)
+        session.sock.close()
 
     # -- the engine
-
-    def _engine_loop(self):
-        while not self.stop_event.is_set():
-            try:
-                sid, msg = self.inbox.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            batch = [(sid, msg)]
-            while True:
-                try:
-                    batch.append(self.inbox.get_nowait())
-                except queue.Empty:
-                    break
-            for sid, msg in batch:
-                with self._lock:
-                    session = self.state.sessions.get(sid)
-                if session is None:
-                    continue
-                for target, payload in handle_message(self.state, session, msg):
-                    self._send(target, payload)
-            self._step_to_quiescence()
 
     def _step_to_quiescence(self):
         while True:
@@ -444,15 +426,13 @@ class MeerkatServer:
 
 
 def serve(config: ServerConfig) -> None:
-    """Run a server until interrupted."""
+    """Run a server on this thread until interrupted."""
     server = MeerkatServer(config)
-    server.start()
+    server.listen()
     host, port = server.address
     print(f"listening on {host}:{port}", flush=True)
-    try:
-        server.wait()
-    finally:
-        server.stop()
+    with contextlib.suppress(KeyboardInterrupt):
+        server.run()
 
 
 def main(argv: list[str] | None = None) -> int:

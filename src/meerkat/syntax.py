@@ -35,6 +35,9 @@ INT_MAX = 2**63 - 1
 # nesting level costs several Python frames (one per precedence tier), so
 # this must stay well under the interpreter's recursion limit.
 _MAX_NESTING = 80
+# A chain `x + x + ... + x` parses in a loop into a tree as deep as it is long;
+# the checker, evaluator and printer recurse over trees, so bound depth too.
+_MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -340,25 +343,36 @@ class _Parser:
         self.next()
         name = self.expect("ident")
         self.expect("=")
-        init = self.expr()
+        init = self.bounded_expr()
         self.expect(";")
         return Decl(kind, name.text, init, Span(tok.line, tok.col))
 
     def do_stmt(self) -> DoStmt:
         tok = self.expect("do")
-        e = self.expr()
+        e = self.bounded_expr()
         self.expect("eof")
         return DoStmt(e, Span(tok.line, tok.col))
+
+    def bounded_expr(self) -> Expr:
+        start = self.pos
+        e = self.expr()
+        # a tree is never deeper than the count of tokens it was parsed from
+        if self.pos - start > _MAX_DEPTH and _expr_depth(e) > _MAX_DEPTH:
+            tok = self.tokens[start]
+            raise ParseError("expression is nested too deeply", tok.line, tok.col)
+        return e
+
+    def enter(self, tok: Token):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError("expression is nested too deeply", tok.line, tok.col)
 
     # -- expression grammar, loosest binding first
 
     def expr(self) -> Expr:
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            tok = self.peek()
-            raise ParseError("expression is nested too deeply", tok.line, tok.col)
+        tok = self.peek()
+        self.enter(tok)
         try:
-            tok = self.peek()
             if tok.kind == "fn":
                 self.next()
                 param = self.expect("ident")
@@ -404,9 +418,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind not in ("!", "-"):
             return self.app()
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            raise ParseError("expression is nested too deeply", tok.line, tok.col)
+        self.enter(tok)
         try:
             self.next()
             span = Span(tok.line, tok.col)
@@ -440,12 +452,9 @@ class _Parser:
         return e
 
     def atom(self) -> Expr:
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            tok = self.peek()
-            raise ParseError("expression is nested too deeply", tok.line, tok.col)
+        tok = self.peek()
+        self.enter(tok)
         try:
-            tok = self.peek()
             span = Span(tok.line, tok.col)
             if tok.kind == "int":
                 self.next()
@@ -513,7 +522,7 @@ def parse_do(source: str) -> DoStmt:
 def parse_expr(source: str) -> Expr:
     """Parse a single expression (the whole input must be consumed)."""
     p = _Parser(tokenize(source))
-    e = p.expr()
+    e = p.bounded_expr()
     p.expect("eof")
     return e
 
@@ -600,19 +609,32 @@ def render(ast: Expr | Program | DoStmt) -> str:
     return _render_expr(ast, _LEVEL_LOW)
 
 
+def _walk(e: Expr) -> Iterator[tuple[Expr, int]]:
+    """Yield `e` and every subexpression, pre-order, each with its depth."""
+    stack = [(e, 1)]
+    while stack:
+        cur, depth = stack.pop()
+        yield cur, depth
+        if isinstance(cur, Lambda):
+            kids = (cur.body,)
+        elif isinstance(cur, App):
+            kids = (cur.arg, cur.fn)
+        elif isinstance(cur, BinOp):
+            kids = (cur.rhs, cur.lhs)
+        elif isinstance(cur, If):
+            kids = (cur.orelse, cur.then, cur.cond)
+        elif isinstance(cur, ActionLit):
+            kids = [w.rhs for w in cur.body.writes]
+        else:
+            continue
+        stack.extend((kid, depth + 1) for kid in kids)
+
+
 def iter_exprs(e: Expr) -> Iterator[Expr]:
     """Yield `e` and every subexpression, pre-order."""
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if isinstance(cur, Lambda):
-            stack.append(cur.body)
-        elif isinstance(cur, App):
-            stack.extend((cur.arg, cur.fn))
-        elif isinstance(cur, BinOp):
-            stack.extend((cur.rhs, cur.lhs))
-        elif isinstance(cur, If):
-            stack.extend((cur.orelse, cur.then, cur.cond))
-        elif isinstance(cur, ActionLit):
-            stack.extend(w.rhs for w in cur.body.writes)
+    return (cur for cur, _ in _walk(e))
+
+
+def _expr_depth(e: Expr) -> int:
+    """The number of nodes on the longest path down from `e`."""
+    return max(depth for _, depth in _walk(e))

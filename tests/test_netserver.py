@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from meerkat.netserver import (
     MeerkatServer,
@@ -103,10 +111,10 @@ class TestHandleMessage:
 # --- live loopback tests ---
 
 class Client:
-    def __init__(self, address, role="programmer", version=1):
+    def __init__(self, address, role="programmer"):
         self.sock = socket.create_connection(address, timeout=10)
         self.reader = self.sock.makefile("r", encoding="utf-8")
-        self.send({"type": "hello", "version": version, "role": role})
+        self.send({"type": "hello", "version": 1, "role": role})
 
     def send(self, payload: dict):
         self.sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
@@ -144,6 +152,7 @@ class Client:
         self.request({"type": "env"}, req="subscribed")
 
     def close(self):
+        self.reader.close()
         self.sock.close()
 
 
@@ -171,11 +180,15 @@ def test_handshake_and_read(server):
 
 
 def test_version_mismatch_is_refused(server):
-    c = Client(server.address, version=99)
-    msg = c.recv()
-    assert msg == {"type": "error", "reason": "version"}
-    assert c.reader.readline() == ""  # connection closed
-    c.close()
+    # a hello with the wrong version, and a first line that is not JSON at all
+    for first_line in (b'{"type": "hello", "version": 99}\n', b"this is not json\n"):
+        sock = socket.create_connection(server.address, timeout=10)
+        sock.sendall(first_line)
+        reader = sock.makefile("r", encoding="utf-8")
+        assert json.loads(reader.readline()) == {"type": "error", "reason": "version"}
+        assert reader.readline() == ""  # connection closed
+        reader.close()
+        sock.close()
 
 
 def test_evolve_then_read_and_events(server):
@@ -389,3 +402,202 @@ def test_overflowing_subscriber_reads_the_notice_before_eof():
         actor.close()
     finally:
         srv.stop()
+
+
+def test_deep_expressions_are_rejected_and_the_server_keeps_serving(server):
+    chain = "+".join(["x"] * 3000)
+    c = Client(server.address)
+    c.recv()
+    other = Client(server.address)
+    other.recv()
+    c.send({"type": "evolve", "req": 1, "code": f"def d = {chain};"})
+    c.send({"type": "do", "req": 2, "expr": f"do (action {{ x := {chain} }})"})
+    c.send({"type": "read", "req": 3, "name": "x"})
+    # one reply each, in order: nothing else arrives before the read's value
+    replies = [c.recv() for _ in range(3)]
+    assert [(m["type"], m.get("reason"), m["req"]) for m in replies] == [
+        ("rejected", "parse", 1),
+        ("rejected", "parse", 2),
+        ("value", None, 3),
+    ]
+    assert other.request({"type": "read", "name": "inc2"}, req=4)["value"] == 3
+    c.close()
+    other.close()
+
+
+def test_a_session_that_does_not_read_stalls_no_one():
+    # each dump is about 70 kB, so 200 of them fill the socket buffers and
+    # most of the replies must wait until the hog's socket is writable again
+    program = " ".join(f"var a_rather_long_variable_name_{k:04} = 1000000;" for k in range(2000))
+    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(program)))
+    srv.start()
+    try:
+        hog = socket.socket()
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
+        hog.settimeout(10)
+        hog.connect(srv.address)
+        hog.sendall(b'{"type": "hello", "version": 1}\n')
+        hog.sendall(b"".join(b'{"type": "dump", "req": %d}\n' % k for k in range(200)))
+        time.sleep(0.2)
+        other = Client(srv.address)
+        assert other.recv() == {"type": "hello", "version": 1}
+        # answered once the dumps are built; the server has written what fits
+        # of them and parked the rest
+        other.request({"type": "env"}, req="e")
+        started = time.monotonic()
+        reply = other.request({"type": "do", "expr": "do (action { a_rather_long_variable_name_0007 := 7 })"}, req="d")
+        assert reply["type"] == "executed"
+        assert other.request({"type": "read", "name": "a_rather_long_variable_name_0007"}, req="r")["value"] == 7
+        assert time.monotonic() - started < 5
+        other.close()
+        reader = hog.makefile("rb")
+        assert json.loads(reader.readline()) == {"type": "hello", "version": 1}
+        seen = []
+        for line in reader:
+            msg = json.loads(line)  # a torn line would not parse
+            if msg["type"] == "error":
+                assert msg == {"type": "error", "reason": "overflow"}
+                assert reader.readline() == b""
+                break
+            assert msg["type"] == "value" and len(msg["value"]["vars"]) == 2000
+            seen.append(msg["req"])
+            if len(seen) == 200:
+                break
+        assert seen == list(range(len(seen)))
+        reader.close()
+        hog.close()
+    finally:
+        srv.stop()
+
+
+def test_a_long_line_costs_time_linear_in_its_length(server):
+    c = Client(server.address)
+    c.recv()
+    chunk = b"x" * (1 << 20)
+    started = time.monotonic()
+    for _ in range(48):  # rescanning the whole line on every read takes tens of seconds
+        c.send_raw(chunk)
+    c.send_raw(b"\n")
+    assert c.recv() == {"type": "error", "reason": "parse"}
+    assert c.request({"type": "read", "name": "x"}, req=1)["value"] == 1
+    assert time.monotonic() - started < 10
+    c.close()
+
+
+# --- hostile input at the protocol boundary ---
+
+ANSWERED = ("evolve", "do", "read", "env", "dump")  # each gets one terminal reply
+
+hostile_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=20),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=5), st.integers(), max_size=2),
+    st.sampled_from(
+        [
+            "x",
+            "inc2",
+            "do (action { x := x + 1 })",
+            "do (action { x := 1 / 0 })",
+            "do " + "+".join(["x"] * 3000),
+            "var fz = 1;",
+            "def fz2 = x * 2;",
+            "var x = true;",
+            "def d = " + "+".join(["x"] * 3000) + ";",
+            "def " + "(" * 5000,
+        ]
+    ),
+)
+request_fields = st.fixed_dictionaries(
+    {"type": st.sampled_from(ANSWERED + ("subscribe", "unsubscribe", "hello", "stats"))},
+    optional={"code": hostile_values, "expr": hostile_values, "name": hostile_values},
+)
+garbage_lines = st.one_of(
+    st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"")),
+    st.sampled_from([b"\xff\xfe\x00", b"{", b"[" * 50_000, b'{"type": 7, "req": "q"}', b"null", b"  "]),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    lines=st.lists(st.one_of(request_fields, garbage_lines), min_size=1, max_size=8),
+    cuts=st.lists(st.integers(min_value=1, max_value=4000), max_size=4),
+)
+def test_hostile_lines_get_one_reply_each_and_stop_no_one(fuzz_server, lines, cuts):
+    srv, control = fuzz_server
+    c = Client(srv.address)
+    assert c.recv() == {"type": "hello", "version": 1}
+    expected = set()
+    wire = []
+    for k, line in enumerate(lines):
+        if isinstance(line, dict):
+            line = dict(line, req=f"q{k}")
+            if line["type"] in ANSWERED:
+                expected.add(line["req"])
+            line = json.dumps(line).encode("utf-8")
+        wire.append(line + b"\n")
+    data = b"".join(wire)
+    # the same bytes, split across several sends at arbitrary points
+    start = 0
+    for cut in sorted(cuts):
+        c.send_raw(data[start:cut])
+        start = max(start, cut)
+        time.sleep(0.001)
+    c.send_raw(data[start:])
+    counts: dict = {}
+    for end in ("end1", "end2"):
+        # once every request is answered, one more round trip gives a second
+        # reply to any of them time to show up
+        c.send({"type": "env", "req": end})
+        while end not in counts or not expected <= counts.keys():
+            msg = c.recv()
+            if "req" in msg:
+                counts[msg["req"]] = counts.get(msg["req"], 0) + 1
+    assert {req: counts[req] for req in expected} == {req: 1 for req in expected}
+    c.close()
+    assert control.request({"type": "read", "name": "inc2"}, req="control")["type"] == "value"
+
+
+@pytest.fixture(scope="module")
+def fuzz_server():
+    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(LISTING)))
+    srv.start()
+    control = Client(srv.address)
+    assert control.recv() == {"type": "hello", "version": 1}
+    yield srv, control
+    control.close()
+    srv.stop()
+
+
+# --- the command line ---
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_cli_serves_on_its_main_thread_and_exits_on_sigint():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "meerkat.netserver", "--bind", "127.0.0.1:0",
+         "--init", str(REPO / "samples" / "listing1.mk")],
+        stdout=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            line = proc.stdout.readline().decode() if ready else ""
+            assert line.startswith("listening on ")
+            c = Client(("127.0.0.1", int(line.rsplit(":", 1)[1])))
+            assert c.recv() == {"type": "hello", "version": 1}
+            assert c.request({"type": "read", "name": "inc2"}, req=1) == {"type": "value", "req": 1, "value": 3}
+            tasks = Path(f"/proc/{proc.pid}/task")
+            if tasks.is_dir():
+                assert len(list(tasks.iterdir())) == 1  # no thread besides the main one
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=5) == 0
+            assert c.reader.readline() == ""
+            c.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()

@@ -158,6 +158,17 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_expr("!" * 100_000 + "true")
 
+    @pytest.mark.parametrize("op", ["+", "*", "&&", " "])
+    def test_long_chain_is_an_error_not_a_crash(self, op):
+        # a chain parses in a loop but builds a tree as deep as it is long;
+        # 30 terms, as in the benchmark's longest chain, must still parse
+        parse_program("var x = 1; def d = " + op.join(["x"] * 30) + ";")
+        chain = op.join(["x"] * 3000)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_program(f"var x = 1; def d = {chain};")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_do(f"do (action {{ x := {chain} }})")
+
 
 class TestRender:
     def test_listing_round_trips_through_text(self):
