@@ -71,11 +71,11 @@ from .runtime import (
     check_config,
     enabled_steps,
     initial_config,
+    run_steps,
     run_until_quiescent,
     step_do_one,
     step_do_two,
     step_evolve_many,
-    step_evolve_one,
     step_queue_die,
     submit_do,
     submit_evolution,

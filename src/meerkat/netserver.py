@@ -68,10 +68,9 @@ from .runtime import (
     RandomSchedule,
     Rejected,
     StepOutcome,
-    apply_step,
-    enabled_steps,
     initial_config,
     outcome_to_json,
+    run_steps,
     run_until_quiescent,
     submit_do,
     submit_evolution,
@@ -410,12 +409,8 @@ class MeerkatServer:
     # -- the engine
 
     def _step_to_quiescence(self):
-        while True:
-            options = enabled_steps(self.state.cfg)
-            if not options:
-                return
-            step = self.schedule.choose(self.state.cfg, options)
-            self.state.cfg, outcomes = apply_step(self.state.cfg, step)
+        for _, step, cfg, outcomes in run_steps(self.state.cfg, self.schedule):
+            self.state.cfg = cfg
             for outcome in outcomes:
                 for sid, payload in outcome_messages(self.state, outcome):
                     self._send(sid, payload)

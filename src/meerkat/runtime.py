@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from .store import (
     ActionV,
@@ -44,6 +44,7 @@ from .syntax import DoStmt, Program
 from .typesys import (
     Action,
     Base,
+    CompatReport,
     Func,
     TypeCheckError,
     TypeEnv,
@@ -51,6 +52,7 @@ from .typesys import (
     compatible,
     env_merge,
     infer_program,
+    topo_order,
     well_formed,
 )
 
@@ -72,9 +74,6 @@ class Config:
     q_r: tuple[Submission, ...] = ()
     q_do: tuple[Submission, ...] = ()
     next_txn: int = 1
-
-    def without_r(self, *subs: Submission) -> "Config":
-        return replace(self, q_r=_remove(self.q_r, subs))
 
     def without_do(self, *subs: Submission) -> "Config":
         return replace(self, q_do=_remove(self.q_do, subs))
@@ -148,15 +147,11 @@ def outcome_to_json(o: StepOutcome) -> dict:
     if isinstance(o, Accepted):
         return {"outcome": "accepted", "txn": o.txn, "changes": [change_to_json(c) for c in o.changes]}
     if isinstance(o, Rejected):
-        rep = o.report
-        detail = rep.to_json() if hasattr(rep, "to_json") else {"message": str(rep)}
-        return {"outcome": "rejected", "final": o.final, "detail": detail}
+        return {"outcome": "rejected", "final": o.final, "detail": o.report.to_json()}
     if isinstance(o, Executed):
         return {"outcome": "executed", "txn": o.txn, "changes": [change_to_json(c) for c in o.changes]}
     if isinstance(o, ActionFailed):
-        err = o.error
-        detail = err.to_json() if hasattr(err, "to_json") else {"message": str(err)}
-        return {"outcome": "failed", "detail": detail}
+        return {"outcome": "failed", "detail": o.error.to_json()}
     if isinstance(o, QueueDied):
         return {"outcome": "queue_died", "count": len(o.notified)}
     raise TypeError(o)
@@ -180,67 +175,49 @@ def submit_do(cfg: Config, d: DoStmt, who: object = "anon") -> Config:
 # Evolution steps
 # ---------------------------------------------------------------------------
 
-def _declared_names(r: Program) -> frozenset[str]:
-    return frozenset(d.name for d in r.decls)
+def _evolution_delta(
+    env: TypeEnv, programs: Sequence[Program]
+) -> TypeEnv | TypeCheckError | CompatReport:
+    """Plan evolutions that commit together under the lock discipline.
 
-
-def step_evolve_one(cfg: Config, pick: Submission) -> tuple[Config, StepOutcome]:
-    """Approve (or finally reject) a single queued evolution.
-
-    On success the new bindings overwrite-merge into the environment and
-    the store is updated under one transaction.  On any failure the entry
-    leaves the queue, the store stays untouched, and the submitter gets
-    the report.
+    Returns their combined delta, or the report that refuses them: a
+    write conflict when two programs rebind the same name, the type
+    error, or the compatibility report of the combined delta.  Each
+    program is typed with every other program's rebound names hidden (a
+    write lock admits only its owner, for reading too); a single program
+    is typed against `env` itself.
     """
-    assert pick in cfg.q_r, "pick must be a queued evolution"
-    r = pick.item
-    assert isinstance(r, Program)
-    try:
-        delta = infer_program(cfg.env, r)
-    except TypeCheckError as err:
-        return cfg.without_r(pick), Rejected(err, (pick.who,))
-    report = compatible(cfg.env, delta)
-    if not report.ok:
-        return cfg.without_r(pick), Rejected(report, (pick.who,))
-    try:
-        new_store, prop = init_cells(cfg.store, delta, r, cfg.next_txn)
-    except EvalError as err:
-        return cfg.without_r(pick), Rejected(err, (pick.who,))
-    consumed = 1 if prop.txn is not None else 0
-    new_cfg = replace(
-        cfg,
-        env=env_merge(cfg.env, delta),
-        store=new_store,
-        q_r=_remove(cfg.q_r, (pick,)),
-        next_txn=cfg.next_txn + consumed,
-    )
-    return new_cfg, Accepted(delta, prop.changes, prop.txn, (pick.who,), prop.recomputed)
-
-
-def _partition_envs(env: TypeEnv, write_sets: Sequence[frozenset[str]]) -> list[TypeEnv] | None:
-    """Build each task's visible environment under the lock discipline, or
-    None when any two write sets collide.
-
-    Task i sees the full environment minus every name another task
-    writes: a write lock admits only its owner, for reading too.
-    """
+    write_sets = [frozenset(d.name for d in r.decls) for r in programs]
     written: set[str] = set()
     for names in write_sets:
         if written & names:
-            return None
+            overlap = sorted(written & names)
+            return TypeCheckError("WriteConflict", f"submissions rebind the same names {overlap}")
         written |= names
-    return [env.without(written - names) for names in write_sets]
+    hidden = [written - names for names in write_sets]
+    try:
+        deltas = [infer_program(env.without(h) if h else env, r) for h, r in zip(hidden, programs)]
+    except TypeCheckError as err:
+        return err
+    combined = deltas[0]
+    for delta in deltas[1:]:
+        combined = env_merge(combined, delta)
+    report = compatible(env, combined)
+    return combined if report.ok else report
 
 
 def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, StepOutcome]:
-    """Approve several evolutions in one step.
+    """Approve one or several evolutions in one step.
 
-    The scheduler's default width is two (the "evolve_two" step), but the
+    The scheduler fires one ("evolve_one") or two ("evolve_two"), but the
     premises generalize: pairwise-disjoint rebind sets, each submission
     typed with every other submission's rebound names hidden, and the
-    combined delta compatible with the environment.  All commit under a
-    single transaction, or none do.  A failed premise leaves every entry
-    queued and reports a non-final rejection.
+    combined delta compatible with the environment.  On success the new
+    bindings overwrite-merge into the environment and the store is updated
+    under a single transaction; on any failure the store stays untouched.
+    A failed premise finally rejects a single pick, which leaves the queue;
+    with several picks every entry stays queued and the rejection is
+    non-final.  A runtime fault finally rejects every pick.
     """
     remaining = cfg.q_r
     for p in picks:
@@ -249,41 +226,25 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
     programs = [p.item for p in picks]
     assert all(isinstance(r, Program) for r in programs)
     whos = tuple(p.who for p in picks)
-    write_sets = [_declared_names(r) for r in programs]
-    parts = _partition_envs(cfg.env, write_sets)
-    if parts is None:
-        overlap = sorted(
-            {n for i, a in enumerate(write_sets) for b in write_sets[i + 1:] for n in a & b}
-        )
-        return cfg, Rejected(
-            TypeCheckError("WriteConflict", f"submissions rebind the same names {overlap}"),
-            whos,
-            final=False,
-        )
-    try:
-        deltas = [infer_program(env_i, r) for env_i, r in zip(parts, programs)]
-    except TypeCheckError as err:
-        return cfg, Rejected(err, whos, final=False)
-    combined = TypeEnv()
-    for delta in deltas:
-        combined = env_merge(combined, delta)
-    report = compatible(cfg.env, combined)
-    if not report.ok:
-        return cfg, Rejected(report, whos, final=False)
+    planned = _evolution_delta(cfg.env, programs)
+    if not isinstance(planned, TypeEnv):
+        if len(picks) == 1:
+            return replace(cfg, q_r=remaining), Rejected(planned, whos)
+        return cfg, Rejected(planned, whos, final=False)
     try:
         union_prog = Program(tuple(d for r in programs for d in r.decls))
-        new_store, prop = init_cells(cfg.store, combined, union_prog, cfg.next_txn)
+        new_store, prop = init_cells(cfg.store, planned, union_prog, cfg.next_txn)
     except EvalError as err:
-        return cfg.without_r(*picks), Rejected(err, whos)
+        return replace(cfg, q_r=remaining), Rejected(err, whos)
     consumed = 1 if prop.txn is not None else 0
     new_cfg = replace(
         cfg,
-        env=env_merge(cfg.env, combined),
+        env=env_merge(cfg.env, planned),
         store=new_store,
-        q_r=_remove(cfg.q_r, picks),
+        q_r=remaining,
         next_txn=cfg.next_txn + consumed,
     )
-    return new_cfg, Accepted(combined, prop.changes, prop.txn, whos, prop.recomputed)
+    return new_cfg, Accepted(planned, prop.changes, prop.txn, whos, prop.recomputed)
 
 
 def step_queue_die(cfg: Config) -> tuple[Config, StepOutcome]:
@@ -409,7 +370,7 @@ def step_do_two(
                 ActionFailed(e, (pick2.who,)),
             )
         merged = Store(merged_vars, defs, base.depgraph, t2)
-        recomputed = tuple(dict.fromkeys(prop1.recomputed + prop2.recomputed))
+        recomputed = tuple(topo_order(base.depgraph, {*prop1.recomputed, *prop2.recomputed}))
         # a definition may change only once both writes land, so diff every
         # written or recomputed name against the base
         changes = tuple(
@@ -459,23 +420,12 @@ class Step:
 
 def evolve_viable(cfg: Config, sub: Submission) -> bool:
     """Would this evolution be accepted right now (statically)?"""
-    try:
-        delta = infer_program(cfg.env, sub.item)
-    except TypeCheckError:
-        return False
-    return compatible(cfg.env, delta).ok
+    return isinstance(_evolution_delta(cfg.env, (sub.item,)), TypeEnv)
 
 
 def evolve_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
-    parts = _partition_envs(cfg.env, [_declared_names(s1.item), _declared_names(s2.item)])
-    if parts is None:
-        return False
-    try:
-        delta1 = infer_program(parts[0], s1.item)
-        delta2 = infer_program(parts[1], s2.item)
-    except TypeCheckError:
-        return False
-    return compatible(cfg.env, env_merge(delta1, delta2)).ok
+    """Would these two evolutions be accepted together right now (statically)?"""
+    return isinstance(_evolution_delta(cfg.env, (s1.item, s2.item)), TypeEnv)
 
 
 def enabled_steps(cfg: Config) -> tuple[Step, ...]:
@@ -508,7 +458,7 @@ def enabled_steps(cfg: Config) -> tuple[Step, ...]:
 def apply_step(cfg: Config, step: Step) -> tuple[Config, tuple[StepOutcome, ...]]:
     """Fire one step from `enabled_steps`."""
     if step.kind == "evolve_one":
-        cfg2, out = step_evolve_one(cfg, cfg.q_r[step.i])
+        cfg2, out = step_evolve_many(cfg, (cfg.q_r[step.i],))
         return cfg2, (out,)
     if step.kind == "evolve_two":
         cfg2, out = step_evolve_many(cfg, (cfg.q_r[step.i], cfg.q_r[step.j]))
@@ -563,6 +513,24 @@ class FixedSchedule:
         return options[k % len(options)]
 
 
+def run_steps(
+    cfg: Config, schedule: ScheduleSource
+) -> Iterator[tuple[Config, Step, Config, tuple[StepOutcome, ...]]]:
+    """The one schedule loop: while any step is enabled, let `schedule`
+    choose one, fire it and yield `(before, step, after, outcomes)`.
+
+    Every scheduler iterates this generator, so each fired step is seen in
+    one place.  It stops when no step is enabled, which leaves pending
+    work only if progress fails; an exception from `schedule.choose` (a
+    replayed schedule running out) propagates to the caller.
+    """
+    while options := enabled_steps(cfg):
+        step = schedule.choose(cfg, options)
+        after, outcomes = apply_step(cfg, step)
+        yield cfg, step, after, outcomes
+        cfg = after
+
+
 def run_until_quiescent(
     cfg: Config, schedule: ScheduleSource | None = None
 ) -> tuple[Config, list[StepOutcome]]:
@@ -571,16 +539,11 @@ def run_until_quiescent(
     Terminates because every step removes at least one queue entry or is
     queue death, which empties the evolution queue outright.
     """
-    schedule = schedule or FirstSchedule()
     outcomes: list[StepOutcome] = []
-    while True:
-        options = enabled_steps(cfg)
-        if not options:
-            assert not cfg.q_r and not cfg.q_do
-            return cfg, outcomes
-        step = schedule.choose(cfg, options)
-        cfg, outs = apply_step(cfg, step)
+    for _, _, cfg, outs in run_steps(cfg, schedule or FirstSchedule()):
         outcomes.extend(outs)
+    assert not cfg.q_r and not cfg.q_do
+    return cfg, outcomes
 
 
 # ---------------------------------------------------------------------------

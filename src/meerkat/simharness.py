@@ -53,6 +53,7 @@ from .runtime import (
     check_config,
     enabled_steps,
     initial_config,
+    run_steps,
     run_until_quiescent,
     submit_do,
     submit_evolution,
@@ -254,18 +255,11 @@ def explore(scenario: Scenario, mode: Seeded | Exhaustive = Seeded()) -> Verdict
         for k in range(mode.runs):
             schedule = RandomSchedule(mode.seed + k)
             cfg = start
-            while True:
-                options = enabled_steps(cfg)
-                if (cfg.q_r or cfg.q_do) and not options:
-                    verdict.violations.append("progress violated: pending work but no enabled step")
-                    break
-                if not options:
-                    break
-                step = schedule.choose(cfg, options)
-                nxt, outs = apply_step(cfg, step)
+            for before, _, cfg, outs in run_steps(start, schedule):
                 verdict.states += 1
-                _audit_step(cfg, nxt, outs, verdict)
-                cfg = nxt
+                _audit_step(before, cfg, outs, verdict)
+            if cfg.q_r or cfg.q_do:
+                verdict.violations.append("progress violated: pending work but no enabled step")
             _finish_run(cfg, verdict, finals)
             if verdict.violations and verdict.counterexample is None:
                 verdict.counterexample = {"kind": "seeded", "seed": mode.seed + k, "picks": schedule.picks}
@@ -313,19 +307,12 @@ def replay(scenario: Scenario, trace: dict) -> Verdict:
     verdict = Verdict()
     finals: list[tuple] = []
     cfg = build_config(scenario)
-    schedule = FixedSchedule(trace["picks"])
-    while True:
-        options = enabled_steps(cfg)
-        if not options:
-            break
-        try:
-            step = schedule.choose(cfg, options)
-        except IndexError:
-            break
-        nxt, outs = apply_step(cfg, step)
-        verdict.states += 1
-        _audit_step(cfg, nxt, outs, verdict)
-        cfg = nxt
+    try:
+        for before, _, cfg, outs in run_steps(cfg, FixedSchedule(trace["picks"])):
+            verdict.states += 1
+            _audit_step(before, cfg, outs, verdict)
+    except IndexError:
+        pass  # the recorded schedule ended before quiescence
     if not cfg.q_r and not cfg.q_do:
         _finish_run(cfg, verdict, finals)
     verdict.ok = not verdict.violations

@@ -32,7 +32,6 @@ from meerkat.runtime import (
     step_do_one,
     step_do_two,
     step_evolve_many,
-    step_evolve_one,
     submit_do,
     submit_evolution,
 )
@@ -414,7 +413,7 @@ def test_criterion_7_confluence():
                 serial = base
                 for r in order:
                     serial = submit_evolution(serial, r, "s")
-                    serial, out = step_evolve_one(serial, serial.q_r[0])
+                    serial, out = step_evolve_many(serial, (serial.q_r[0],))
                     assert isinstance(out, Accepted)
                 assert serial.env == merged.env
                 assert int_values(serial) == int_values(merged)

@@ -21,11 +21,11 @@ from meerkat.runtime import (
     step_do_one,
     step_do_two,
     step_evolve_many,
-    step_evolve_one,
     step_queue_die,
     submit_do,
     submit_evolution,
 )
+from meerkat.simharness import validate_wave
 from meerkat.store import IntV
 from meerkat.syntax import parse_do, parse_program
 from meerkat.typesys import TypeCheckError
@@ -69,7 +69,7 @@ class TestSubmit:
 class TestEvolveOne:
     def test_listing_accepted(self):
         cfg = submit_evolution(initial_config(), parse_program(LISTING), "alice")
-        cfg2, outcome = step_evolve_one(cfg, cfg.q_r[0])
+        cfg2, outcome = step_evolve_many(cfg, (cfg.q_r[0],))
         assert isinstance(outcome, Accepted)
         assert outcome.who == ("alice",)
         assert set(cfg2.env.names()) == {"x", "inc1", "inc2"}
@@ -78,7 +78,7 @@ class TestEvolveOne:
 
     def test_cycle_rejected_and_removed(self):
         cfg = submit_evolution(initial_config(), parse_program("def a = b; def b = a;"), "p")
-        cfg2, outcome = step_evolve_one(cfg, cfg.q_r[0])
+        cfg2, outcome = step_evolve_many(cfg, (cfg.q_r[0],))
         assert isinstance(outcome, Rejected) and outcome.final
         assert outcome.notified == ("p",)
         assert not cfg2.q_r
@@ -87,14 +87,14 @@ class TestEvolveOne:
     def test_extension_accepted_with_derived_value(self):
         cfg = quiesced()
         cfg = submit_evolution(cfg, parse_program("def inc3 = inc2 + 1;"), "p")
-        cfg2, outcome = step_evolve_one(cfg, cfg.q_r[0])
+        cfg2, outcome = step_evolve_many(cfg, (cfg.q_r[0],))
         assert isinstance(outcome, Accepted)
         assert values(cfg2)["inc3"] == 4
 
     def test_runtime_fault_rejects_and_preserves_store(self):
         cfg = quiesced()
         cfg = submit_evolution(cfg, parse_program("def boom = 1 / (x - 1);"), "p")
-        cfg2, outcome = step_evolve_one(cfg, cfg.q_r[0])
+        cfg2, outcome = step_evolve_many(cfg, (cfg.q_r[0],))
         assert isinstance(outcome, Rejected) and outcome.final
         assert cfg2.store == cfg.store
         assert "boom" not in cfg2.env
@@ -102,7 +102,7 @@ class TestEvolveOne:
     def test_empty_program_is_a_noop_acceptance(self):
         cfg = quiesced()
         cfg = submit_evolution(cfg, parse_program(""), "p")
-        cfg2, outcome = step_evolve_one(cfg, cfg.q_r[0])
+        cfg2, outcome = step_evolve_many(cfg, (cfg.q_r[0],))
         assert isinstance(outcome, Accepted)
         assert outcome.txn is None
         assert cfg2.store == cfg.store
@@ -130,9 +130,9 @@ class TestEvolveTwo:
         for first, second in ((r1, r2), (r2, r1)):
             serial = base
             serial = submit_evolution(serial, first, "a")
-            serial, _ = step_evolve_one(serial, serial.q_r[0])
+            serial, _ = step_evolve_many(serial, (serial.q_r[0],))
             serial = submit_evolution(serial, second, "b")
-            serial, _ = step_evolve_one(serial, serial.q_r[0])
+            serial, _ = step_evolve_many(serial, (serial.q_r[0],))
             assert serial.env == merged.env
             assert values(serial) == values(merged)
 
@@ -176,8 +176,8 @@ class TestEvolveTwo:
         cfg2, outcome = step_evolve_many(cfg, cfg.q_r[:2])
         assert isinstance(outcome, Rejected) and not outcome.final
         # but each one alone is fine
-        _, o1 = step_evolve_one(cfg, cfg.q_r[0])
-        _, o2 = step_evolve_one(cfg, cfg.q_r[1])
+        _, o1 = step_evolve_many(cfg, (cfg.q_r[0],))
+        _, o2 = step_evolve_many(cfg, (cfg.q_r[1],))
         assert isinstance(o1, Accepted) and isinstance(o2, Accepted)
 
 
@@ -211,7 +211,7 @@ class TestDoOne:
     def test_action_write_propagates_through_both_definitions(self):
         cfg = quiesced()
         cfg = submit_evolution(cfg, parse_program("def setx2 = action { x := 2 };"), "p")
-        cfg, _ = step_evolve_one(cfg, cfg.q_r[0])
+        cfg, _ = step_evolve_many(cfg, (cfg.q_r[0],))
         cfg = submit_do(cfg, parse_do("do setx2"), "u")
         cfg2, outcome = step_do_one(cfg, cfg.q_do[0])
         assert isinstance(outcome, Executed)
@@ -263,6 +263,14 @@ class TestDoTwo:
             ("var a = 0; var b = 0; def s = a + b;", "a := 1", "b := 2", {"a": 1, "b": 2, "s": 3}),
             # the product changes only once both writes land
             ("var a = 0; var b = 0; def d = a * b;", "a := 1", "b := 1", {"a": 1, "b": 1, "d": 1}),
+            # each write recomputes part of a diamond; the pair reports
+            # the union in dependency order
+            (
+                "var a = 0; var b = 0; def d2 = b + 1; def d = a + d2;",
+                "a := 1",
+                "b := 1",
+                {"a": 1, "b": 1, "d2": 2, "d": 3},
+            ),
         )
         for source, w1, w2, want in cases:
             base = quiesced(source)
@@ -272,6 +280,7 @@ class TestDoTwo:
             (outcome,) = outcomes
             assert isinstance(outcome, Executed)
             assert values(cfg2) == want
+            assert validate_wave(cfg, outcome) == []
             pair_changes = {c.name: (c.old, c.new) for c in outcome.changes}
             # equals serial execution in either order: cells and net changes
             for order in ((w1, w2), (w2, w1)):

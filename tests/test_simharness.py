@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
-from meerkat.runtime import run_until_quiescent, submit_evolution, initial_config
+from meerkat.runtime import RandomSchedule, initial_config, run_until_quiescent, submit_evolution
 from meerkat.simharness import (
     Exhaustive,
     Scenario,
@@ -24,6 +25,7 @@ from meerkat.syntax import parse_program
 from meerkat.typesys import TypeEnv, infer_program
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 class TestOracle:
@@ -164,6 +166,17 @@ class TestScenarios:
         assert verdict.ok
         assert observable(cfg) == observable(build_and_run(scenario, schedule.picks))
 
+    def test_replay_of_a_schedule_prefix_runs_only_its_steps(self):
+        scenario = self.confluence()
+        schedule = RandomSchedule(0)
+        run_until_quiescent(build_config(scenario), schedule)
+        assert len(schedule.picks) == 2  # the two actions one at a time
+        for k in range(len(schedule.picks)):
+            verdict = replay(scenario, {"kind": "picks", "picks": schedule.picks[:k]})
+            assert verdict.ok, verdict.violations
+            assert verdict.states == k
+            assert verdict.runs == 0  # no oracle runs on a non-quiescent config
+
 
 def build_and_run(scenario, picks):
     from meerkat.runtime import FixedSchedule, enabled_steps, apply_step
@@ -209,6 +222,12 @@ class TestScenarioFiles:
         assert "result=OK" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert doc["ok"] is True
+
+    def test_shipped_sample_scenarios_pass(self, capsys):
+        paths = sorted(SAMPLES.glob("scenario_*.json"))
+        assert paths
+        for path in paths:
+            assert main(["--scenario", str(path), "--exhaustive", "8"]) == 0, path
 
     def test_cli_flags_missing_file(self, capsys):
         assert main(["--scenario", "/nonexistent.json"]) == 1
