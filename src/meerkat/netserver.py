@@ -44,6 +44,11 @@ or when its outbound buffer overflows, never for being idle.  Slow
 subscribers never block stepping: a session with ``buffer_limit`` unsent
 messages keeps only the first (it may be partly sent), is sent ``{"type":
 "error", "reason": "overflow"}`` and is closed.
+
+A fault inside a step (a bug, not bad input) is written to stderr; every
+submission still queued gets one ``failed`` or final ``rejected`` reply
+with reason ``internal``, and the loop keeps serving the last committed
+state.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import socket
 import sys
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .runtime import (
     Accepted,
@@ -409,15 +414,31 @@ class MeerkatServer:
     # -- the engine
 
     def _step_to_quiescence(self):
-        for _, step, cfg, outcomes in run_steps(self.state.cfg, self.schedule):
-            self.state.cfg = cfg
-            for outcome in outcomes:
-                for sid, payload in outcome_messages(self.state, outcome):
-                    self._send(sid, payload)
-                if self.trace_fh:
-                    record = dict(step.to_json(), **outcome_to_json(outcome))
-                    self.trace_fh.write(json.dumps(record) + "\n")
-                    self.trace_fh.flush()
+        try:
+            for _, step, cfg, outcomes in run_steps(self.state.cfg, self.schedule):
+                self.state.cfg = cfg
+                self._publish(step.to_json(), outcomes)
+        except Exception:
+            # a fault in the engine, not in any input: report it as an
+            # uncaught exception would be (its traceback on stderr), end
+            # every submission still queued with one reply, and keep
+            # serving the last committed env and store
+            sys.excepthook(*sys.exc_info())
+            cfg = self.state.cfg
+            fault = EvalError("internal", "the server failed while stepping")
+            outcomes = [Rejected(fault, tuple(s.who for s in cfg.q_r))] if cfg.q_r else []
+            outcomes += [ActionFailed(fault, (s.who,)) for s in cfg.q_do]
+            self.state.cfg = replace(cfg, q_r=(), q_do=())
+            self._publish({"kind": "internal"}, outcomes)
+
+    def _publish(self, record: dict, outcomes):
+        """Send the replies and events of one step's outcomes, and trace them."""
+        for outcome in outcomes:
+            for sid, payload in outcome_messages(self.state, outcome):
+                self._send(sid, payload)
+            if self.trace_fh:
+                self.trace_fh.write(json.dumps(dict(record, **outcome_to_json(outcome))) + "\n")
+                self.trace_fh.flush()
 
 
 def serve(config: ServerConfig) -> None:

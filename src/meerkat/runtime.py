@@ -3,9 +3,14 @@
 A `Config` bundles the typing environment, the store, and the two pending
 queues: code evolutions submitted by programmers and `do` statements
 submitted by users.  Step functions consume queue entries and return a new
-config plus an outcome describing what happened; nothing here blocks or
-shares mutable state, so a scheduler (the network server, the REPL, or the
-exploration harness) owns all sequencing decisions.
+config plus an outcome describing what happened; nothing here blocks, so a
+scheduler (the network server, the REPL, or the exploration harness) owns
+all sequencing decisions.  Nothing here shares mutable state either, with
+one exception: each `Submission` caches its static plans (a `do`'s lock
+plan, an evolution's delta alone or with partners).  They are pure
+functions of the environment and the item, kept against the one `TypeEnv`
+object they were computed from, so only an accepted evolution, which
+builds a new environment, makes the next lookup plan afresh.
 
 Evolution approval follows a lock discipline: two evolutions may commit in
 one step only when they rebind disjoint names and neither reads a name the
@@ -45,6 +50,7 @@ from .typesys import (
     Action,
     Base,
     CompatReport,
+    DoPlan,
     Func,
     TypeCheckError,
     TypeEnv,
@@ -59,10 +65,19 @@ from .typesys import (
 
 @dataclass(frozen=True)
 class Submission:
-    """One queued item together with who submitted it."""
+    """One queued item together with who submitted it.
+
+    `plans` caches what `_planned` computes for this item under the one
+    environment held at `plans["env"]`: the entry `()` holds the `do`'s
+    lock plan or the lone evolution's delta, and an entry keyed by later
+    partners' ids holds the delta they form together.  It takes no part in
+    equality or hashing, and it dies with the submission when that leaves
+    the queue.
+    """
 
     item: Program | DoStmt
     who: object = "anon"
+    plans: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -77,6 +92,33 @@ class Config:
 
     def without_do(self, *subs: Submission) -> "Config":
         return replace(self, q_do=_remove(self.q_do, subs))
+
+
+def _planned(env: TypeEnv, subs: Sequence[Submission], plan):
+    """`plan()` for the submissions `subs` under `env`, computed once.
+
+    The result is cached on the first submission, keyed by the partners
+    that follow it and valid while `env` is the very object it was planned
+    against: a `TypeEnv` is immutable, and only an accepted evolution makes
+    a new one, so the first lookup under another env drops every entry.
+    Partners are held in their entry and matched with `is`, so a reused
+    `id` never matches.  A cached error keeps no traceback, and so no
+    frames or stores.
+    """
+    first, partners = subs[0], tuple(subs[1:])
+    cache = first.plans
+    if cache.get("env") is not env:
+        cache.clear()
+        cache["env"] = env
+    key = tuple(map(id, partners))
+    hit = cache.get(key)
+    if hit is not None and all(a is b for a, b in zip(hit[0], partners)):
+        return hit[1]
+    result = plan()
+    if isinstance(result, Exception):
+        result = result.with_traceback(None)
+    cache[key] = (partners, result)
+    return result
 
 
 def _remove(queue: tuple[Submission, ...], subs: Sequence[Submission]) -> tuple[Submission, ...]:
@@ -206,6 +248,11 @@ def _evolution_delta(
     return combined if report.ok else report
 
 
+def _evolution_plan(env: TypeEnv, subs: Sequence[Submission]) -> TypeEnv | TypeCheckError | CompatReport:
+    """`_evolution_delta` of the queued evolutions `subs`, once per env."""
+    return _planned(env, subs, lambda: _evolution_delta(env, [s.item for s in subs]))
+
+
 def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, StepOutcome]:
     """Approve one or several evolutions in one step.
 
@@ -226,7 +273,7 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
     programs = [p.item for p in picks]
     assert all(isinstance(r, Program) for r in programs)
     whos = tuple(p.who for p in picks)
-    planned = _evolution_delta(cfg.env, programs)
+    planned = _evolution_plan(cfg.env, picks)
     if not isinstance(planned, TypeEnv):
         if len(picks) == 1:
             return replace(cfg, q_r=remaining), Rejected(planned, whos)
@@ -277,6 +324,20 @@ def _run_action(store: Store, d: DoStmt) -> dict[str, Value]:
     return pending
 
 
+def _do_plan(env: TypeEnv, sub: Submission) -> DoPlan | TypeCheckError:
+    """The lock plan of the queued `do` in `sub` under `env`, or the type
+    error that refuses it.  It is typed once per env: the scheduler's pair
+    checks and the step that fires it all read the same plan."""
+
+    def plan() -> DoPlan | TypeCheckError:
+        try:
+            return check_do(env, sub.item)
+        except TypeCheckError as err:
+            return err
+
+    return _planned(env, (sub,), plan)
+
+
 def step_do_one(cfg: Config, pick: Submission) -> tuple[Config, StepOutcome]:
     """Execute one queued action transactionally.
 
@@ -286,10 +347,9 @@ def step_do_one(cfg: Config, pick: Submission) -> tuple[Config, StepOutcome]:
     d = pick.item
     assert isinstance(d, DoStmt)
     gone = cfg.without_do(pick)
-    try:
-        check_do(cfg.env, d)
-    except TypeCheckError as err:
-        return gone, ActionFailed(err, (pick.who,))
+    planned = _do_plan(cfg.env, pick)
+    if isinstance(planned, TypeCheckError):
+        return gone, ActionFailed(planned, (pick.who,))
     try:
         pending = _run_action(cfg.store, d)
         new_store, prop = propagate(cfg.store, pending, cfg.next_txn)
@@ -299,13 +359,12 @@ def step_do_one(cfg: Config, pick: Submission) -> tuple[Config, StepOutcome]:
     return new_cfg, Executed(prop.changes, prop.txn, (pick.who,), prop.recomputed)
 
 
-def do_pair_viable(cfg: Config, d1: DoStmt, d2: DoStmt) -> bool:
-    """Lock check for running two actions concurrently: disjoint write sets
-    and neither reads a variable the other writes."""
-    try:
-        p1 = check_do(cfg.env, d1)
-        p2 = check_do(cfg.env, d2)
-    except TypeCheckError:
+def do_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
+    """Lock check for running two queued actions concurrently: both type,
+    their write sets are disjoint and neither reads a variable the other
+    writes.  Only set logic: the plans are `_do_plan`'s."""
+    p1, p2 = _do_plan(cfg.env, s1), _do_plan(cfg.env, s2)
+    if isinstance(p1, TypeCheckError) or isinstance(p2, TypeCheckError):
         return False
     return not (
         p1.writes & p2.writes or p1.read_vars & p2.writes or p2.read_vars & p1.writes
@@ -325,7 +384,7 @@ def step_do_two(
     assert pick1 in cfg.q_do and pick2 in _remove(cfg.q_do, (pick1,))
     d1, d2 = pick1.item, pick2.item
     assert isinstance(d1, DoStmt) and isinstance(d2, DoStmt)
-    if not do_pair_viable(cfg, d1, d2):
+    if not do_pair_viable(cfg, pick1, pick2):
         return cfg, (
             Rejected(
                 TypeCheckError("LockConflict", "actions overlap on reads or writes"),
@@ -420,12 +479,12 @@ class Step:
 
 def evolve_viable(cfg: Config, sub: Submission) -> bool:
     """Would this evolution be accepted right now (statically)?"""
-    return isinstance(_evolution_delta(cfg.env, (sub.item,)), TypeEnv)
+    return isinstance(_evolution_plan(cfg.env, (sub,)), TypeEnv)
 
 
 def evolve_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     """Would these two evolutions be accepted together right now (statically)?"""
-    return isinstance(_evolution_delta(cfg.env, (s1.item, s2.item)), TypeEnv)
+    return isinstance(_evolution_plan(cfg.env, (s1, s2)), TypeEnv)
 
 
 def enabled_steps(cfg: Config) -> tuple[Step, ...]:
@@ -450,7 +509,7 @@ def enabled_steps(cfg: Config) -> tuple[Step, ...]:
     steps.extend(Step("do_one", i) for i in range(len(cfg.q_do)))
     for i in range(len(cfg.q_do)):
         for j in range(i + 1, len(cfg.q_do)):
-            if do_pair_viable(cfg, cfg.q_do[i].item, cfg.q_do[j].item):
+            if do_pair_viable(cfg, cfg.q_do[i], cfg.q_do[j]):
                 steps.append(Step("do_two", i, j))
     return tuple(steps)
 
@@ -498,8 +557,17 @@ class FirstSchedule:
         return options[0]
 
 
+class PickOutOfRange(ValueError):
+    """A replayed pick names no enabled step: the schedule was recorded
+    against another configuration."""
+
+
 class FixedSchedule:
-    """Replays a recorded sequence of option indices."""
+    """Replays a recorded sequence of option indices.
+
+    `choose` raises `IndexError` once the picks run out, and
+    `PickOutOfRange` for a pick that no enabled step answers.
+    """
 
     def __init__(self, picks: Sequence[int]):
         self.picks = list(picks)
@@ -510,7 +578,9 @@ class FixedSchedule:
             raise IndexError("replay schedule exhausted")
         k = self.picks[self.pos]
         self.pos += 1
-        return options[k % len(options)]
+        if not 0 <= k < len(options):
+            raise PickOutOfRange(f"step {self.pos}: pick {k} is out of range for {len(options)} options")
+        return options[k]
 
 
 def run_steps(

@@ -47,6 +47,7 @@ from .runtime import (
     Config,
     Executed,
     FixedSchedule,
+    PickOutOfRange,
     RandomSchedule,
     StepOutcome,
     apply_step,
@@ -313,6 +314,8 @@ def replay(scenario: Scenario, trace: dict) -> Verdict:
             _audit_step(before, cfg, outs, verdict)
     except IndexError:
         pass  # the recorded schedule ended before quiescence
+    except PickOutOfRange as err:
+        verdict.violations.append(f"replay diverged: {err}")
     if not cfg.q_r and not cfg.q_do:
         _finish_run(cfg, verdict, finals)
     verdict.ok = not verdict.violations

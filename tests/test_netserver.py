@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import meerkat.runtime
 from meerkat.netserver import (
     MeerkatServer,
     ServerConfig,
@@ -24,8 +25,8 @@ from meerkat.netserver import (
     Session,
     handle_message,
 )
-from meerkat.runtime import initial_config, run_until_quiescent, submit_evolution
-from meerkat.syntax import parse_program
+from meerkat.runtime import initial_config, run_until_quiescent, submit_do, submit_evolution
+from meerkat.syntax import parse_do, parse_program
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
 
@@ -296,6 +297,51 @@ def test_open_mode_lets_users_evolve():
         u.close()
     finally:
         srv.stop()
+
+
+def raise_once(monkeypatch):
+    """Make the runtime's next step raise, as a bug inside it would."""
+    real, armed = meerkat.runtime.apply_step, [True]
+
+    def faulty(cfg, step):
+        if armed:
+            armed.clear()
+            raise RuntimeError("a bug inside a step")
+        return real(cfg, step)
+
+    monkeypatch.setattr(meerkat.runtime, "apply_step", faulty)
+
+
+def test_a_fault_inside_a_step_fails_its_submission_and_the_server_keeps_serving(server, monkeypatch):
+    a, b = Client(server.address), Client(server.address)
+    a.recv(), b.recv()
+    raise_once(monkeypatch)
+    reply = a.request({"type": "do", "expr": "do (action { x := 5 })"}, req=1)
+    assert reply == {"type": "failed", "reason": "internal", "req": 1}
+    assert b.request({"type": "read", "name": "inc2"}, req=2)["value"] == 3
+    reply = a.request({"type": "do", "expr": "do (action { x := 7 })"}, req=3)
+    assert reply["type"] == "executed"
+    assert b.request({"type": "read", "name": "inc2"}, req=4)["value"] == 9
+    a.close()
+    b.close()
+
+
+def test_a_fault_inside_a_step_answers_every_queued_submission_once(monkeypatch, capsys):
+    srv = MeerkatServer(ServerConfig(initial=parse_program(LISTING)))
+    committed = srv.state.cfg
+    cfg = submit_evolution(committed, parse_program("def inc3 = inc2 + 1;"), (1, "e"))
+    srv.state.cfg = submit_do(cfg, parse_do("do (action { x := 5 })"), (2, "d"))
+    sent = []
+    monkeypatch.setattr(srv, "_send", lambda sid, payload: sent.append((sid, payload)))
+    raise_once(monkeypatch)
+    srv._step_to_quiescence()
+    assert sent == [
+        (1, {"type": "rejected", "reason": "internal", "req": "e",
+             "detail": {"reason": "internal", "message": "the server failed while stepping"}}),
+        (2, {"type": "failed", "reason": "internal", "req": "d"}),
+    ]
+    assert srv.state.cfg == committed
+    assert "RuntimeError: a bug inside a step" in capsys.readouterr().err
 
 
 def test_trace_file_records_steps(tmp_path):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from meerkat.runtime import (
@@ -12,8 +17,12 @@ from meerkat.runtime import (
     QueueDied,
     RandomSchedule,
     Rejected,
+    Step,
+    Submission,
+    _evolution_delta,
     apply_step,
     check_config,
+    do_pair_viable,
     enabled_steps,
     evolve_pair_viable,
     initial_config,
@@ -25,12 +34,13 @@ from meerkat.runtime import (
     submit_do,
     submit_evolution,
 )
-from meerkat.simharness import validate_wave
-from meerkat.store import IntV
+from meerkat.simharness import build_config, load_scenario, validate_wave
+from meerkat.store import IntV, StringV
 from meerkat.syntax import parse_do, parse_program
-from meerkat.typesys import TypeCheckError
+from meerkat.typesys import TypeCheckError, TypeEnv, check_do
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def quiesced(source: str = LISTING) -> Config:
@@ -368,3 +378,140 @@ class TestQuiescence:
             cfg, _ = apply_step(cfg, schedule.choose(cfg, options))
             assert check_config(cfg) == []
 
+
+
+def reference_enabled_steps(cfg: Config) -> tuple[Step, ...]:
+    """`enabled_steps` from first principles: every plan is computed afresh
+    from `check_do` and `_evolution_delta`, with no cache."""
+
+    def approvable(*subs: Submission) -> bool:
+        return isinstance(_evolution_delta(cfg.env, [s.item for s in subs]), TypeEnv)
+
+    def do_plan(sub: Submission):
+        try:
+            return check_do(cfg.env, sub.item)
+        except TypeCheckError:
+            return None
+
+    q_r, q_do = cfg.q_r, cfg.q_do
+    steps = [Step("evolve_one", i) for i in range(len(q_r)) if approvable(q_r[i])]
+    steps += [Step("evolve_two", i, j) for i, j in combinations(range(len(q_r)), 2) if approvable(q_r[i], q_r[j])]
+    if q_r and not steps:
+        steps.append(Step("queue_die"))
+    steps += [Step("do_one", i) for i in range(len(q_do))]
+    plans = [do_plan(s) for s in q_do]
+    for i, j in combinations(range(len(q_do)), 2):
+        p1, p2 = plans[i], plans[j]
+        if p1 is not None and p2 is not None and not (
+            p1.writes & p2.writes or p1.read_vars & p2.writes or p2.read_vars & p1.writes
+        ):
+            steps.append(Step("do_two", i, j))
+    return tuple(steps)
+
+
+def with_fresh_submissions(cfg: Config) -> Config:
+    """The same config with new `Submission` objects, so nothing is cached."""
+    return replace(
+        cfg,
+        q_r=tuple(Submission(s.item, s.who) for s in cfg.q_r),
+        q_do=tuple(Submission(s.item, s.who) for s in cfg.q_do),
+    )
+
+
+def comparable(outcome):
+    """An outcome with its error objects (equal only to themselves) as JSON."""
+    return type(outcome), {
+        k: v.to_json() if isinstance(v, Exception) else v for k, v in vars(outcome).items()
+    }
+
+
+def burst_config(seed: int) -> Config:
+    """A burst like the benchmark's `burst_drain`, small: increments of 1-3
+    cells (some pairs conflict), a division by a parity that is zero about
+    half the time, and evolutions rebinding a pool name.  One evolution
+    turns `p_1` into a string, so a queued `do` that adds to it stops
+    typing once that evolution is accepted."""
+    rng = random.Random(seed)
+    pairs, pool = 8, 4
+    decls = ["var z = 0;"]
+    for k in range(pairs):
+        decls.append(f"var v_{k} = {rng.randrange(8)}; def d_{k} = v_{k} * 2 + 1;")
+    decls += [f"def p_{i} = d_{rng.randrange(pairs)} + v_{rng.randrange(pairs)};" for i in range(pool)]
+    cfg = quiesced(" ".join(decls))
+    kinds = ["inc"] * 9 + ["div", "evolve", "evolve", "flip", "reads_p1"]
+    rng.shuffle(kinds)
+    for n, kind in enumerate(kinds):
+        who = f"s{n}"
+        if kind == "inc":
+            body = "; ".join(f"v_{k} := v_{k} + 1" for k in sorted(rng.sample(range(pairs), rng.randint(1, 3))))
+            cfg = submit_do(cfg, parse_do(f"do (action {{ {body} }})"), who)
+        elif kind == "div":
+            d = f"(v_{rng.randrange(pairs)} - v_{rng.randrange(pairs)})"
+            cfg = submit_do(cfg, parse_do(f"do (action {{ z := 1000 / ({d} - {d} / 2 * 2) }})"), who)
+        elif kind == "evolve":
+            code = f"def p_{rng.randrange(pool)} = d_{rng.randrange(pairs)} + v_{rng.randrange(pairs)};"
+            cfg = submit_evolution(cfg, parse_program(code), who)
+        elif kind == "flip":
+            cfg = submit_evolution(cfg, parse_program('def p_1 = "s";'), who)
+        else:
+            cfg = submit_do(cfg, parse_do("do (action { z := p_1 + 1 })"), who)
+    return cfg
+
+
+class TestPlanCache:
+    def test_a_cached_plan_does_not_survive_an_env_change(self):
+        cfg = quiesced("var x = 0;")
+        cfg = submit_do(cfg, parse_do("do (action { x := x + 1 })"), "u")
+        cfg = submit_evolution(cfg, parse_program('var x = "a";'), "p")
+        cfg = submit_evolution(cfg, parse_program("def d = x + 1;"), "q")
+        # both evolutions and the do are planned, and viable, under this env
+        assert enabled_steps(cfg) == (Step("evolve_one", 0), Step("evolve_one", 1), Step("do_one", 0))
+        cfg, _ = apply_step(cfg, Step("evolve_one", 0))
+        # x is a string now: `def d` no longer types and the do no longer runs
+        assert enabled_steps(cfg) == (Step("queue_die"), Step("do_one", 0))
+        cfg, outcomes = run_until_quiescent(cfg)
+        assert outcomes[0] == QueueDied(("q",))
+        assert isinstance(outcomes[1], ActionFailed)
+        assert outcomes[1].error.reason == "TypeMismatch"
+        assert cfg.store.value_of("x") == StringV("a")
+
+    @pytest.mark.parametrize("source", ["samples", "burst"])
+    def test_cached_scheduling_equals_uncached_scheduling(self, source):
+        if source == "samples":
+            paths = sorted(SAMPLES.glob("scenario_*.json"))
+            assert paths
+            starts = [build_config(load_scenario(str(p))) for p in paths]
+        else:
+            starts = [burst_config(seed) for seed in range(3)]
+        for start in starts:
+            for seed in range(20):
+                cfg, schedule = start, RandomSchedule(seed)
+                while options := enabled_steps(cfg):
+                    assert options == reference_enabled_steps(cfg)
+                    fresh = with_fresh_submissions(cfg)
+                    for i, j in combinations(range(len(cfg.q_do)), 2):
+                        assert do_pair_viable(cfg, cfg.q_do[i], cfg.q_do[j]) == do_pair_viable(
+                            fresh, fresh.q_do[i], fresh.q_do[j]
+                        )
+                    step = schedule.choose(cfg, options)
+                    after, outcomes = apply_step(cfg, step)
+                    after_fresh, outcomes_fresh = apply_step(fresh, step)
+                    assert after == after_fresh
+                    assert list(map(comparable, outcomes)) == list(map(comparable, outcomes_fresh))
+                    cfg = after
+                assert not cfg.q_r and not cfg.q_do
+
+    def test_plans_live_on_the_submission_and_follow_the_env(self):
+        cfg = quiesced("var x = 0;")
+        cfg = submit_do(cfg, parse_do("do (action { x := x + 1 })"), "u")
+        cfg = submit_do(cfg, parse_do("do (action { x := 1 })"), "v")
+        enabled_steps(cfg)
+        sub = cfg.q_do[0]
+        assert sub.plans["env"] is cfg.env and set(sub.plans) == {"env", ()}
+        # the cache takes no part in equality or hashing
+        twin = Submission(sub.item, sub.who)
+        assert twin == sub and hash(twin) == hash(sub) and twin.plans == {}
+        cfg = submit_evolution(cfg, parse_program("def d = x * 2;"), "p")
+        cfg, _ = apply_step(cfg, Step("evolve_one", 0))
+        enabled_steps(cfg)
+        assert sub.plans["env"] is cfg.env

@@ -177,6 +177,17 @@ class TestScenarios:
             assert verdict.states == k
             assert verdict.runs == 0  # no oracle runs on a non-quiescent config
 
+    def test_replay_of_an_out_of_range_pick_is_a_violation(self):
+        # the two actions offer three steps first (each alone, or the pair)
+        verdict = replay(self.confluence(), {"kind": "picks", "picks": [7, 99]})
+        assert not verdict.ok
+        assert verdict.states == 0
+        assert verdict.violations == ["replay diverged: step 1: pick 7 is out of range for 3 options"]
+        # a pick that fits the first step but not the second names the second
+        verdict = replay(self.confluence(), {"kind": "picks", "picks": [0, 99]})
+        assert verdict.states == 1
+        assert verdict.violations == ["replay diverged: step 2: pick 99 is out of range for 1 options"]
+
 
 def build_and_run(scenario, picks):
     from meerkat.runtime import FixedSchedule, enabled_steps, apply_step
