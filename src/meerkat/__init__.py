@@ -73,8 +73,7 @@ from .runtime import (
     initial_config,
     run_steps,
     run_until_quiescent,
-    step_do_one,
-    step_do_two,
+    step_do_many,
     step_evolve_many,
     step_queue_die,
     submit_do,

@@ -416,8 +416,7 @@ class MeerkatServer:
     def _step_to_quiescence(self):
         try:
             for _, step, cfg, outcomes in run_steps(self.state.cfg, self.schedule):
-                self.state.cfg = cfg
-                self._publish(step.to_json(), outcomes)
+                self._commit(cfg, step.to_json(), outcomes)
         except Exception:
             # a fault in the engine, not in any input: report it as an
             # uncaught exception would be (its traceback on stderr), end
@@ -428,17 +427,21 @@ class MeerkatServer:
             fault = EvalError("internal", "the server failed while stepping")
             outcomes = [Rejected(fault, tuple(s.who for s in cfg.q_r))] if cfg.q_r else []
             outcomes += [ActionFailed(fault, (s.who,)) for s in cfg.q_do]
-            self.state.cfg = replace(cfg, q_r=(), q_do=())
-            self._publish({"kind": "internal"}, outcomes)
+            self._commit(replace(cfg, q_r=(), q_do=()), {"kind": "internal"}, outcomes)
 
-    def _publish(self, record: dict, outcomes):
-        """Send the replies and events of one step's outcomes, and trace them."""
-        for outcome in outcomes:
-            for sid, payload in outcome_messages(self.state, outcome):
-                self._send(sid, payload)
-            if self.trace_fh:
+    def _commit(self, cfg: Config, record: dict, outcomes):
+        """Make `cfg` the served config, then send the replies and events of
+        the step's outcomes and trace them.  The replies are built first: a
+        fault there leaves the step uncommitted and its submitters queued,
+        so the fault path still answers each of them."""
+        replies = [m for outcome in outcomes for m in outcome_messages(self.state, outcome)]
+        self.state.cfg = cfg
+        for sid, payload in replies:
+            self._send(sid, payload)
+        if self.trace_fh:
+            for outcome in outcomes:
                 self.trace_fh.write(json.dumps(dict(record, **outcome_to_json(outcome))) + "\n")
-                self.trace_fh.flush()
+            self.trace_fh.flush()
 
 
 def serve(config: ServerConfig) -> None:

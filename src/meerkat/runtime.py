@@ -16,9 +16,11 @@ Evolution approval follows a lock discipline: two evolutions may commit in
 one step only when they rebind disjoint names and neither reads a name the
 other rebinds (a write lock excludes all other readers).  Two actions may
 run concurrently only when their statically planned write sets are
-disjoint and neither reads a variable the other writes.  When no pending
-evolution can be approved alone or in a pair, the evolution queue dies to
-empty and every waiting submitter is notified.
+disjoint and neither reads a variable the other writes.  Both queues step
+through one `_many` function each, `step_evolve_many` and `step_do_many`,
+which fire one pick or several together.  When no pending evolution can be
+approved alone or in a pair, the evolution queue dies to empty and every
+waiting submitter is notified.
 """
 
 from __future__ import annotations
@@ -89,9 +91,6 @@ class Config:
     q_r: tuple[Submission, ...] = ()
     q_do: tuple[Submission, ...] = ()
     next_txn: int = 1
-
-    def without_do(self, *subs: Submission) -> "Config":
-        return replace(self, q_do=_remove(self.q_do, subs))
 
 
 def _planned(env: TypeEnv, subs: Sequence[Submission], plan):
@@ -338,27 +337,6 @@ def _do_plan(env: TypeEnv, sub: Submission) -> DoPlan | TypeCheckError:
     return _planned(env, (sub,), plan)
 
 
-def step_do_one(cfg: Config, pick: Submission) -> tuple[Config, StepOutcome]:
-    """Execute one queued action transactionally.
-
-    All writes commit in one propagation wave, or none do.
-    """
-    assert pick in cfg.q_do, "pick must be a queued do"
-    d = pick.item
-    assert isinstance(d, DoStmt)
-    gone = cfg.without_do(pick)
-    planned = _do_plan(cfg.env, pick)
-    if isinstance(planned, TypeCheckError):
-        return gone, ActionFailed(planned, (pick.who,))
-    try:
-        pending = _run_action(cfg.store, d)
-        new_store, prop = propagate(cfg.store, pending, cfg.next_txn)
-    except EvalError as err:
-        return gone, ActionFailed(err, (pick.who,))
-    new_cfg = replace(gone, store=new_store, next_txn=cfg.next_txn + 1)
-    return new_cfg, Executed(prop.changes, prop.txn, (pick.who,), prop.recomputed)
-
-
 def do_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     """Lock check for running two queued actions concurrently: both type,
     their write sets are disjoint and neither reads a variable the other
@@ -371,89 +349,72 @@ def do_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     )
 
 
-def step_do_two(
-    cfg: Config, pick1: Submission, pick2: Submission
+def step_do_many(
+    cfg: Config, picks: Sequence[Submission]
 ) -> tuple[Config, tuple[StepOutcome, ...]]:
-    """Execute two lock-compatible actions against the same base snapshot.
+    """Execute one or several lock-compatible actions in one step.
 
-    Both run against the pre-step store with distinct transaction ids;
-    their disjoint variable writes and their definition updates merge into
-    one result.  A runtime fault in either action aborts only that action;
-    the survivor commits alone.  Returns one outcome per distinct result.
+    The scheduler fires one ("do_one") or two ("do_two").  Picks that are
+    not pairwise `do_pair_viable` get one non-final `LockConflict`
+    rejection, and every pick stays queued.  Otherwise every pick leaves
+    the queue.  Pick k is transaction `next_txn + k`: it is typed by
+    `_do_plan`, evaluated against the pre-step store and propagated alone
+    from that store, so a type error or runtime fault fails that pick
+    alone and aborts all of its writes.  The survivors' disjoint variable
+    writes and their definition updates then merge in pick order through
+    `merge_defs`; a survivor whose writes fault a definition only in
+    combination with the earlier survivors fails, and the earlier ones
+    stand.  One `Executed` covers every survivor: it sits at the first
+    survivor's place among the outcomes and carries the last survivor's
+    transaction.
     """
-    assert pick1 in cfg.q_do and pick2 in _remove(cfg.q_do, (pick1,))
-    d1, d2 = pick1.item, pick2.item
-    assert isinstance(d1, DoStmt) and isinstance(d2, DoStmt)
-    if not do_pair_viable(cfg, pick1, pick2):
-        return cfg, (
-            Rejected(
-                TypeCheckError("LockConflict", "actions overlap on reads or writes"),
-                (pick1.who, pick2.who),
-                final=False,
-            ),
-        )
-    gone = cfg.without_do(pick1, pick2)
-    base = cfg.store
-    t1, t2 = cfg.next_txn, cfg.next_txn + 1
-
-    def attempt(d: DoStmt, txn: int):
-        pending = _run_action(base, d)
-        st, prop = propagate(base, pending, txn)
-        return pending, st, prop
-
-    res1 = err1 = None
-    res2 = err2 = None
-    try:
-        res1 = attempt(d1, t1)
-    except EvalError as e:
-        err1 = e
-    try:
-        res2 = attempt(d2, t2)
-    except EvalError as e:
-        err2 = e
-
-    if res1 and res2:
-        pend1, st1, prop1 = res1
-        pend2, st2, prop2 = res2
-        merged_vars = dict(base.vars)
-        merged_vars.update({n: st1.vars[n] for n in pend1})
-        merged_vars.update({n: st2.vars[n] for n in pend2})
+    remaining = cfg.q_do
+    for p in picks:
+        assert p in remaining and isinstance(p.item, DoStmt), "picks must be distinct queued actions"
+        remaining = _remove(remaining, (p,))
+    if not all(do_pair_viable(cfg, p, q) for k, p in enumerate(picks) for q in picks[k + 1 :]):
+        conflict = TypeCheckError("LockConflict", "actions overlap on reads or writes")
+        return cfg, (Rejected(conflict, tuple(p.who for p in picks), final=False),)
+    base = store = cfg.store
+    outcomes: list = []
+    runs = []  # (who, writes, wave) of each survivor
+    for k, pick in enumerate(picks):
+        planned = _do_plan(cfg.env, pick)
+        if isinstance(planned, TypeCheckError):
+            outcomes.append(ActionFailed(planned, (pick.who,)))
+            continue
         try:
-            defs = merge_defs(st1.defs, st2.defs, merged_vars, base.depgraph)
-        except EvalError as e:
-            # combined writes fault a definition the halves computed fine;
-            # the earlier transaction stands, the later aborts
-            new_cfg = replace(gone, store=st1, next_txn=t1 + 1)
-            return new_cfg, (
-                Executed(prop1.changes, t1, (pick1.who,), prop1.recomputed),
-                ActionFailed(e, (pick2.who,)),
-            )
-        merged = Store(merged_vars, defs, base.depgraph, t2)
-        recomputed = tuple(topo_order(base.depgraph, {*prop1.recomputed, *prop2.recomputed}))
-        # a definition may change only once both writes land, so diff every
-        # written or recomputed name against the base
+            pending = _run_action(base, pick.item)
+            alone, prop = propagate(base, pending, cfg.next_txn + k)
+            if runs:
+                # the combined writes may fault a definition each pick computed fine
+                merged_vars = {**store.vars, **{n: alone.vars[n] for n in pending}}
+                defs = merge_defs(store.defs, alone.defs, merged_vars, base.depgraph)
+                alone = Store(merged_vars, defs, base.depgraph, prop.txn)
+        except EvalError as err:
+            outcomes.append(ActionFailed(err, (pick.who,)))
+            continue
+        if not runs:
+            place = len(outcomes)
+            outcomes.append(None)
+        runs.append((pick.who, pending, prop))
+        store = alone
+    if not runs:
+        return replace(cfg, q_do=remaining), tuple(outcomes)
+    _, _, prop = runs[0]
+    changes, recomputed = prop.changes, prop.recomputed
+    if len(runs) > 1:
+        recomputed = tuple(topo_order(base.depgraph, {n for *_, wave in runs for n in wave.recomputed}))
+        # a definition may change only once several writes land, so diff
+        # every written or recomputed name against the base
+        names = {n for _, pending, _ in runs for n in pending} | set(recomputed)
         changes = tuple(
-            Change(n, base.value_of(n), merged.value_of(n))
-            for n in sorted({*pend1, *pend2, *recomputed})
-            if base.value_of(n) != merged.value_of(n)
+            Change(n, base.value_of(n), store.value_of(n))
+            for n in sorted(names)
+            if base.value_of(n) != store.value_of(n)
         )
-        new_cfg = replace(gone, store=merged, next_txn=t2 + 1)
-        return new_cfg, (Executed(changes, t2, (pick1.who, pick2.who), recomputed),)
-    if res1:
-        _, st1, prop1 = res1
-        new_cfg = replace(gone, store=st1, next_txn=t1 + 1)
-        return new_cfg, (
-            Executed(prop1.changes, t1, (pick1.who,), prop1.recomputed),
-            ActionFailed(err2, (pick2.who,)),
-        )
-    if res2:
-        _, st2, prop2 = res2
-        new_cfg = replace(gone, store=st2, next_txn=t2 + 1)
-        return new_cfg, (
-            ActionFailed(err1, (pick1.who,)),
-            Executed(prop2.changes, t2, (pick2.who,), prop2.recomputed),
-        )
-    return gone, (ActionFailed(err1, (pick1.who,)), ActionFailed(err2, (pick2.who,)))
+    outcomes[place] = Executed(changes, store.txn, tuple(who for who, *_ in runs), recomputed)
+    return replace(cfg, store=store, q_do=remaining, next_txn=store.txn + 1), tuple(outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +484,9 @@ def apply_step(cfg: Config, step: Step) -> tuple[Config, tuple[StepOutcome, ...]
         cfg2, out = step_evolve_many(cfg, (cfg.q_r[step.i], cfg.q_r[step.j]))
         return cfg2, (out,)
     if step.kind == "do_one":
-        cfg2, out = step_do_one(cfg, cfg.q_do[step.i])
-        return cfg2, (out,)
+        return step_do_many(cfg, (cfg.q_do[step.i],))
     if step.kind == "do_two":
-        return step_do_two(cfg, cfg.q_do[step.i], cfg.q_do[step.j])
+        return step_do_many(cfg, (cfg.q_do[step.i], cfg.q_do[step.j]))
     if step.kind == "queue_die":
         cfg2, out = step_queue_die(cfg)
         return cfg2, (out,)

@@ -29,8 +29,7 @@ from meerkat.runtime import (
     enabled_steps,
     initial_config,
     run_until_quiescent,
-    step_do_one,
-    step_do_two,
+    step_do_many,
     step_evolve_many,
     submit_do,
     submit_evolution,
@@ -389,13 +388,13 @@ def test_criterion_7_confluence():
 
             d1, d2 = one_action(left, "u1"), one_action(right, "u2")
             cfg = submit_do(submit_do(base, d1, "u1"), d2, "u2")
-            merged, outcomes = step_do_two(cfg, cfg.q_do[0], cfg.q_do[1])
+            merged, outcomes = step_do_many(cfg, (cfg.q_do[0], cfg.q_do[1]))
             assert all(isinstance(o, Executed) for o in outcomes)
             for order in ((d1, d2), (d2, d1)):
                 serial = base
                 for d in order:
                     serial = submit_do(serial, d, "s")
-                    serial, out = step_do_one(serial, serial.q_do[0])
+                    serial, (out,) = step_do_many(serial, (serial.q_do[0],))
                     assert isinstance(out, Executed)
                 if int_values(serial) != int_values(merged):
                     mismatches += 1

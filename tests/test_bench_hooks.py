@@ -1,9 +1,11 @@
-"""The benchmark's tracer wraps meerkat functions by name.
+"""The benchmark's tracer wraps meerkat functions by name, and its
+workloads drive meerkat's library API.
 
-`perfbench/tracer.py` looks each name up with a bare `getattr`, so deleting
-or renaming one of them would crash a traced benchmark run.  This test
-reads the tracer's table without importing or changing the tracer, and
-fails first.
+`perfbench/tracer.py` looks each name up with a bare `getattr`, and the
+workload modules reach meerkat through `import meerkat.X as alias`, so
+deleting or renaming one of these names would crash a benchmark run.
+These tests read the benchmark's sources without importing or changing
+them, and fail first.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+DRIVERS = ("inproc.py", "launch_server.py", "run.py", "live.py")
 
 
 def layer_functions() -> dict:
@@ -41,3 +45,35 @@ def test_the_server_keeps_its_traced_quiescence_step():
     from meerkat.netserver import MeerkatServer
 
     assert callable(getattr(MeerkatServer, "_step_to_quiescence", None))
+
+
+def api_references(path: Path) -> set[tuple[str, str]]:
+    """`(module, attribute)` for every `alias.attribute` in `path` whose
+    alias an `import meerkat.X as alias` line binds."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {
+        a.asname: a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.asname and a.name.startswith("meerkat.")
+    }
+    return {
+        (aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    }
+
+
+def test_every_library_name_the_benchmark_drives_exists():
+    refs = {ref for name in DRIVERS for ref in api_references(PERFBENCH / name)}
+    assert ("meerkat.runtime", "submit_do") in refs
+    assert ("meerkat.netserver", "main") in refs
+    missing = [
+        f"{module_name}.{attr}"
+        for module_name, attr in sorted(refs)
+        if not hasattr(importlib.import_module(module_name), attr)
+    ]
+    assert missing == []

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import meerkat.netserver
 import meerkat.runtime
 from meerkat.netserver import (
     MeerkatServer,
@@ -343,6 +344,27 @@ def test_a_fault_inside_a_step_answers_every_queued_submission_once(monkeypatch,
     assert srv.state.cfg == committed
     assert "RuntimeError: a bug inside a step" in capsys.readouterr().err
 
+
+def test_a_fault_building_a_steps_replies_leaves_the_step_uncommitted(monkeypatch, capsys):
+    srv = MeerkatServer(ServerConfig(initial=parse_program(LISTING)))
+    committed = srv.state.cfg
+    srv.state.cfg = submit_do(committed, parse_do("do (action { x := 5 })"), (2, "d"))
+    sent = []
+    monkeypatch.setattr(srv, "_send", lambda sid, payload: sent.append((sid, payload)))
+    real, armed = meerkat.netserver.outcome_messages, [True]
+
+    def faulty(state, outcome):
+        if armed:
+            armed.clear()
+            raise RuntimeError("a bug building replies")
+        return real(state, outcome)
+
+    monkeypatch.setattr(meerkat.netserver, "outcome_messages", faulty)
+    srv._step_to_quiescence()
+    assert sent == [(2, {"type": "failed", "reason": "internal", "req": "d"})]
+    assert srv.state.cfg == committed
+    assert srv.state.cfg.store.value_of("x").v == 1
+    assert "RuntimeError: a bug building replies" in capsys.readouterr().err
 
 def test_trace_file_records_steps(tmp_path):
     trace = tmp_path / "trace.jsonl"

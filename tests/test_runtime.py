@@ -27,8 +27,7 @@ from meerkat.runtime import (
     evolve_pair_viable,
     initial_config,
     run_until_quiescent,
-    step_do_one,
-    step_do_two,
+    step_do_many,
     step_evolve_many,
     step_queue_die,
     submit_do,
@@ -223,21 +222,21 @@ class TestDoOne:
         cfg = submit_evolution(cfg, parse_program("def setx2 = action { x := 2 };"), "p")
         cfg, _ = step_evolve_many(cfg, (cfg.q_r[0],))
         cfg = submit_do(cfg, parse_do("do setx2"), "u")
-        cfg2, outcome = step_do_one(cfg, cfg.q_do[0])
+        cfg2, (outcome,) = step_do_many(cfg, (cfg.q_do[0],))
         assert isinstance(outcome, Executed)
         assert values(cfg2) == {"x": 2, "inc1": 3, "inc2": 4}
 
     def test_empty_action_executes_with_no_changes(self):
         cfg = quiesced()
         cfg = submit_do(cfg, parse_do("do (action { })"), "u")
-        cfg2, outcome = step_do_one(cfg, cfg.q_do[0])
+        cfg2, (outcome,) = step_do_many(cfg, (cfg.q_do[0],))
         assert isinstance(outcome, Executed)
         assert outcome.changes == ()
 
     def test_runtime_fault_aborts_atomically(self):
         cfg = quiesced()
         cfg = submit_do(cfg, parse_do("do (action { x := 5; x := 1 / 0 })"), "u")
-        cfg2, outcome = step_do_one(cfg, cfg.q_do[0])
+        cfg2, (outcome,) = step_do_many(cfg, (cfg.q_do[0],))
         assert isinstance(outcome, ActionFailed)
         assert cfg2.store == cfg.store
         assert values(cfg2)["x"] == 1
@@ -245,7 +244,7 @@ class TestDoOne:
     def test_not_an_action_fails(self):
         cfg = quiesced()
         cfg = submit_do(cfg, parse_do("do 1"), "u")
-        cfg2, outcome = step_do_one(cfg, cfg.q_do[0])
+        cfg2, (outcome,) = step_do_many(cfg, (cfg.q_do[0],))
         assert isinstance(outcome, ActionFailed)
         assert isinstance(outcome.error, TypeCheckError)
         assert outcome.error.reason == "NotAnAction"
@@ -253,13 +252,13 @@ class TestDoOne:
     def test_write_sequence_sees_earlier_writes(self):
         cfg = quiesced("var x = 1;")
         cfg = submit_do(cfg, parse_do("do (action { x := x + 1; x := x * 10 })"), "u")
-        cfg2, outcome = step_do_one(cfg, cfg.q_do[0])
+        cfg2, (outcome,) = step_do_many(cfg, (cfg.q_do[0],))
         assert values(cfg2)["x"] == 20
 
     def test_action_built_by_a_function_keeps_its_locals(self):
         cfg = quiesced("var x = 1; def make = fn n => action { x := n };")
         cfg = submit_do(cfg, parse_do("do (make 42)"), "u")
-        cfg2, outcome = step_do_one(cfg, cfg.q_do[0])
+        cfg2, (outcome,) = step_do_many(cfg, (cfg.q_do[0],))
         assert isinstance(outcome, Executed)
         assert values(cfg2)["x"] == 42
 
@@ -286,7 +285,7 @@ class TestDoTwo:
             base = quiesced(source)
             cfg = submit_do(base, parse_do(f"do (action {{ {w1} }})"), "u1")
             cfg = submit_do(cfg, parse_do(f"do (action {{ {w2} }})"), "u2")
-            cfg2, outcomes = step_do_two(cfg, cfg.q_do[0], cfg.q_do[1])
+            cfg2, outcomes = step_do_many(cfg, (cfg.q_do[0], cfg.q_do[1]))
             (outcome,) = outcomes
             assert isinstance(outcome, Executed)
             assert values(cfg2) == want
@@ -297,7 +296,7 @@ class TestDoTwo:
                 serial = base
                 for w in order:
                     serial = submit_do(serial, parse_do(f"do (action {{ {w} }})"), "s")
-                    serial, _ = step_do_one(serial, serial.q_do[0])
+                    serial, (_,) = step_do_many(serial, (serial.q_do[0],))
                 assert values(serial) == values(cfg2)
                 net = {
                     n: (base.store.value_of(n), v)
@@ -310,7 +309,7 @@ class TestDoTwo:
         cfg = self.base()
         cfg = submit_do(cfg, parse_do("do (action { a := 1 })"), "u1")
         cfg = submit_do(cfg, parse_do("do (action { a := 2 })"), "u2")
-        cfg2, outcomes = step_do_two(cfg, cfg.q_do[0], cfg.q_do[1])
+        cfg2, outcomes = step_do_many(cfg, (cfg.q_do[0], cfg.q_do[1]))
         assert isinstance(outcomes[0], Rejected) and not outcomes[0].final
         assert len(cfg2.q_do) == 2
 
@@ -318,18 +317,41 @@ class TestDoTwo:
         cfg = self.base()
         cfg = submit_do(cfg, parse_do("do (action { a := 1 })"), "u1")
         cfg = submit_do(cfg, parse_do("do (action { b := a + 1 })"), "u2")
-        cfg2, outcomes = step_do_two(cfg, cfg.q_do[0], cfg.q_do[1])
+        cfg2, outcomes = step_do_many(cfg, (cfg.q_do[0], cfg.q_do[1]))
         assert isinstance(outcomes[0], Rejected) and not outcomes[0].final
 
     def test_one_fault_commits_the_survivor(self):
-        cfg = self.base()
-        cfg = submit_do(cfg, parse_do("do (action { a := 1 / 0 })"), "u1")
-        cfg = submit_do(cfg, parse_do("do (action { b := 2 })"), "u2")
-        cfg2, outcomes = step_do_two(cfg, cfg.q_do[0], cfg.q_do[1])
-        kinds = {type(o) for o in outcomes}
-        assert kinds == {ActionFailed, Executed}
-        assert values(cfg2) == {"a": 0, "b": 2, "s": 2}
-        assert not cfg2.q_do
+        # each pick is evaluated and propagated alone from the pre-step
+        # store; survivors then merge in pick order, so a fault that only
+        # the combination raises fails the later pick and the earlier stands
+        base = quiesced("var a = 1; var b = 1; def s = 12 / (a + b);")
+        assert base.next_txn == 2
+        F, E = ActionFailed, Executed
+        cases = (
+            ("a := 1 / 0", "b := 2", ((F, None), (E, 3)), 4, {"a": 1, "b": 2, "s": 4}),
+            ("a := 2", "b := 1 / 0", ((E, 2), (F, None)), 3, {"a": 2, "b": 1, "s": 4}),
+            ("a := 1 / 0", "b := 1 / 0", ((F, None), (F, None)), 2, {"a": 1, "b": 1, "s": 6}),
+            # only the combination faults s
+            ("a := 2", "b := -2", ((E, 2), (F, None)), 3, {"a": 2, "b": 1, "s": 4}),
+            # b faults s alone on the base
+            ("a := 2", "b := -1", ((E, 2), (F, None)), 3, {"a": 2, "b": 1, "s": 4}),
+            ("a := -1", "b := 2", ((F, None), (E, 3)), 4, {"a": 1, "b": 2, "s": 4}),
+        )
+        for w1, w2, want, next_txn, want_values in cases:
+            cfg = submit_do(base, parse_do(f"do (action {{ {w1} }})"), "u1")
+            cfg = submit_do(cfg, parse_do(f"do (action {{ {w2} }})"), "u2")
+            cfg2, outcomes = step_do_many(cfg, (cfg.q_do[0], cfg.q_do[1]))
+            assert [type(o) for o in outcomes] == [kind for kind, _ in want], (w1, w2)
+            for o, who, (_, txn) in zip(outcomes, ("u1", "u2"), want):
+                if isinstance(o, Executed):
+                    assert (o.txn, o.who) == (txn, (who,)), (w1, w2)
+                else:
+                    assert o.notified == (who,), (w1, w2)
+            assert cfg2.next_txn == next_txn, (w1, w2)
+            assert values(cfg2) == want_values, (w1, w2)
+            if next_txn == base.next_txn:
+                assert cfg2.store == base.store
+            assert not cfg2.q_do
 
 
 class TestQuiescence:
