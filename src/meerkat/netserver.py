@@ -40,10 +40,13 @@ has no reply; it is in effect once a later request on the same session has
 been answered.
 
 A session is closed only at EOF, on a refused hello (a version mismatch),
-or when its outbound buffer overflows, never for being idle.  Slow
-subscribers never block stepping: a session with ``buffer_limit`` unsent
-messages keeps only the first (it may be partly sent), is sent ``{"type":
-"error", "reason": "overflow"}`` and is closed.
+when its outbound buffer overflows or when it sends an overlong line, never
+for being idle.  Slow subscribers never block stepping: a session with
+``buffer_limit`` unsent messages keeps only the first (it may be partly
+sent), is sent ``{"type": "error", "reason": "overflow"}`` and is closed.
+A session whose unfinished line grows past ``line_limit`` bytes is sent
+``{"type": "error", "reason": "line_too_long"}`` the same way, so no client
+can make the server buffer more than that.
 
 A fault inside a step (a bug, not bad input) is written to stderr; every
 submission still queued gets one ``failed`` or final ``rejected`` reply
@@ -96,6 +99,7 @@ class ServerConfig:
     trace_path: str | None = None
     seed: int = 0
     buffer_limit: int = 256  # unsent outbound messages per session
+    line_limit: int = 1 << 20  # bytes of one session's unfinished line
 
 
 @dataclass(eq=False)
@@ -323,8 +327,13 @@ class MeerkatServer:
         if not data:
             self._close(session)
             return []
+        if session.closing:
+            return []  # its input is dropped
         session.inbuf += data
         if b"\n" not in data:  # so a long line costs time linear in its length
+            if len(session.inbuf) > self.config.line_limit:
+                session.inbuf = bytearray()
+                self._drop(session, "line_too_long")
             return []
         *lines, session.inbuf = session.inbuf.split(b"\n")
         batch = []
@@ -364,16 +373,20 @@ class MeerkatServer:
         if session is None:
             return
         if len(session.outbox) >= self.config.buffer_limit:
-            # a subscriber that cannot keep up must not stall the stepper:
-            # drop its backlog but the first line, which may be partly sent,
-            # then send the notice and close
-            self._unregister(session)
-            while len(session.outbox) > 1:
-                session.outbox.pop()
-            self._queue(session, {"type": "error", "reason": "overflow"})
-            session.closing = True
+            # a subscriber that cannot keep up must not stall the stepper
+            self._drop(session, "overflow")
             return
         self._queue(session, payload)
+
+    def _drop(self, session: Session, reason: str):
+        """Close a session for `reason`: the engine sends it nothing more,
+        its backlog is dropped but the first line, which may be partly sent,
+        and it is closed once the error notice after that line is sent."""
+        self._unregister(session)
+        while len(session.outbox) > 1:
+            session.outbox.pop()
+        self._queue(session, {"type": "error", "reason": reason})
+        session.closing = True
 
     def _flush(self, session: Session):
         """Send what the socket takes without blocking; the rest waits for

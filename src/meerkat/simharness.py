@@ -15,7 +15,19 @@ cap — and checks, at every step of every run:
   * confluence for independent workloads: all schedules reach the same
     observable store.
 
-Violations come back in a `Verdict` along with a replayable trace.
+Violations come back in a `Verdict` along with a replayable trace.  Its
+counts are:
+
+  * `states`: steps fired, each audited (exhaustive mode fires each
+    config's steps once);
+  * `runs`: complete schedules, each ending in a quiescent config;
+  * `configs`: distinct configs the exhaustive walk visited (0 when seeded).
+
+Exhaustive mode walks the DAG of distinct configs rather than the tree of
+schedules.  `config_key` holds everything a later step reads, so two
+schedules that reach equal keys continue identically: each config's steps
+are fired and audited once, each distinct final store is compared with
+the oracle once, and `runs` counts the schedules as paths through the DAG.
 
 Scenario files are JSON::
 
@@ -145,6 +157,7 @@ class Verdict:
     violations: list[str] = field(default_factory=list)
     runs: int = 0
     states: int = 0
+    configs: int = 0
     schedules_complete: bool = True
     counterexample: dict | None = None
 
@@ -154,6 +167,7 @@ class Verdict:
             "violations": self.violations,
             "runs": self.runs,
             "states": self.states,
+            "configs": self.configs,
             "schedules_complete": self.schedules_complete,
             "counterexample": self.counterexample,
         }
@@ -241,16 +255,138 @@ def _audit_step(cfg_before: Config, cfg_after: Config, outs, verdict: Verdict):
     verdict.violations.extend(check_config(cfg_after))
 
 
-def _finish_run(cfg: Config, verdict: Verdict, finals: list):
+def _finish_run(cfg: Config, verdict: Verdict, finals: set):
     verdict.violations.extend(check_oracle(cfg))
-    finals.append(observable(cfg))
-    verdict.runs += 1
+    finals.add(observable(cfg))
+
+
+def config_key(cfg: Config) -> tuple:
+    """Everything a later step reads from `cfg`, hashable and in insertion
+    order: configs with equal keys enable the same steps, fire them to
+    equal configs and pass or fail the same audits.  The submissions'
+    `plans` are only caches and take no part."""
+    store = cfg.store
+    return (
+        cfg.env.items(),
+        tuple(store.vars.items()),
+        tuple(store.defs.items()),
+        tuple(store.depgraph.items()),
+        store.txn,
+        cfg.q_r,
+        cfg.q_do,
+        cfg.next_txn,
+    )
+
+
+class _Node:
+    """One distinct config of the exhaustive walk: its enabled steps and,
+    once they are fired, the node each of them leads to."""
+
+    __slots__ = ("cfg", "options", "children")
+
+    def __init__(self, cfg: Config):
+        self.cfg = cfg
+        self.options: tuple | None = None
+        self.children: tuple[_Node, ...] | None = None
+
+
+_STOP = object()  # the step budget ran out
+
+
+def _explore_dag(start: Config, mode: Exhaustive, verdict: Verdict, finals: set):
+    """Depth-first walk over the distinct configs reachable from `start`.
+
+    Each config is interned once by its key, so its steps are fired and
+    audited once however many schedules reach it; later visits follow the
+    stored child nodes.  The number of complete schedules below a node
+    depends on the depth budget left, so it is memoised per (node, budget),
+    which keeps `depth_cap` exact.  The first violating step found gives
+    the counterexample: the picks that lead to it.
+    """
+    interned: dict[tuple, _Node] = {}
+
+    def intern(cfg: Config) -> _Node:
+        return interned.setdefault(config_key(cfg), _Node(cfg))
+
+    runs_below: dict[tuple[_Node, int], int] = {}
+
+    def settle(node: _Node, picks: tuple[int, ...]):
+        """The schedules below `node` if known without descending; else fire
+        its steps (the first time) and return None, or _STOP past the budget."""
+        budget = mode.depth_cap - len(picks)
+        known = runs_below.get((node, budget))
+        if known is not None:
+            return known
+        cfg = node.cfg
+        if node.options is None:
+            node.options = enabled_steps(cfg)
+            if not node.options:
+                if cfg.q_r or cfg.q_do:
+                    verdict.violations.append("progress violated: pending work but no enabled step")
+                else:
+                    _finish_run(cfg, verdict, finals)
+                if verdict.violations and verdict.counterexample is None:
+                    verdict.counterexample = {"kind": "picks", "picks": list(picks)}
+        if not node.options:
+            return 0 if cfg.q_r or cfg.q_do else 1
+        if budget <= 0:
+            verdict.schedules_complete = False
+            return 0
+        if node.children is None:
+            if verdict.states >= mode.max_states:
+                return _STOP
+            children = []
+            for k, step in enumerate(node.options):
+                nxt, outs = apply_step(cfg, step)
+                verdict.states += 1
+                before = len(verdict.violations)
+                _audit_step(cfg, nxt, outs, verdict)
+                if len(verdict.violations) > before and verdict.counterexample is None:
+                    verdict.counterexample = {"kind": "picks", "picks": list(picks + (k,))}
+                children.append(intern(nxt))
+            node.children = tuple(children)
+        return None
+
+    root = intern(start)
+    # the descent: [node, picks reaching it, next child, schedules counted below it]
+    frames: list[list] = []
+    total = settle(root, ())
+    stopped = total is _STOP
+    if total is None:
+        frames.append([root, (), 0, 0])
+    while frames:
+        frame = frames[-1]
+        node, picks, k, below = frame
+        if k == len(node.children):
+            frames.pop()
+            runs_below[(node, mode.depth_cap - len(picks))] = below
+            if frames:
+                frames[-1][3] += below
+            else:
+                total = below
+            continue
+        frame[2] = k + 1
+        child, child_picks = node.children[k], picks + (k,)
+        got = settle(child, child_picks)
+        if got is None:
+            frames.append([child, child_picks, 0, 0])
+        elif got is _STOP:
+            stopped = True
+            break
+        else:
+            frame[3] += got
+    if stopped:
+        # the schedules completed so far
+        verdict.schedules_complete = False
+        total = sum(frame[3] for frame in frames)
+    verdict.runs = total
+    verdict.configs = len(interned)
 
 
 def explore(scenario: Scenario, mode: Seeded | Exhaustive = Seeded()) -> Verdict:
     """Drive the scenario through many schedules and audit every step."""
     verdict = Verdict()
-    finals: list[tuple] = []
+    finals: set[tuple] = set()
     start = build_config(scenario)
     if isinstance(mode, Seeded):
         for k in range(mode.runs):
@@ -262,42 +398,14 @@ def explore(scenario: Scenario, mode: Seeded | Exhaustive = Seeded()) -> Verdict
             if cfg.q_r or cfg.q_do:
                 verdict.violations.append("progress violated: pending work but no enabled step")
             _finish_run(cfg, verdict, finals)
+            verdict.runs += 1
             if verdict.violations and verdict.counterexample is None:
                 verdict.counterexample = {"kind": "seeded", "seed": mode.seed + k, "picks": schedule.picks}
     else:
-        # depth-first enumeration of every schedule choice
-        stack: list[tuple[Config, tuple[int, ...]]] = [(start, ())]
-        while stack:
-            cfg, picks = stack.pop()
-            if verdict.states >= mode.max_states:
-                verdict.schedules_complete = False
-                break
-            options = enabled_steps(cfg)
-            if (cfg.q_r or cfg.q_do) and not options:
-                verdict.violations.append("progress violated: pending work but no enabled step")
-                if verdict.counterexample is None:
-                    verdict.counterexample = {"kind": "picks", "picks": list(picks)}
-                continue
-            if not options:
-                _finish_run(cfg, verdict, finals)
-                if verdict.violations and verdict.counterexample is None:
-                    verdict.counterexample = {"kind": "picks", "picks": list(picks)}
-                continue
-            if len(picks) >= mode.depth_cap:
-                verdict.schedules_complete = False
-                continue
-            before = len(verdict.violations)
-            for k in reversed(range(len(options))):
-                nxt, outs = apply_step(cfg, options[k])
-                verdict.states += 1
-                _audit_step(cfg, nxt, outs, verdict)
-                if len(verdict.violations) > before and verdict.counterexample is None:
-                    verdict.counterexample = {"kind": "picks", "picks": list(picks + (k,))}
-                    before = len(verdict.violations)
-                stack.append((nxt, picks + (k,)))
-    if scenario.independent and len(set(finals)) > 1:
+        _explore_dag(start, mode, verdict, finals)
+    if scenario.independent and len(finals) > 1:
         verdict.violations.append(
-            f"confluence violated: {len(set(finals))} distinct final stores across {len(finals)} schedules"
+            f"confluence violated: {len(finals)} distinct final stores across {verdict.runs} schedules"
         )
     verdict.ok = not verdict.violations
     return verdict
@@ -306,7 +414,6 @@ def explore(scenario: Scenario, mode: Seeded | Exhaustive = Seeded()) -> Verdict
 def replay(scenario: Scenario, trace: dict) -> Verdict:
     """Re-run a single recorded schedule; reproduces its violations exactly."""
     verdict = Verdict()
-    finals: list[tuple] = []
     cfg = build_config(scenario)
     try:
         for before, _, cfg, outs in run_steps(cfg, FixedSchedule(trace["picks"])):
@@ -317,7 +424,8 @@ def replay(scenario: Scenario, trace: dict) -> Verdict:
     except PickOutOfRange as err:
         verdict.violations.append(f"replay diverged: {err}")
     if not cfg.q_r and not cfg.q_do:
-        _finish_run(cfg, verdict, finals)
+        verdict.violations.extend(check_oracle(cfg))
+        verdict.runs += 1
     verdict.ok = not verdict.violations
     verdict.counterexample = trace if verdict.violations else None
     return verdict
@@ -342,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     mode = Exhaustive(args.exhaustive) if args.exhaustive is not None else Seeded(args.runs, args.seed)
     verdict = explore(scenario, mode)
     print(
-        f"runs={verdict.runs} states={verdict.states} "
+        f"runs={verdict.runs} states={verdict.states} configs={verdict.configs} "
         f"complete={'yes' if verdict.schedules_complete else 'no'} "
         f"result={'OK' if verdict.ok else 'VIOLATIONS'}"
     )

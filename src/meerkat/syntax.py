@@ -97,6 +97,15 @@ class Lit:
     value: Literal
     span: Span | None = field(default=None, compare=False)
 
+    def __eq__(self, other):
+        # Python has `1 == True`, but the literals `1` and `true` differ
+        if other.__class__ is not Lit:
+            return NotImplemented
+        return type(self.value) is type(other.value) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
 
 @dataclass(frozen=True)
 class Ref:

@@ -34,7 +34,7 @@ from meerkat.runtime import (
     submit_do,
     submit_evolution,
 )
-from meerkat.simharness import check_oracle, oracle_recompute, validate_wave
+from meerkat.simharness import check_oracle, config_key, oracle_recompute, validate_wave
 from meerkat.store import IntV, init_cells, propagate
 from meerkat.syntax import parse_do, parse_program
 from meerkat.typesys import (
@@ -227,7 +227,9 @@ def explore_exhaustively(stats: ExplorationStats, base, submissions, state_cap=6
             cfg = submit_evolution(cfg, parse_program(code), who)
         else:
             cfg = submit_do(cfg, parse_do(code), who)
-    stack = [cfg]
+    # a config that another schedule already reached steps and audits the
+    # same again, so each distinct config is expanded once
+    stack, seen = [cfg], {config_key(cfg)}
     seen_states = 0
     while stack and seen_states < state_cap:
         cur = stack.pop()
@@ -247,7 +249,10 @@ def explore_exhaustively(stats: ExplorationStats, base, submissions, state_cap=6
             stats.preservation_failures.extend(check_config(nxt))
             for o in outcomes:
                 stats.glitch_failures.extend(validate_wave(cur, o))
-            stack.append(nxt)
+            key = config_key(nxt)
+            if key not in seen:
+                seen.add(key)
+                stack.append(nxt)
     stats.scenarios += 1
 
 

@@ -538,18 +538,80 @@ def test_a_session_that_does_not_read_stalls_no_one():
         srv.stop()
 
 
-def test_a_long_line_costs_time_linear_in_its_length(server):
-    c = Client(server.address)
-    c.recv()
-    chunk = b"x" * (1 << 20)
-    started = time.monotonic()
-    for _ in range(48):  # rescanning the whole line on every read takes tens of seconds
-        c.send_raw(chunk)
-    c.send_raw(b"\n")
-    assert c.recv() == {"type": "error", "reason": "parse"}
-    assert c.request({"type": "read", "name": "x"}, req=1)["value"] == 1
-    assert time.monotonic() - started < 10
-    c.close()
+def test_a_long_line_costs_time_linear_in_its_length():
+    # a line limit above the line, so all of it is buffered and parsed
+    srv = MeerkatServer(
+        ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(LISTING), line_limit=64 << 20)
+    )
+    srv.start()
+    try:
+        c = Client(srv.address)
+        c.recv()
+        chunk = b"x" * (1 << 20)
+        started = time.monotonic()
+        for _ in range(48):  # rescanning the whole line on every read takes tens of seconds
+            c.send_raw(chunk)
+        c.send_raw(b"\n")
+        assert c.recv() == {"type": "error", "reason": "parse"}
+        assert c.request({"type": "read", "name": "x"}, req=1)["value"] == 1
+        assert time.monotonic() - started < 10
+        c.close()
+    finally:
+        srv.stop()
+
+
+def _status_kb(pid: int, field: str) -> int:
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith(field + ":"):
+            return int(line.split()[1])
+    raise AssertionError(f"no {field} in /proc/{pid}/status")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads the server's memory from /proc")
+def test_an_overlong_line_closes_its_session_and_the_server_memory_stays_bounded():
+    # the server runs in its own process, so its peak RSS is its own
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "meerkat.netserver", "--bind", "127.0.0.1:0",
+         "--init", str(REPO / "samples" / "listing1.mk")],
+        stdout=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            line = proc.stdout.readline().decode() if ready else ""
+            assert line.startswith("listening on ")
+            address = ("127.0.0.1", int(line.rsplit(":", 1)[1]))
+            other = Client(address)
+            assert other.recv() == {"type": "hello", "version": 1}
+            assert other.request({"type": "read", "name": "inc2"}, req="r")["value"] == 3
+            peak_before = _status_kb(proc.pid, "VmHWM")
+            streamer = Client(address)
+            assert streamer.recv() == {"type": "hello", "version": 1}
+            chunk, sent = b"x" * (1 << 16), 0
+            with pytest.raises(OSError):  # the server closes the stream
+                for k in range(640):  # 40 MiB without a newline
+                    streamer.send_raw(chunk)
+                    sent += len(chunk)
+                    if k % 8 == 0:  # meanwhile the other session is served
+                        do = {"type": "do", "expr": f"do (action {{ x := {k} }})"}
+                        assert other.request(do, req=f"d{k}")["type"] == "executed"
+                        assert other.request({"type": "read", "name": "x"}, req=f"r{k}")["value"] == k
+            assert sent < 40 << 20
+            assert streamer.recv() == {"type": "error", "reason": "line_too_long"}
+            try:
+                assert streamer.reader.readline() == ""
+            except ConnectionResetError:
+                pass  # the server closed with the rest of the stream unread
+            x = other.request({"type": "read", "name": "x"}, req="x")["value"]
+            assert other.request({"type": "read", "name": "inc2"}, req="r2")["value"] == x + 2
+            # the 1 MiB default line limit bounds what one session can make the server hold
+            assert _status_kb(proc.pid, "VmHWM") - peak_before < 10 * 1024
+            streamer.close()
+            other.close()
+        finally:
+            proc.kill()
+            proc.wait(timeout=5)
 
 
 # --- hostile input at the protocol boundary ---

@@ -262,6 +262,19 @@ class TestDoOne:
         assert isinstance(outcome, Executed)
         assert values(cfg2)["x"] == 42
 
+    def test_the_fired_pick_leaves_the_queue_not_an_int_twin(self):
+        # `1 == True` in Python; the two queued actions still differ
+        cfg = quiesced("var x = 0;")
+        cfg = submit_do(cfg, parse_do("do (action { x := 1 })"), "u")
+        cfg = submit_do(cfg, parse_do("do (action { x := true })"), "u")
+        assert cfg.q_do[0] != cfg.q_do[1]
+        cfg2, (outcome,) = step_do_many(cfg, (cfg.q_do[1],))
+        assert isinstance(outcome, ActionFailed)
+        assert cfg2.q_do == (cfg.q_do[0],)
+        cfg3, (outcome,) = step_do_many(cfg2, cfg2.q_do)
+        assert isinstance(outcome, Executed)
+        assert values(cfg3)["x"] == 1
+
 
 class TestDoTwo:
     def base(self) -> Config:

@@ -6,12 +6,24 @@ import json
 import random
 from pathlib import Path
 
-from meerkat.runtime import RandomSchedule, initial_config, run_until_quiescent, submit_evolution
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import meerkat.simharness as sim
+from meerkat.runtime import (
+    RandomSchedule,
+    apply_step,
+    enabled_steps,
+    initial_config,
+    run_until_quiescent,
+    submit_evolution,
+)
 from meerkat.simharness import (
     Exhaustive,
     Scenario,
     ScenarioItem,
     Seeded,
+    Verdict,
     build_config,
     explore,
     load_scenario,
@@ -72,16 +84,50 @@ class TestOracle:
             assert got == want
 
 
+CONFLUENCE = Scenario(
+    initial="var a = 0; var b = 0; def s = a + b;",
+    submissions=(
+        ScenarioItem("do", "do (action { a := 1 })", "u1"),
+        ScenarioItem("do", "do (action { b := 2 })", "u2"),
+    ),
+    independent=True,
+)
+
+BLOCKED = Scenario(
+    initial="var x = 1;",
+    submissions=(
+        ScenarioItem("evolve", "def a = b + 1;", "p1"),
+        ScenarioItem("evolve", "def b = a + 1;", "p2"),
+    ),
+    independent=True,
+)
+
+# two actions write the same variable with different values: they
+# serialize, and the two orders disagree
+ORDER_DEPENDENT = Scenario(
+    initial="var x = 0;",
+    submissions=(
+        ScenarioItem("do", "do (action { x := 1 })", "u1"),
+        ScenarioItem("do", "do (action { x := 2 })", "u2"),
+    ),
+    independent=True,
+)
+
+# an evolution and two actions, all independent
+MIXED = Scenario(
+    initial="var a = 0; var b = 0; def s = a + b;",
+    submissions=(
+        ScenarioItem("evolve", "def t = s * 2;", "p1"),
+        ScenarioItem("do", "do (action { a := 1 })", "u1"),
+        ScenarioItem("do", "do (action { b := 2 })", "u2"),
+    ),
+    independent=True,
+)
+
+
 class TestScenarios:
     def confluence(self) -> Scenario:
-        return Scenario(
-            initial="var a = 0; var b = 0; def s = a + b;",
-            submissions=(
-                ScenarioItem("do", "do (action { a := 1 })", "u1"),
-                ScenarioItem("do", "do (action { b := 2 })", "u2"),
-            ),
-            independent=True,
-        )
+        return CONFLUENCE
 
     def test_confluent_scenario_passes_exhaustively(self):
         verdict = explore(self.confluence(), Exhaustive(depth_cap=6))
@@ -90,14 +136,7 @@ class TestScenarios:
         assert verdict.schedules_complete
 
     def test_blocked_evolutions_always_die(self):
-        scenario = Scenario(
-            initial="var x = 1;",
-            submissions=(
-                ScenarioItem("evolve", "def a = b + 1;", "p1"),
-                ScenarioItem("evolve", "def b = a + 1;", "p2"),
-            ),
-            independent=True,
-        )
+        scenario = BLOCKED
         verdict = explore(scenario, Exhaustive(depth_cap=8))
         assert verdict.ok, verdict.violations
         base = build_config(scenario)
@@ -110,17 +149,9 @@ class TestScenarios:
         assert verdict.runs == 1
 
     def test_order_dependent_workload_is_caught_and_replayable(self):
-        # two actions write the same variable with different values: they
-        # serialize, and the two orders disagree, so claiming independence
-        # must produce a confluence violation with a usable trace
-        scenario = Scenario(
-            initial="var x = 0;",
-            submissions=(
-                ScenarioItem("do", "do (action { x := 1 })", "u1"),
-                ScenarioItem("do", "do (action { x := 2 })", "u2"),
-            ),
-            independent=True,
-        )
+        # claiming independence for order-dependent writes must produce a
+        # confluence violation with a usable trace
+        scenario = ORDER_DEPENDENT
         verdict = explore(scenario, Exhaustive(depth_cap=6))
         assert not verdict.ok
         assert any("confluence" in v for v in verdict.violations)
@@ -131,17 +162,9 @@ class TestScenarios:
         assert verdict.runs == 10
 
     def test_mixed_independent_workload_converges_exhaustively(self):
-        # an evolution and two actions, all independent: every interleaving
-        # (including pair steps) must quiesce to the same observable store
-        scenario = Scenario(
-            initial="var a = 0; var b = 0; def s = a + b;",
-            submissions=(
-                ScenarioItem("evolve", "def t = s * 2;", "p1"),
-                ScenarioItem("do", "do (action { a := 1 })", "u1"),
-                ScenarioItem("do", "do (action { b := 2 })", "u2"),
-            ),
-            independent=True,
-        )
+        # every interleaving (including pair steps) must quiesce to the same
+        # observable store
+        scenario = MIXED
         verdict = explore(scenario, Exhaustive(depth_cap=8))
         assert verdict.ok, verdict.violations
         assert verdict.schedules_complete
@@ -230,9 +253,10 @@ class TestScenarioFiles:
         out = tmp_path / "verdict.json"
         code = main(["--scenario", str(path), "--exhaustive", "6", "--trace-out", str(out)])
         assert code == 0
-        assert "result=OK" in capsys.readouterr().out
+        assert "runs=1 states=1 configs=2 complete=yes result=OK" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert doc["ok"] is True
+        assert doc["configs"] == 2
 
     def test_shipped_sample_scenarios_pass(self, capsys):
         paths = sorted(SAMPLES.glob("scenario_*.json"))
@@ -259,3 +283,195 @@ class TestScenarioFiles:
         )
         assert main(["--scenario", str(path), "--exhaustive", "6"]) == 1
         assert "VIOLATIONS" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The memoised explorer against the tree of schedules
+# ---------------------------------------------------------------------------
+
+def tree_explore(scenario: Scenario, mode: Exhaustive) -> tuple[Verdict, set]:
+    """The exhaustive explorer without memoisation, kept as an oracle: a
+    depth-first walk over the tree of schedules that fires and audits a
+    config again every time another schedule reaches it.  Returns the
+    verdict and the set of final observable stores."""
+    verdict = Verdict()
+    finals = []
+    stack = [(build_config(scenario), ())]
+    while stack:
+        cfg, picks = stack.pop()
+        if verdict.states >= mode.max_states:
+            verdict.schedules_complete = False
+            break
+        options = enabled_steps(cfg)
+        if (cfg.q_r or cfg.q_do) and not options:
+            verdict.violations.append("progress violated: pending work but no enabled step")
+            continue
+        if not options:
+            verdict.violations.extend(sim.check_oracle(cfg))
+            finals.append(observable(cfg))
+            verdict.runs += 1
+            continue
+        if len(picks) >= mode.depth_cap:
+            verdict.schedules_complete = False
+            continue
+        for k in reversed(range(len(options))):
+            nxt, outs = apply_step(cfg, options[k])
+            verdict.states += 1
+            for o in outs:
+                verdict.violations.extend(sim.validate_wave(cfg, o))
+            verdict.violations.extend(sim.check_config(nxt))
+            stack.append((nxt, picks + (k,)))
+    if scenario.independent and len(set(finals)) > 1:
+        verdict.violations.append(
+            f"confluence violated: {len(set(finals))} distinct final stores across {len(finals)} schedules"
+        )
+    verdict.ok = not verdict.violations
+    return verdict, set(finals)
+
+
+def memo_explore(scenario: Scenario, mode: Exhaustive, monkeypatch) -> tuple[Verdict, set]:
+    """`explore`, with the final stores it hands to the oracle."""
+    finals = set()
+    check_oracle = sim.check_oracle
+
+    def recording(cfg):
+        finals.add(observable(cfg))
+        return check_oracle(cfg)
+
+    with monkeypatch.context() as m:
+        m.setattr(sim, "check_oracle", recording)
+        return explore(scenario, mode), finals
+
+
+def flag_x_two(check_config):
+    """`check_config` that also flags every config whose `x` is 2: a store
+    only some schedules reach, so violations depend on the schedule."""
+
+    def flagged(cfg):
+        found = check_config(cfg)
+        x = cfg.store.vars.get("x")
+        if x is not None and x.c == IntV(2):
+            found.append("x is 2")
+        return found
+
+    return flagged
+
+
+def assert_explorers_agree(scenario: Scenario, depth_cap: int, monkeypatch, flag: bool = False):
+    mode = Exhaustive(depth_cap=depth_cap)
+    with monkeypatch.context() as m:
+        if flag:
+            m.setattr(sim, "check_config", flag_x_two(sim.check_config))
+        old, old_finals = tree_explore(scenario, mode)
+        new, new_finals = memo_explore(scenario, mode, monkeypatch)
+        assert new.ok == old.ok
+        assert set(new.violations) == set(old.violations)
+        assert new_finals == old_finals
+        assert new.runs == old.runs
+        assert new.schedules_complete == old.schedules_complete
+        assert new.states <= old.states
+        assert new.configs <= new.states + 1
+        if any(not v.startswith("confluence") for v in new.violations):
+            # confluence spans schedules and has no counterexample
+            assert not replay(scenario, new.counterexample).ok
+
+
+# a variable, a definition over it, and a second variable; the pools below
+# reach all three or read a name that is not bound
+INITIALS = [None, "var x = 0;", "var x = 1; def d = x + 1;", "var x = 0; var y = 0; def s = x + y;"]
+
+EVOLUTION_POOL = [
+    "def e = 1;",
+    "def c = c + 1;",          # self-referential: blocked forever
+    "def o = m + 1;",          # blocked until `m` is bound
+    "def m = 2;",
+    "var x = true;",           # retypes `x`: incompatible once a definition reads it
+    "def d = x * 3;",
+    "",
+]
+
+DO_POOL = [
+    "do (action { x := 1 })",
+    "do (action { x := 2 })",   # order-dependent with the one above
+    "do (action { x := x + 1 })",
+    "do (action { x := true })",  # a type error that is equal to `x := 1` as Python values
+    "do (action { x := 1 / 0 })",  # a runtime fault
+    "do 1",                     # not an action
+    "do (action { y := x })",
+    "do (action { y := 5 })",
+]
+
+submission_items = st.one_of(
+    st.tuples(st.just("evolve"), st.sampled_from(EVOLUTION_POOL)),
+    st.tuples(st.just("do"), st.sampled_from(DO_POOL)),
+)
+
+small_scenarios = st.builds(
+    lambda initial, subs, independent: Scenario(
+        initial, tuple(ScenarioItem(kind, src, who) for (kind, src), who in subs), independent
+    ),
+    st.sampled_from(INITIALS),
+    st.lists(st.tuples(submission_items, st.sampled_from(["u1", "u2"])), min_size=1, max_size=5),
+    st.sampled_from([True, True, False]),
+)
+
+# most caps are below the longest schedule, 8 is above every one
+depth_caps = st.sampled_from([0, 1, 2, 3, 8, 8])
+
+
+class TestMemoisedExplorer:
+    def test_agrees_with_the_tree_on_the_module_scenarios(self, monkeypatch):
+        for scenario in (CONFLUENCE, BLOCKED, ORDER_DEPENDENT, MIXED, Scenario()):
+            for depth_cap in range(len(scenario.submissions) + 2):
+                for flag in (False, True):
+                    assert_explorers_agree(scenario, depth_cap, monkeypatch, flag)
+
+    def test_agrees_with_the_tree_on_the_sample_scenarios(self, monkeypatch):
+        paths = sorted(SAMPLES.glob("scenario_*.json"))
+        assert paths
+        for path in paths:
+            scenario = load_scenario(str(path))
+            for depth_cap in (1, 8):
+                assert_explorers_agree(scenario, depth_cap, monkeypatch, flag=True)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(small_scenarios, depth_caps, st.booleans())
+    def test_agrees_with_the_tree_on_generated_scenarios(self, monkeypatch, scenario, depth_cap, flag):
+        assert_explorers_agree(scenario, depth_cap, monkeypatch, flag)
+
+    def test_each_config_fires_its_steps_once(self):
+        # the tree fires 18 steps for MIXED's 8 schedules; memoised, the
+        # config after both actions (reached three ways) and each config
+        # after the evolution and one action (two ways) fire their one
+        # remaining step once
+        verdict = explore(MIXED, Exhaustive(depth_cap=8))
+        assert tree_explore(MIXED, Exhaustive(depth_cap=8))[0].states == 18
+        assert (verdict.runs, verdict.states, verdict.configs) == (8, 14, 8)
+        assert verdict.to_json()["configs"] == 8
+
+    def test_counterexample_replays_the_violating_step(self, monkeypatch):
+        scenario = Scenario(
+            initial="var x = 0; def d = x + 1;",
+            submissions=(
+                ScenarioItem("do", "do (action { x := x + 1 })", "u1"),
+                ScenarioItem("do", "do (action { x := x + 1 })", "u2"),
+                ScenarioItem("do", "do (action { x := 5 })", "u3"),
+            ),
+        )
+        monkeypatch.setattr(sim, "check_config", flag_x_two(sim.check_config))
+        verdict = explore(scenario, Exhaustive())
+        assert not verdict.ok
+        assert "x is 2" in verdict.violations
+        picks = verdict.counterexample["picks"]
+        assert picks
+        replayed = replay(scenario, {"kind": "picks", "picks": picks})
+        assert "x is 2" in replayed.violations
+        assert build_and_run(scenario, picks).store.vars["x"].c == IntV(2)
+        # the last pick is the violating step
+        assert replay(scenario, {"kind": "picks", "picks": picks[:-1]}).ok
+
+    def test_a_step_budget_stops_the_walk(self):
+        verdict = explore(MIXED, Exhaustive(depth_cap=8, max_states=3))
+        assert not verdict.schedules_complete
+        assert 3 <= verdict.states < explore(MIXED, Exhaustive(depth_cap=8)).states
+        assert verdict.runs < 8
