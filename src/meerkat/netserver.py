@@ -44,7 +44,7 @@ when its outbound buffer overflows or when it sends an overlong line, never
 for being idle.  Slow subscribers never block stepping: a session with
 ``buffer_limit`` unsent messages keeps only the first (it may be partly
 sent), is sent ``{"type": "error", "reason": "overflow"}`` and is closed.
-A session whose unfinished line grows past ``line_limit`` bytes is sent
+A session whose unfinished line grows past ``LINE_LIMIT`` bytes is sent
 ``{"type": "error", "reason": "line_too_long"}`` the same way, so no client
 can make the server buffer more than that.
 
@@ -89,6 +89,7 @@ from .typesys import CompatReport, TypeCheckError
 
 PROTOCOL_VERSION = 1
 DEFAULT_BIND = ("127.0.0.1", 7788)
+LINE_LIMIT = 1 << 20  # bytes of one session's unfinished line
 
 
 @dataclass
@@ -99,7 +100,6 @@ class ServerConfig:
     trace_path: str | None = None
     seed: int = 0
     buffer_limit: int = 256  # unsent outbound messages per session
-    line_limit: int = 1 << 20  # bytes of one session's unfinished line
 
 
 @dataclass(eq=False)
@@ -331,7 +331,7 @@ class MeerkatServer:
             return []  # its input is dropped
         session.inbuf += data
         if b"\n" not in data:  # so a long line costs time linear in its length
-            if len(session.inbuf) > self.config.line_limit:
+            if len(session.inbuf) > LINE_LIMIT:
                 session.inbuf = bytearray()
                 self._drop(session, "line_too_long")
             return []

@@ -538,26 +538,20 @@ def test_a_session_that_does_not_read_stalls_no_one():
         srv.stop()
 
 
-def test_a_long_line_costs_time_linear_in_its_length():
+def test_a_long_line_costs_time_linear_in_its_length(server, monkeypatch):
     # a line limit above the line, so all of it is buffered and parsed
-    srv = MeerkatServer(
-        ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(LISTING), line_limit=64 << 20)
-    )
-    srv.start()
-    try:
-        c = Client(srv.address)
-        c.recv()
-        chunk = b"x" * (1 << 20)
-        started = time.monotonic()
-        for _ in range(48):  # rescanning the whole line on every read takes tens of seconds
-            c.send_raw(chunk)
-        c.send_raw(b"\n")
-        assert c.recv() == {"type": "error", "reason": "parse"}
-        assert c.request({"type": "read", "name": "x"}, req=1)["value"] == 1
-        assert time.monotonic() - started < 10
-        c.close()
-    finally:
-        srv.stop()
+    monkeypatch.setattr(meerkat.netserver, "LINE_LIMIT", 64 << 20)
+    c = Client(server.address)
+    c.recv()
+    chunk = b"x" * (1 << 20)
+    started = time.monotonic()
+    for _ in range(48):  # rescanning the whole line on every read takes tens of seconds
+        c.send_raw(chunk)
+    c.send_raw(b"\n")
+    assert c.recv() == {"type": "error", "reason": "parse"}
+    assert c.request({"type": "read", "name": "x"}, req=1)["value"] == 1
+    assert time.monotonic() - started < 10
+    c.close()
 
 
 def _status_kb(pid: int, field: str) -> int:
@@ -588,16 +582,19 @@ def test_an_overlong_line_closes_its_session_and_the_server_memory_stays_bounded
             peak_before = _status_kb(proc.pid, "VmHWM")
             streamer = Client(address)
             assert streamer.recv() == {"type": "hello", "version": 1}
-            chunk, sent = b"x" * (1 << 16), 0
-            with pytest.raises(OSError):  # the server closes the stream
-                for k in range(640):  # 40 MiB without a newline
+            chunk, sent, cut = b"x" * (1 << 16), 0, False
+            for k in range(640):  # 40 MiB without a newline
+                try:
                     streamer.send_raw(chunk)
-                    sent += len(chunk)
-                    if k % 8 == 0:  # meanwhile the other session is served
-                        do = {"type": "do", "expr": f"do (action {{ x := {k} }})"}
-                        assert other.request(do, req=f"d{k}")["type"] == "executed"
-                        assert other.request({"type": "read", "name": "x"}, req=f"r{k}")["value"] == k
-            assert sent < 40 << 20
+                except OSError:  # the server closed the stream
+                    cut = True
+                    break
+                sent += len(chunk)
+                if k % 8 == 0:  # meanwhile the other session is served
+                    do = {"type": "do", "expr": f"do (action {{ x := {k} }})"}
+                    assert other.request(do, req=f"d{k}")["type"] == "executed"
+                    assert other.request({"type": "read", "name": "x"}, req=f"r{k}")["value"] == k
+            assert cut and sent < 40 << 20
             assert streamer.recv() == {"type": "error", "reason": "line_too_long"}
             try:
                 assert streamer.reader.readline() == ""
@@ -605,7 +602,7 @@ def test_an_overlong_line_closes_its_session_and_the_server_memory_stays_bounded
                 pass  # the server closed with the rest of the stream unread
             x = other.request({"type": "read", "name": "x"}, req="x")["value"]
             assert other.request({"type": "read", "name": "inc2"}, req="r2")["value"] == x + 2
-            # the 1 MiB default line limit bounds what one session can make the server hold
+            # the 1 MiB line limit bounds what one session can make the server hold
             assert _status_kb(proc.pid, "VmHWM") - peak_before < 10 * 1024
             streamer.close()
             other.close()
