@@ -119,7 +119,13 @@ class ServerState:
     cfg: Config
     open_mode: bool = False
     sessions: dict[int, Session] = field(default_factory=dict)
-    subscribers: dict[str, set[int]] = field(default_factory=dict)
+    subscribers: dict[str, set[int]] = field(default_factory=dict)  # no empty sets
+
+    def unsubscribe(self, name: str, sid: int):
+        subs = self.subscribers.get(name, set())
+        subs.discard(sid)
+        if not subs:
+            self.subscribers.pop(name, None)
 
 
 def _rejection_payload(report: TypeCheckError | EvalError | CompatReport) -> dict:
@@ -171,7 +177,7 @@ def handle_message(state: ServerState, session: Session, msg: dict) -> list[tupl
     if kind == "unsubscribe":
         name = msg.get("name")
         if isinstance(name, str):
-            state.subscribers.get(name, set()).discard(sid)
+            state.unsubscribe(name, sid)
         return []
     if kind == "env":
         return [(sid, {"type": "value", "req": req, "value": {"bindings": state.cfg.env.to_json()}})]
@@ -415,8 +421,8 @@ class MeerkatServer:
     def _unregister(self, session: Session):
         """After this the engine sends the session nothing more."""
         self.state.sessions.pop(session.id, None)
-        for subs in self.state.subscribers.values():
-            subs.discard(session.id)
+        for name in list(self.state.subscribers):
+            self.state.unsubscribe(name, session.id)
 
     def _close(self, session: Session):
         self._unregister(session)

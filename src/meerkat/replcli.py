@@ -47,6 +47,7 @@ from .runtime import (
 )
 from .store import store_to_json, value_to_text
 from .syntax import ParseError, parse_do, parse_program
+from .typesys import dep_edges
 
 
 class ConnectionLost(Exception):
@@ -129,7 +130,7 @@ class EmbeddedBackend:
     def graph(self) -> list[str]:
         edges = [
             f"{name} -> {dep}"
-            for name, deps in sorted(self.cfg.store.depgraph.items())
+            for name, deps in sorted(dep_edges(self.cfg.env).items())
             for dep in sorted(deps)
         ]
         return edges or ["(no edges)"]

@@ -277,15 +277,16 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
         if len(picks) == 1:
             return replace(cfg, q_r=remaining), Rejected(planned, whos)
         return cfg, Rejected(planned, whos, final=False)
+    new_env = env_merge(cfg.env, planned)
     try:
         union_prog = Program(tuple(d for r in programs for d in r.decls))
-        new_store, prop = init_cells(cfg.store, planned, union_prog, cfg.next_txn)
+        new_store, prop = init_cells(cfg.store, new_env, union_prog, cfg.next_txn)
     except EvalError as err:
         return replace(cfg, q_r=remaining), Rejected(err, whos)
     consumed = 1 if prop.txn is not None else 0
     new_cfg = replace(
         cfg,
-        env=env_merge(cfg.env, planned),
+        env=new_env,
         store=new_store,
         q_r=remaining,
         next_txn=cfg.next_txn + consumed,
@@ -385,12 +386,12 @@ def step_do_many(
             continue
         try:
             pending = _run_action(base, pick.item)
-            alone, prop = propagate(base, pending, cfg.next_txn + k)
+            alone, prop = propagate(base, cfg.env, pending, cfg.next_txn + k)
             if runs:
                 # the combined writes may fault a definition each pick computed fine
                 merged_vars = {**store.vars, **{n: alone.vars[n] for n in pending}}
-                defs = merge_defs(store.defs, alone.defs, merged_vars, base.depgraph)
-                alone = Store(merged_vars, defs, base.depgraph, prop.txn)
+                defs = merge_defs(store.defs, alone.defs, merged_vars, cfg.env)
+                alone = Store(merged_vars, defs, prop.txn)
         except EvalError as err:
             outcomes.append(ActionFailed(err, (pick.who,)))
             continue
@@ -404,7 +405,7 @@ def step_do_many(
     _, _, prop = runs[0]
     changes, recomputed = prop.changes, prop.recomputed
     if len(runs) > 1:
-        recomputed = tuple(topo_order(base.depgraph, {n for *_, wave in runs for n in wave.recomputed}))
+        recomputed = tuple(topo_order(cfg.env, {n for *_, wave in runs for n in wave.recomputed}))
         # a definition may change only once several writes land, so diff
         # every written or recomputed name against the base
         names = {n for _, pending, _ in runs for n in pending} | set(recomputed)
@@ -599,9 +600,8 @@ def check_config(cfg: Config) -> list[str]:
     """All invariant violations of a configuration (empty list = healthy).
 
     Checks environment well-formedness, that the store covers exactly the
-    environment's names with the right cell kinds, that every stored value
-    matches its declared type, and that the store's dependency edges match
-    the environment.
+    environment's names with the right cell kinds, and that every stored
+    value matches its declared type.
     """
     problems: list[str] = []
     report = well_formed(cfg.env)
@@ -625,6 +625,4 @@ def check_config(cfg: Config) -> list[str]:
                 continue
             if not value_conforms(cell.c, binding.ty):
                 problems.append(f"'{name}' value does not match its type")
-            if cfg.store.depgraph.get(name) != binding.deps.names():
-                problems.append(f"'{name}' dependency edges disagree with the environment")
     return problems

@@ -73,7 +73,7 @@ from .runtime import (
 )
 from .store import DefCell, Store, Value, VarCell, eval_expr, value_to_text
 from .syntax import Expr, parse_do, parse_program
-from .typesys import TypeEnv, dep_edges, env_merge, topo_order
+from .typesys import TypeEnv, env_merge, topo_order
 
 
 def oracle_recompute(
@@ -81,17 +81,13 @@ def oracle_recompute(
 ) -> dict[str, Value]:
     """Ground truth for the store: evaluate every definition from scratch.
 
-    Definitions are computed in dependency order against the given
-    state-variable values, using none of the incremental machinery.
+    Definitions are computed in the bindings' dependency order against the
+    given state-variable values, using none of the incremental machinery.
     """
-    edges = dep_edges(env)
-    scratch = Store({n: VarCell(v) for n, v in var_values.items()}, {}, edges, 0)
-    out: dict[str, Value] = {}
-    for name in topo_order(edges, def_exprs):
-        v = eval_expr(scratch, {}, def_exprs[name])
-        out[name] = v
-        scratch.defs[name] = DefCell(v, def_exprs[name])
-    return out
+    scratch = Store({n: VarCell(v) for n, v in var_values.items()})
+    for name in topo_order(env, def_exprs):
+        scratch.defs[name] = DefCell(eval_expr(scratch, {}, def_exprs[name]), def_exprs[name])
+    return {n: c.c for n, c in scratch.defs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +176,9 @@ class Verdict:
 def validate_wave(cfg_before: Config, outcome: StepOutcome) -> list[str]:
     """Glitch-freedom audit of one committed transaction.
 
-    Recomputes the expected affected set from the dependency graph and
-    checks the engine's reported recomputation order covers it exactly
-    once, dependencies first.
+    Checks that the engine's reported recomputation order names each
+    definition once, after every recomputed definition its binding reads
+    in the env the wave ran under.
     """
     if not isinstance(outcome, (Accepted, Executed)) or outcome.txn is None:
         return []
@@ -192,14 +188,10 @@ def validate_wave(cfg_before: Config, outcome: StepOutcome) -> list[str]:
         problems.append(f"txn {outcome.txn}: a definition was recomputed more than once")
     seen: set[str] = set()
     affected = set(recomputed)
-    # store of the PREVIOUS config still has the pre-step graph for do's;
-    # for evolutions the graph may have grown, so use the edge map implied
-    # by the outcome itself (dependencies among recomputed names).
-    edges = cfg_before.store.depgraph
-    if isinstance(outcome, Accepted):
-        edges = dep_edges(env_merge(cfg_before.env, outcome.delta))
+    env = env_merge(cfg_before.env, outcome.delta) if isinstance(outcome, Accepted) else cfg_before.env
     for name in recomputed:
-        for dep in edges.get(name, ()):
+        b = env.get(name)
+        for dep, _ in (b.deps or ()) if b is not None else ():
             if dep in affected and dep not in seen:
                 problems.append(
                     f"txn {outcome.txn}: '{name}' recomputed before its dependency '{dep}'"
@@ -263,14 +255,14 @@ def _finish_run(cfg: Config, verdict: Verdict, finals: set):
 def config_key(cfg: Config) -> tuple:
     """Everything a later step reads from `cfg`, hashable and in insertion
     order: configs with equal keys enable the same steps, fire them to
-    equal configs and pass or fail the same audits.  The submissions'
-    `plans` are only caches and take no part."""
+    equal configs and pass or fail the same audits.  The env's bindings
+    are the dependency graph; its `readers()` and the submissions' `plans`
+    are only caches and take no part."""
     store = cfg.store
     return (
         cfg.env.items(),
         tuple(store.vars.items()),
         tuple(store.defs.items()),
-        tuple(store.depgraph.items()),
         store.txn,
         cfg.q_r,
         cfg.q_do,

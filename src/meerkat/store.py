@@ -11,6 +11,8 @@ Its `txn` is the last transaction it has applied.
 A propagation wave recomputes each affected definition exactly once, in
 dependency order, so no definition ever observes a mix of pre- and
 post-transaction inputs.  The wave writes only the cells it recomputes.
+A wave reads the dependency edges from the `TypeEnv` it is given; the
+store holds only cells.
 """
 
 from __future__ import annotations
@@ -186,20 +188,18 @@ class PropagationResult:
 
 
 class Store:
-    """The full runtime store: V cells, D cells, and the dependency graph."""
+    """The full runtime store: V cells and D cells."""
 
-    __slots__ = ("vars", "defs", "depgraph", "txn")
+    __slots__ = ("vars", "defs", "txn")
 
     def __init__(
         self,
         vars: Mapping[str, VarCell] | None = None,
         defs: Mapping[str, DefCell] | None = None,
-        depgraph: Mapping[str, frozenset[str]] | None = None,
         txn: int = 0,
     ):
         self.vars: dict[str, VarCell] = dict(vars or {})
         self.defs: dict[str, DefCell] = dict(defs or {})
-        self.depgraph: dict[str, frozenset[str]] = dict(depgraph or {})
         self.txn = txn
 
     def names(self) -> frozenset[str]:
@@ -222,19 +222,11 @@ class Store:
     def def_exprs(self) -> dict[str, Expr]:
         return {n: c.e for n, c in self.defs.items()}
 
-    def dependents(self) -> dict[str, set[str]]:
-        rev: dict[str, set[str]] = {n: set() for n in self.depgraph}
-        for n, deps in self.depgraph.items():
-            for d in deps:
-                rev.setdefault(d, set()).add(n)
-        return rev
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Store)
             and self.vars == other.vars
             and self.defs == other.defs
-            and self.depgraph == other.depgraph
             and self.txn == other.txn
         )
 
@@ -357,26 +349,25 @@ def eval_expr(
 # Wave propagation
 # ---------------------------------------------------------------------------
 
-def _affected_defs(store: Store, seeds: Iterable[str]) -> set[str]:
+def _affected_defs(env: TypeEnv, seeds: Iterable[str]) -> set[str]:
     """Definitions transitively downstream of any seed name."""
-    rev = store.dependents()
+    readers = env.readers()
     out: set[str] = set()
     pending = list(seeds)
     while pending:
-        n = pending.pop()
-        for dep in rev.get(n, ()):
-            if dep not in out and dep in store.defs:
+        for dep in readers.get(pending.pop(), ()):
+            if dep not in out:
                 out.add(dep)
                 pending.append(dep)
     return out
 
 
-def _run_wave(store: Store, affected: set[str]) -> list[str]:
+def _run_wave(store: Store, env: TypeEnv, affected: set[str]) -> list[str]:
     """Recompute `affected` definitions in dependency order, writing each
     new cell into `store`, which is still private to the caller and serves
     as the wave's one scratch view.  Every other cell is left as it was.
     Returns the recomputation order."""
-    order = topo_order(store.depgraph, affected)
+    order = topo_order(env, affected)
     defs = store.defs
     for name in order:
         e = defs[name].e
@@ -395,64 +386,58 @@ def _diff(before: Mapping[str, Value | None], store: Store) -> tuple[Change, ...
 
 
 def propagate(
-    store: Store, changed_vars: Mapping[str, Value], txn: int
+    store: Store, env: TypeEnv, changed_vars: Mapping[str, Value], txn: int
 ) -> tuple[Store, PropagationResult]:
     """Commit a set of state-variable writes as one transaction.
 
     All writes land atomically, then every transitively affected
-    definition is recomputed exactly once, in dependency order.  Every
-    other cell of the result is the very object it was in `store`.
+    definition of `env` is recomputed exactly once, in dependency order.
+    Every other cell of the result is the very object it was in `store`.
     A fault during recomputation raises EvalError and commits nothing.
     """
     for name in changed_vars:
         if name not in store.vars:
             raise EvalError("NotAStateVariable", f"'{name}' is not a state variable")
-    affected = _affected_defs(store, changed_vars)
+    affected = _affected_defs(env, changed_vars)
     before: dict[str, Value | None] = {n: store.vars[n].c for n in changed_vars}
     before.update({n: store.defs[n].c for n in affected})
-    new = Store(store.vars, store.defs, store.depgraph, txn)
+    new = Store(store.vars, store.defs, txn)
     for name, v in changed_vars.items():
         new.vars[name] = VarCell(v)
-    order = _run_wave(new, affected)
+    order = _run_wave(new, env, affected)
     return new, PropagationResult(txn, _diff(before, new), tuple(order))
 
 
 def init_cells(
-    store: Store, delta_env: TypeEnv, r: Program, txn: int
+    store: Store, env: TypeEnv, r: Program, txn: int
 ) -> tuple[Store, PropagationResult]:
     """Apply an accepted evolution to the store.
 
+    `env` is the environment with the evolution's bindings merged in.
     Installs each declaration left to right (so later declarations can
-    read earlier ones), rebuilds the dependency graph from the new
-    bindings, then runs one propagation wave over everything downstream
-    of a declared name — all under a single transaction.  An empty
-    program returns the store unchanged and consumes no transaction.
+    read earlier ones), then runs one propagation wave over everything
+    downstream of a declared name — all under a single transaction.  An
+    empty program returns the store unchanged and consumes no transaction.
     Any fault leaves the caller's store untouched.
     """
     if not r.decls:
         return store, PropagationResult(None)
-    new = Store(store.vars, store.defs, store.depgraph, txn)
+    new = Store(store.vars, store.defs, txn)
     before: dict[str, Value | None] = {}
-    declared: list[str] = []
     for d in r.decls:
         name = d.name
         if name not in before:
             before[name] = new.value_of(name) if name in new else None
-        declared.append(name)
         v = eval_expr(new, {}, d.init)
         if d.kind is DeclKind.STATE:
             new.vars[name] = VarCell(v)
-            new.depgraph[name] = frozenset()
         else:
-            binding = delta_env.get(name)
-            assert binding is not None and not binding.is_state
             new.defs[name] = DefCell(v, d.init)
-            new.depgraph[name] = binding.deps.names()
     # the wave covers everything downstream of a declared name, including
     # declarations from this very program that read a name redeclared later
-    affected = _affected_defs(new, declared)
+    affected = _affected_defs(env, before)
     before.update({n: new.defs[n].c for n in affected if n not in before})
-    order = _run_wave(new, affected)
+    order = _run_wave(new, env, affected)
     return new, PropagationResult(txn, _diff(before, new), tuple(order))
 
 
@@ -472,7 +457,7 @@ def merge_defs(
     d1: Mapping[str, DefCell],
     d2: Mapping[str, DefCell],
     merged_vars: Mapping[str, VarCell],
-    depgraph: Mapping[str, frozenset[str]],
+    env: TypeEnv,
 ) -> dict[str, DefCell]:
     """Merge the definition maps of two transactions run from the same base
     store with disjoint state-variable write sets.
@@ -484,9 +469,9 @@ def merge_defs(
     """
     if set(d1) != set(d2):
         raise ValueError("definition maps must cover the same names")
-    merged = Store(merged_vars, d1, depgraph)
+    merged = Store(merged_vars, d1)
     stale = {n for n, c1 in d1.items() if c1 is not d2[n]}
-    for name in topo_order(depgraph, stale):
+    for name in topo_order(env, stale):
         e = d1[name].e
         if e != d2[name].e:
             raise ValueError(f"'{name}' has diverging expressions; merge needs a common base")

@@ -8,8 +8,9 @@ carry the same kind of set as a latent annotation: the reads happen when
 the function is applied or the action is executed, not where the literal
 appears.
 
-The checks in this module are all pure; environments are immutable and
-every operation returns a fresh value or a report.
+The checks in this module are all pure; environments are immutable (an
+env caches only its derived reverse edges) and every operation returns a
+fresh value or a report.
 """
 
 from __future__ import annotations
@@ -177,12 +178,13 @@ class Binding:
 
 
 class TypeEnv:
-    """Ordered, immutable map of top-level names to bindings."""
+    """Ordered, immutable map of top-level names to bindings: the one dependency graph."""
 
-    __slots__ = ("_bindings",)
+    __slots__ = ("_bindings", "_readers")
 
     def __init__(self, bindings: Mapping[str, Binding] | Iterable[tuple[str, Binding]] = ()):
         self._bindings = dict(bindings.items() if isinstance(bindings, Mapping) else bindings)
+        self._readers: dict[str, tuple[str, ...]] | None = None
 
     def get(self, name: str) -> Binding | None:
         return self._bindings.get(name)
@@ -201,6 +203,13 @@ class TypeEnv:
 
     def items(self) -> tuple[tuple[str, Binding], ...]:
         return tuple(self._bindings.items())
+
+    def readers(self) -> Mapping[str, tuple[str, ...]]:
+        """name -> the definitions that read it directly, in env order,
+        derived on first use and kept: the env is immutable."""
+        if self._readers is None:
+            self._readers = _reverse_edges(self)
+        return self._readers
 
     def bind(self, name: str, binding: Binding) -> "TypeEnv":
         merged = dict(self._bindings)
@@ -284,6 +293,15 @@ def dep_edges(env: TypeEnv) -> dict[str, frozenset[str]]:
     }
 
 
+def _reverse_edges(env: TypeEnv) -> dict[str, tuple[str, ...]]:
+    """The reverse of `dep_edges(env)`, each reader list in env order."""
+    rev: dict[str, list[str]] = {}
+    for n, b in env.items():
+        for d, _ in b.deps or ():
+            rev.setdefault(d, []).append(n)
+    return {d: tuple(ns) for d, ns in rev.items()}
+
+
 def well_formed(env: TypeEnv) -> CompatReport:
     """Check the two environment invariants: consistency and acyclicity."""
     violations: list[Violation] = []
@@ -342,7 +360,7 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
     flips (a name switching between state variable and definition) and
     type changes that leave a dependent definition behind: if a rebound
     name's type changes, every definition that reads it must itself be
-    rebound in the same delta.
+    rebound in the same delta; `base.readers()` lists those dependents.
     """
     merged = env_merge(base, delta)
     violations = list(well_formed(merged).violations)
@@ -357,10 +375,8 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
                 Violation("kind_flip", name, f"'{name}' changed from {was} to {now}")
             )
         if old_b.ty != new_b.ty:
-            for dep_name, dep_b in merged.items():
-                if dep_b.is_state or dep_name in delta_names:
-                    continue
-                if name in dep_b.deps:
+            for dep_name in base.readers().get(name, ()):
+                if dep_name not in delta_names:
                     violations.append(
                         Violation(
                             "stale_dependent",
@@ -371,9 +387,8 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
     return CompatReport(tuple(violations))
 
 
-def topo_order(edges: Mapping[str, Iterable[str]], names: Iterable[str]) -> list[str]:
-    """Dependency-first order over `names`, given each name's direct reads
-    (`dep_edges(env)` or a store's dependency graph).
+def topo_order(env: TypeEnv, names: Iterable[str]) -> list[str]:
+    """Dependency-first order over `names`, by their bindings' direct reads.
 
     Deterministic: ties break lexicographically.  Requires acyclic edges.
     """
@@ -381,7 +396,8 @@ def topo_order(edges: Mapping[str, Iterable[str]], names: Iterable[str]) -> list
     indeg = {}
     rdeps: dict[str, list[str]] = {}
     for n in wanted:
-        deps_in = [d for d in edges.get(n, ()) if d in wanted]
+        b = env.get(n)
+        deps_in = [d for d, _ in (b.deps or ()) if d in wanted] if b is not None else []
         indeg[n] = len(deps_in)
         for d in deps_in:
             rdeps.setdefault(d, []).append(n)

@@ -206,17 +206,17 @@ BASE_DOS = {
 
 def generate_scenarios():
     """Deterministic structured generator: every base paired with multisets
-    of up to three pending submissions drawn from its pool."""
-    scenarios = []
+    of up to three pending submissions drawn from its pool.  The bases take
+    turns, so a budget that stops early still covers every base."""
+    per_base = []
     for base_idx, base in enumerate(BASES):
         pool = [("evolve", code) for code in EVOLUTIONS + BASE_EVOLUTIONS.get(base_idx, [])]
         pool += [("do", code) for code in DOS + BASE_DOS.get(base_idx, [])]
         combos = [(k,) for k in range(len(pool))]
         combos += list(itertools.combinations_with_replacement(range(len(pool)), 2))
         combos += list(itertools.combinations_with_replacement(range(len(pool)), 3))
-        for combo in combos:
-            scenarios.append((base, tuple(pool[k] for k in combo)))
-    return scenarios
+        per_base.append([(base, tuple(pool[k] for k in combo)) for combo in combos])
+    return [s for turn in itertools.zip_longest(*per_base) for s in turn if s is not None]
 
 
 def explore_exhaustively(stats: ExplorationStats, base, submissions, state_cap=600):
@@ -318,7 +318,7 @@ def glitch_runs():
             name: IntV(rng.randrange(-100, 100))
             for name in rng.sample(var_names, k=max(1, len(var_names) // 3))
         }
-        store2, result = propagate(store, writes, 2)
+        store2, result = propagate(store, env, writes, 2)
         runs += 1
         # independently recompute the affected set from the environment
         edges = dep_edges(env)

@@ -5,16 +5,24 @@ workloads drive meerkat's library API.
 workload modules reach meerkat through `import meerkat.X as alias`, so
 deleting or renaming one of these names would crash a benchmark run.
 These tests read the benchmark's sources without importing or changing
-them, and fail first.
+them, and fail first.  The tracer's hooks also read the arguments and
+results of the functions they wrap, so a short traced pass of every
+workload runs too.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 DRIVERS = ("inproc.py", "launch_server.py", "run.py", "live.py")
 
@@ -77,3 +85,17 @@ def test_every_library_name_the_benchmark_drives_exists():
         if not hasattr(importlib.import_module(module_name), attr)
     ]
     assert missing == []
+
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_a_short_traced_pass_of_every_workload_checks_out(workload):
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

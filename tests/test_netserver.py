@@ -79,8 +79,14 @@ class TestHandleMessage:
         session = Session(id=7)
         assert handle_message(state, session, {"type": "subscribe", "name": "inc1"}) == []
         assert state.subscribers["inc1"] == {7}
+        other = Session(id=8)
+        handle_message(state, other, {"type": "subscribe", "name": "inc1"})
         handle_message(state, session, {"type": "unsubscribe", "name": "inc1"})
-        assert state.subscribers["inc1"] == set()
+        assert state.subscribers["inc1"] == {8}
+        # the last subscriber leaving removes the name's entry
+        handle_message(state, other, {"type": "unsubscribe", "name": "inc1"})
+        handle_message(state, other, {"type": "unsubscribe", "name": "never"})
+        assert state.subscribers == {}
 
     def test_schema_violations_answer_with_errors(self):
         state = make_state()
@@ -432,6 +438,29 @@ def test_idle_subscriber_keeps_its_session(server):
     assert watcher.request({"type": "read", "name": "inc2"}, req=2)["value"] == 6
     watcher.close()
     actor.close()
+
+
+def test_a_closed_sessions_subscriptions_leave_no_entry(server):
+    names = [f"n{k}" for k in range(2000)]
+    leaving = Client(server.address)
+    leaving.recv()
+    leaving.subscribe("inc1", *names)
+    staying = Client(server.address)
+    staying.recv()
+    staying.subscribe("inc1", "inc2")
+    assert all(n in server.state.subscribers for n in names)
+    leaving.close()
+    deadline = time.monotonic() + 10
+    while any(n in server.state.subscribers for n in names) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(n in server.state.subscribers for n in names)
+    assert len(server.state.subscribers.get("inc1", ())) == 1
+    assert len(server.state.subscribers.get("inc2", ())) == 1
+    reply = staying.request({"type": "do", "expr": "do (action { x := 4 })"}, req=1)
+    assert reply["type"] == "executed"
+    events = [staying.recv_until(lambda m: m.get("type") == "changed") for _ in range(2)]
+    assert [(e["name"], e["new"]) for e in events] == [("inc1", 5), ("inc2", 6)]
+    staying.close()
 
 
 def test_stop_closes_idle_sessions():

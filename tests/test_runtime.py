@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import meerkat.typesys
 from meerkat.runtime import (
     Accepted,
     ActionFailed,
@@ -550,3 +551,19 @@ class TestPlanCache:
         cfg, _ = apply_step(cfg, Step("evolve_one", 0))
         enabled_steps(cfg)
         assert sub.plans["env"] is cfg.env
+
+
+def test_a_run_of_dos_derives_the_reverse_edges_once(monkeypatch):
+    # a transaction walks the env's cached reverse edges: its cost tracks
+    # the cells it touches, not the size of the graph
+    cfg = quiesced("var x = 0; var y = 0; def a = x + 1; def b = a * 2; def c = y + b;")
+    cfg = replace(cfg, env=TypeEnv(cfg.env.items()))  # an equal env, nothing derived yet
+    derived = []
+    original = meerkat.typesys._reverse_edges
+    monkeypatch.setattr(meerkat.typesys, "_reverse_edges", lambda env: derived.append(env) or original(env))
+    for k in range(50):
+        cfg = submit_do(cfg, parse_do(f"do (action {{ x := {k} }})"), "u")
+        cfg, (outcome,) = run_until_quiescent(cfg)
+        assert outcome.recomputed == ("a", "b", "c")
+    assert len(derived) == 1 and derived[0] is cfg.env
+    assert values(cfg) == {"x": 49, "y": 0, "a": 50, "b": 100, "c": 100}

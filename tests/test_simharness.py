@@ -76,7 +76,7 @@ class TestOracle:
             if not var_names:
                 continue
             target = rng.choice(var_names)
-            store2, _ = propagate(cfg.store, {target: IntV(rng.randrange(100))}, cfg.next_txn)
+            store2, _ = propagate(cfg.store, cfg.env, {target: IntV(rng.randrange(100))}, cfg.next_txn)
             want = oracle_recompute(
                 cfg.env, store2.def_exprs(), {n: c.c for n, c in store2.vars.items()}
             )

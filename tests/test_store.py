@@ -26,7 +26,7 @@ from meerkat.store import (
     value_to_json,
 )
 from meerkat.syntax import parse_expr, parse_program
-from meerkat.typesys import TypeEnv, infer_program
+from meerkat.typesys import TypeEnv, env_merge, infer_program
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
 
@@ -35,11 +35,9 @@ def build(source: str, base_env=None, base_store=None, txn=1):
     env = base_env or TypeEnv()
     store = base_store if base_store is not None else empty_store()
     program = parse_program(source)
-    delta = infer_program(env, program)
-    new_store, result = init_cells(store, delta, program, txn)
-    from meerkat.typesys import env_merge
-
-    return env_merge(env, delta), new_store, result
+    new_env = env_merge(env, infer_program(env, program))
+    new_store, result = init_cells(store, new_env, program, txn)
+    return new_env, new_store, result
 
 
 class TestEval:
@@ -78,7 +76,7 @@ class TestEval:
     def test_top_level_reads_are_live_at_call_time(self):
         env, store, _ = build(LISTING)
         closure_src = "fn y => x + y"
-        store2, _ = propagate(store, {"x": IntV(100)}, 2)
+        store2, _ = propagate(store, env, {"x": IntV(100)}, 2)
         f_before = eval_expr(store, {}, parse_expr(closure_src))
         # the same closure value applied against the newer snapshot sees new x
         ctx = dict(f_before.env)
@@ -130,7 +128,7 @@ class TestInitCells:
         delta = infer_program(env, program)
         snapshot = store_to_json(store)
         with pytest.raises(EvalError):
-            init_cells(store, delta, program, 2)
+            init_cells(store, env_merge(env, delta), program, 2)
         assert store_to_json(store) == snapshot
         assert "boom" not in store
 
@@ -155,8 +153,8 @@ class TestInitCells:
 
 class TestPropagate:
     def test_listing_propagation(self):
-        _, store, _ = build(LISTING)
-        store2, result = propagate(store, {"x": IntV(2)}, 2)
+        env, store, _ = build(LISTING)
+        store2, result = propagate(store, env, {"x": IntV(2)}, 2)
         assert store2.vars["x"] == VarCell(IntV(2))
         assert store2.defs["inc1"].c == IntV(3)
         assert store2.defs["inc2"].c == IntV(4)
@@ -167,8 +165,8 @@ class TestPropagate:
         ]
 
     def test_empty_write_set_commits_a_vacuous_transaction(self):
-        _, store, _ = build(LISTING)
-        store2, result = propagate(store, {}, 2)
+        env, store, _ = build(LISTING)
+        store2, result = propagate(store, env, {}, 2)
         assert result.changes == ()
         assert result.recomputed == ()
         assert store2.txn == 2
@@ -178,9 +176,9 @@ class TestPropagate:
 
     def test_diamond_recomputes_each_definition_once_in_order(self):
         src = "var a = 1; def b = a + 1; def c = a + 2; def d = b + c;"
-        _, store, _ = build(src)
+        env, store, _ = build(src)
         assert store.defs["d"].c == IntV(5)
-        store2, result = propagate(store, {"a": IntV(10)}, 2)
+        store2, result = propagate(store, env, {"a": IntV(10)}, 2)
         assert result.recomputed.count("d") == 1
         assert set(result.recomputed) == {"b", "c", "d"}
         assert result.recomputed.index("d") > result.recomputed.index("b")
@@ -192,8 +190,8 @@ class TestPropagate:
             "var a = 1; var z = 1; def b = a + 1; def c = b * 2; "
             "def y = z + 1; def w = y + z; def k = 7;"
         )
-        _, store, _ = build(src)
-        store2, result = propagate(store, {"a": IntV(5)}, 2)
+        env, store, _ = build(src)
+        store2, result = propagate(store, env, {"a": IntV(5)}, 2)
         assert result.recomputed == ("b", "c")
         # every cell the wave did not recompute is returned as it was received
         for name, cell in store2.defs.items():
@@ -204,24 +202,24 @@ class TestPropagate:
         assert store2.defs["c"].c == IntV(12)
 
     def test_fault_rolls_back_everything(self):
-        _, store, _ = build("var x = 1; def d = 10 / x;")
+        env, store, _ = build("var x = 1; def d = 10 / x;")
         snapshot = store_to_json(store)
         with pytest.raises(EvalError):
-            propagate(store, {"x": IntV(0)}, 2)
+            propagate(store, env, {"x": IntV(0)}, 2)
         assert store_to_json(store) == snapshot
         assert store.txn == 1
 
     def test_writing_a_definition_is_rejected(self):
-        _, store, _ = build(LISTING)
+        env, store, _ = build(LISTING)
         with pytest.raises(EvalError):
-            propagate(store, {"inc1": IntV(9)}, 2)
+            propagate(store, env, {"inc1": IntV(9)}, 2)
 
     def test_history_tracks_committed_values(self):
         # the store's history is its sequence of committed snapshots: a
         # later commit leaves every earlier snapshot as it was
-        _, s1, _ = build(LISTING)
-        s2, r2 = propagate(s1, {"x": IntV(2)}, 2)
-        s3, _ = propagate(s2, {"x": IntV(5)}, 3)
+        env, s1, _ = build(LISTING)
+        s2, r2 = propagate(s1, env, {"x": IntV(2)}, 2)
+        s3, _ = propagate(s2, env, {"x": IntV(5)}, 3)
         assert [s.defs["inc1"].c for s in (s1, s2, s3)] == [IntV(2), IntV(3), IntV(6)]
         assert [s.txn for s in (s1, s2, s3)] == [1, 2, 3]
         assert Change("inc1", IntV(2), IntV(3)) in r2.changes
@@ -230,23 +228,23 @@ class TestPropagate:
         # every committed snapshot must equal what a fresh store holds
         # after applying the writes up to that transaction
         writes = {2: {"x": IntV(4)}, 3: {"x": IntV(9)}, 4: {"x": IntV(1)}}
-        _, store, _ = build(LISTING)
+        env, store, _ = build(LISTING)
         snapshots = {}
         for txn, ws in writes.items():
-            store, _ = propagate(store, ws, txn)
+            store, _ = propagate(store, env, ws, txn)
             snapshots[txn] = store
         for txn, snap in snapshots.items():
             _, rebuilt, _ = build(LISTING)
             for t in sorted(writes):
                 if t <= txn:
-                    rebuilt, _ = propagate(rebuilt, writes[t], t)
+                    rebuilt, _ = propagate(rebuilt, env, writes[t], t)
             assert store_to_json(snap) == store_to_json(rebuilt), txn
 
 
 class TestSnapshotRead:
     def test_reads_after_commit(self):
-        _, store, _ = build(LISTING)
-        store2, _ = propagate(store, {"x": IntV(2)}, 2)
+        env, store, _ = build(LISTING)
+        store2, _ = propagate(store, env, {"x": IntV(2)}, 2)
         got = snapshot_read(store2, {"inc1", "inc2"}, txn_floor=2)
         assert got == {"inc1": IntV(3), "inc2": IntV(4)}
 
@@ -260,7 +258,7 @@ class TestSnapshotRead:
             snapshot_read(store, {"x"}, txn_floor=5)
 
     def test_concurrent_readers_never_see_torn_state(self):
-        _, store, _ = build(LISTING)
+        env, store, _ = build(LISTING)
         holder = {"store": store}
         stop = threading.Event()
         bad: list[str] = []
@@ -279,7 +277,7 @@ class TestSnapshotRead:
             t.start()
         current = store
         for k in range(2, 200):
-            current, _ = propagate(current, {"x": IntV(k)}, k)
+            current, _ = propagate(current, env, {"x": IntV(k)}, k)
             holder["store"] = current
         stop.set()
         for t in threads:
@@ -292,52 +290,52 @@ class TestMergeDefs:
         return build("var a = 0; var b = 0; def s = a + b;")
 
     def test_merge_equals_serial_execution_in_both_orders(self):
-        _, store, _ = self.base()
-        st1, _ = propagate(store, {"a": IntV(1)}, 2)
-        st2, _ = propagate(store, {"b": IntV(2)}, 3)
+        env, store, _ = self.base()
+        st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
+        st2, _ = propagate(store, env, {"b": IntV(2)}, 3)
         merged_vars = dict(store.vars)
         merged_vars["a"] = st1.vars["a"]
         merged_vars["b"] = st2.vars["b"]
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, store.depgraph)
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env)
         assert merged["s"].c == IntV(3)
         # serial oracle, both orders
-        serial_ab, _ = propagate(st1, {"b": IntV(2)}, 3)
-        serial_ba, _ = propagate(st2, {"a": IntV(1)}, 4)
+        serial_ab, _ = propagate(st1, env, {"b": IntV(2)}, 3)
+        serial_ba, _ = propagate(st2, env, {"a": IntV(1)}, 4)
         assert merged["s"].c == serial_ab.defs["s"].c == serial_ba.defs["s"].c
         # and the merge is symmetric
-        swapped = merge_defs(st2.defs, st1.defs, merged_vars, store.depgraph)
+        swapped = merge_defs(st2.defs, st1.defs, merged_vars, env)
         assert swapped == merged
 
     def test_merge_matches_serial_bookkeeping(self):
-        _, store, _ = self.base()
-        st1, _ = propagate(store, {"a": IntV(1)}, 2)
-        st2, _ = propagate(store, {"b": IntV(2)}, 3)
+        env, store, _ = self.base()
+        st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
+        st2, _ = propagate(store, env, {"b": IntV(2)}, 3)
         merged_vars = {"a": st1.vars["a"], "b": st2.vars["b"]}
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, store.depgraph)
-        serial, _ = propagate(st1, {"b": IntV(2)}, 3)
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env)
+        serial, _ = propagate(st1, env, {"b": IntV(2)}, 3)
         assert merged == serial.defs
 
     def test_merge_is_idempotent(self):
-        _, store, _ = self.base()
-        st1, _ = propagate(store, {"a": IntV(7)}, 2)
-        merged = merge_defs(st1.defs, st1.defs, dict(st1.vars), store.depgraph)
+        env, store, _ = self.base()
+        st1, _ = propagate(store, env, {"a": IntV(7)}, 2)
+        merged = merge_defs(st1.defs, st1.defs, dict(st1.vars), env)
         assert merged == st1.defs
 
     def test_disjoint_affected_sets_union_pointwise(self):
-        _, store, _ = build("var a = 0; var z = 0; def p = a + 1; def q = z + 1;")
-        st1, _ = propagate(store, {"a": IntV(1)}, 2)
-        st2, _ = propagate(store, {"z": IntV(2)}, 3)
+        env, store, _ = build("var a = 0; var z = 0; def p = a + 1; def q = z + 1;")
+        st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
+        st2, _ = propagate(store, env, {"z": IntV(2)}, 3)
         merged_vars = {"a": st1.vars["a"], "z": st2.vars["z"]}
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, store.depgraph)
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env)
         assert merged["p"].c == IntV(2)
         assert merged["q"].c == IntV(3)
 
     def test_diverging_expressions_are_rejected(self):
         env, store, _ = self.base()
-        st1, _ = propagate(store, {"a": IntV(1)}, 2)
+        st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
         _, st2, _ = build("def s = a * b;", env, store, txn=2)  # not a common base
         with pytest.raises(ValueError):
-            merge_defs(st1.defs, st2.defs, dict(store.vars), store.depgraph)
+            merge_defs(st1.defs, st2.defs, dict(store.vars), env)
 
 
 class TestDependencySoundness:

@@ -15,12 +15,15 @@ from meerkat.typesys import (
     UNIT_T,
     Action,
     Binding,
+    CompatReport,
     DepSet,
     Func,
     TypeCheckError,
     TypeEnv,
+    Violation,
     check_do,
     compatible,
+    dep_edges,
     env_merge,
     infer_expr,
     infer_program,
@@ -374,3 +377,85 @@ def test_merge_is_monotone_in_names(src_a, src_b):
 def test_inference_is_deterministic(source):
     p = parse_program(source)
     assert infer_program(TypeEnv(), p) == infer_program(TypeEnv(), p)
+
+
+# --- the env's reverse edges against whole-env scans ---
+
+_pool = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+_types = st.sampled_from([INT, BOOL])
+
+
+@st.composite
+def random_envs(draw):
+    """Arbitrary environments over a small name pool, in random order:
+    state variables and definitions at random types, reading any names at
+    any types, so they may be inconsistent or cyclic.  Two of them share
+    names often, so a delta rebinds at changed types and flips kinds."""
+    bindings = []
+    for name in draw(st.lists(_pool, unique=True, max_size=6)):
+        ty = draw(_types)
+        if draw(st.booleans()):
+            bindings.append((name, Binding(ty, None)))
+        else:
+            reads = draw(st.dictionaries(_pool, _types, max_size=3))
+            bindings.append((name, Binding(ty, DepSet.of(reads))))
+    return TypeEnv(bindings)
+
+
+def whole_env_compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
+    """`compatible` as written before the env kept reverse edges: it scans
+    every binding of the merged env for stale dependents."""
+    merged = env_merge(base, delta)
+    violations = list(well_formed(merged).violations)
+    delta_names = set(delta.names())
+    for name, new_b in delta.items():
+        old_b = base.get(name)
+        if old_b is None:
+            continue
+        if old_b.is_state != new_b.is_state:
+            was, now = ("var", "def") if old_b.is_state else ("def", "var")
+            violations.append(Violation("kind_flip", name, f"'{name}' changed from {was} to {now}"))
+        if old_b.ty != new_b.ty:
+            for dep_name, dep_b in merged.items():
+                if dep_b.is_state or dep_name in delta_names:
+                    continue
+                if name in dep_b.deps:
+                    violations.append(
+                        Violation(
+                            "stale_dependent",
+                            dep_name,
+                            f"'{dep_name}' reads '{name}' whose type changed but was not rebound",
+                        )
+                    )
+    return CompatReport(tuple(violations))
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_envs(), random_envs())
+def test_compatible_equals_the_whole_env_scan(base, delta):
+    assert compatible(base, delta) == whole_env_compatible(base, delta)
+
+
+def test_stale_dependents_are_reported_in_env_order():
+    base = TypeEnv({
+        "x": Binding(INT, None),
+        "q": Binding(INT, DepSet.of({"x": INT})),
+        "p": Binding(INT, DepSet.of({"x": INT})),
+    })
+    delta = TypeEnv({"x": Binding(BOOL, None)})
+    report = compatible(base, delta)
+    assert [(v.kind, v.name) for v in report.violations] == [
+        ("inconsistent", "q"), ("inconsistent", "p"), ("stale_dependent", "q"), ("stale_dependent", "p"),
+    ]
+    assert report == whole_env_compatible(base, delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_envs())
+def test_readers_are_the_reverse_of_dep_edges(env):
+    reverse: dict[str, list[str]] = {}
+    for name, deps in dep_edges(env).items():
+        for dep in deps:
+            reverse.setdefault(dep, []).append(name)
+    assert env.readers() == {dep: tuple(names) for dep, names in reverse.items()}
+    assert env.readers() is env.readers()
