@@ -54,7 +54,6 @@ from .store import (
     init_cells,
     merge_defs,
     propagate,
-    snapshot_read,
 )
 from .runtime import (
     Accepted,

@@ -83,7 +83,7 @@ from .runtime import (
     submit_do,
     submit_evolution,
 )
-from .store import EvalError, change_to_json, snapshot_read, store_to_json, value_to_json
+from .store import EvalError, change_to_json, store_to_json, value_to_json
 from .syntax import ParseError, Program, parse_do, parse_program
 from .typesys import CompatReport, TypeCheckError
 
@@ -167,8 +167,8 @@ def handle_message(state: ServerState, session: Session, msg: dict) -> list[tupl
             return [(sid, {"type": "error", "reason": "schema", "req": req})]
         if name not in state.cfg.store:
             return [(sid, {"type": "error", "reason": "unbound", "req": req, "name": name})]
-        value = snapshot_read(state.cfg.store, [name])[name]
-        return [(sid, {"type": "value", "req": req, "value": value_to_json(value)})]
+        value = value_to_json(state.cfg.store.value_of(name))
+        return [(sid, {"type": "value", "req": req, "value": value})]
     if kind == "subscribe":
         name = msg.get("name")
         if isinstance(name, str):

@@ -1,8 +1,13 @@
 """Interactive client for the Meerkat runtime.
 
-Runs either against a live server (``--connect host:port``) or with an
-in-process stepper (``--embedded``), which is the zero-setup way to try
-the language and the backbone of the deterministic golden tests.
+One protocol client with two transports.  ``--connect host:port`` talks to
+a live server.  ``--embedded`` runs the server's own request handling
+in-process for one programmer session: each request goes through
+`netserver.handle_message`, the runtime steps to quiescence under a seeded
+schedule, and `netserver.outcome_messages` produces the replies and change
+events.  Both modes render the same protocol messages with one renderer,
+so they print the same lines.  The embedded mode is the zero-setup way to
+try the language and the backbone of the deterministic golden tests.
 
 Commands:
 
@@ -18,8 +23,9 @@ Commands:
     :quit
 
 Exit codes: 0 clean, 1 usage error, 2 connection loss.  With ``--script``
-the commands come from a file and the transcript is byte-stable for a
-fixed ``--seed``.
+the commands come from a file.  Only an embedded transcript is byte-stable
+for a fixed ``--seed``: a server pushes `! ...` change events on their own,
+after the reply that ends a command, so one may print a command late.
 """
 
 from __future__ import annotations
@@ -32,22 +38,8 @@ import socket
 import sys
 import threading
 
-from .netserver import PROTOCOL_VERSION
-from .runtime import (
-    Accepted,
-    ActionFailed,
-    Executed,
-    QueueDied,
-    RandomSchedule,
-    Rejected,
-    initial_config,
-    run_until_quiescent,
-    submit_do,
-    submit_evolution,
-)
-from .store import store_to_json, value_to_text
-from .syntax import ParseError, parse_do, parse_program
-from .typesys import dep_edges
+from .netserver import PROTOCOL_VERSION, ServerState, Session, handle_message, outcome_messages
+from .runtime import RandomSchedule, initial_config, run_until_quiescent
 
 
 class ConnectionLost(Exception):
@@ -58,158 +50,34 @@ def _json_value_text(v) -> str:
     return json.dumps(v, sort_keys=True)
 
 
-class EmbeddedBackend:
-    """In-process config + stepper with a seeded schedule."""
+class Client:
+    """Requests and their rendering, whatever the transport.
 
-    def __init__(self, seed: int = 0):
-        self.cfg = initial_config()
-        self.schedule = RandomSchedule(seed)
-        self.watched: set[str] = set()
-        self.events: list[str] = []
+    A transport supplies `send`, which delivers one payload, and feeds
+    every message the other side produces to `_receive`: a ``changed``
+    event is rendered into `events`, anything else is a reply.
+    """
 
-    def _run(self):
-        self.cfg, outcomes = run_until_quiescent(self.cfg, self.schedule)
-        for o in outcomes:
-            if isinstance(o, (Accepted, Executed)) and o.txn is not None:
-                for c in o.changes:
-                    if c.name in self.watched:
-                        old = "(new)" if c.old is None else value_to_text(c.old)
-                        self.events.append(f"! {c.name}: {old} -> {value_to_text(c.new)}")
-        return outcomes
-
-    def evolve(self, source: str) -> list[str]:
-        try:
-            program = parse_program(source)
-        except ParseError as err:
-            return [f"rejected: {err}"]
-        self.cfg = submit_evolution(self.cfg, program, "repl")
-        lines = []
-        for o in self._run():
-            if isinstance(o, Accepted):
-                lines.append("accepted")
-            elif isinstance(o, Rejected):
-                lines.append(f"rejected: {o.report}")
-            elif isinstance(o, QueueDied):
-                lines.append("queue died: evolution could not be approved")
-        return lines
-
-    def do(self, source: str) -> list[str]:
-        try:
-            stmt = parse_do(source)
-        except ParseError as err:
-            return [f"rejected: {err}"]
-        self.cfg = submit_do(self.cfg, stmt, "repl")
-        lines = []
-        for o in self._run():
-            if isinstance(o, Executed):
-                shown = ", ".join(
-                    f"{c.name}: {'(new)' if c.old is None else value_to_text(c.old)}"
-                    f" -> {value_to_text(c.new)}"
-                    for c in o.changes
-                )
-                lines.append(f"executed: {shown}" if shown else "executed: no changes")
-            elif isinstance(o, ActionFailed):
-                lines.append(f"failed: {o.error}")
-        return lines
-
-    def read(self, name: str) -> list[str]:
-        if name not in self.cfg.store:
-            return [f"error: '{name}' is not bound"]
-        return [f"{name} = {value_to_text(self.cfg.store.value_of(name))}"]
-
-    def env(self) -> list[str]:
-        bindings = self.cfg.env.to_json()
-        if not bindings:
-            return ["(empty environment)"]
-        out = []
-        for name, b in bindings.items():
-            deps = f" reads [{', '.join(b['deps'])}]" if b["deps"] else ""
-            out.append(f"{b['kind']} {name} : {b['type']}{deps}")
-        return out
-
-    def graph(self) -> list[str]:
-        edges = [
-            f"{name} -> {dep}"
-            for name, deps in sorted(dep_edges(self.cfg.env).items())
-            for dep in sorted(deps)
-        ]
-        return edges or ["(no edges)"]
-
-    def dump(self) -> dict:
-        return store_to_json(self.cfg.store)
-
-    def watch(self, name: str):
-        self.watched.add(name)
-
-    def unwatch(self, name: str):
-        self.watched.discard(name)
-
-    def drain_events(self) -> list[str]:
-        out, self.events = self.events, []
-        return out
-
-    def close(self):
-        pass
-
-
-class RemoteBackend:
-    """Line-delimited JSON client for a running server."""
-
-    def __init__(self, host: str, port: int, timeout: float = 10.0):
+    def __init__(self, timeout: float = 10.0):
         self.timeout = timeout
-        try:
-            self.sock = socket.create_connection((host, port), timeout=timeout)
-        except OSError as err:
-            raise ConnectionLost(f"cannot connect to {host}:{port}: {err}")
-        self.reader = self.sock.makefile("r", encoding="utf-8")
-        self.replies: queue.Queue = queue.Queue()
+        self.replies: queue.Queue = queue.Queue()  # None marks the end of the stream
         self.events: list[str] = []
         self._events_lock = threading.Lock()
         self._req = 0
-        self.send({"type": "hello", "version": PROTOCOL_VERSION})
-        hello = self._read_direct()
-        if hello.get("type") != "hello":
-            raise ConnectionLost(f"handshake refused: {hello}")
-        # From here the receiver blocks until the server speaks, however long
-        # the session idles; `request` bounds each reply wait by itself.
-        self.sock.settimeout(None)
-        self.receiver = threading.Thread(target=self._receive_loop, daemon=True)
-        self.receiver.start()
 
     def send(self, payload: dict):
-        try:
-            self.sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
-        except OSError as err:
-            raise ConnectionLost(str(err))
+        raise NotImplementedError
 
-    def _read_direct(self) -> dict:
-        line = self.reader.readline()
-        if not line:
-            raise ConnectionLost("server closed the connection")
-        return json.loads(line)
-
-    def _receive_loop(self):
-        while True:
-            try:
-                line = self.reader.readline()
-            except OSError:
-                line = ""
-            if not line:
-                self.replies.put(None)
-                return
-            try:
-                msg = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if msg.get("type") == "changed":
-                text = (
-                    f"! {msg['name']}: {_json_value_text(msg.get('old'))}"
-                    f" -> {_json_value_text(msg.get('new'))}"
-                )
-                with self._events_lock:
-                    self.events.append(text)
-            else:
-                self.replies.put(msg)
+    def _receive(self, msg: dict):
+        if msg.get("type") == "changed":
+            text = (
+                f"! {msg['name']}: {_json_value_text(msg.get('old'))}"
+                f" -> {_json_value_text(msg.get('new'))}"
+            )
+            with self._events_lock:
+                self.events.append(text)
+        else:
+            self.replies.put(msg)
 
     def request(self, payload: dict) -> dict:
         self._req += 1
@@ -277,11 +145,7 @@ class RemoteBackend:
         return out
 
     def close(self):
-        # shutting down first wakes the receiver thread blocked in recv
-        with contextlib.suppress(OSError):
-            self.sock.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            self.sock.close()
+        pass
 
     @staticmethod
     def _describe(msg: dict) -> str:
@@ -301,8 +165,84 @@ class RemoteBackend:
         if kind == "queue_died":
             return "queue died: evolution could not be approved"
         if kind == "error":
+            if msg.get("reason") == "unbound":
+                return f"error: '{msg.get('name')}' is not bound"
             return f"error: {msg.get('reason')}"
         return json.dumps(msg, sort_keys=True)
+
+
+class EmbeddedBackend(Client):
+    """The server's request handling in-process, for one programmer
+    session, stepped to quiescence with a seeded schedule after each
+    payload."""
+
+    def __init__(self, seed: int = 0):
+        super().__init__()
+        self.state = ServerState(cfg=initial_config())
+        self.session = Session(id=1)
+        self.schedule = RandomSchedule(seed)
+
+    def send(self, payload: dict):
+        replies = handle_message(self.state, self.session, payload)
+        self.state.cfg, outcomes = run_until_quiescent(self.state.cfg, self.schedule)
+        replies += [m for outcome in outcomes for m in outcome_messages(self.state, outcome)]
+        for _, msg in replies:
+            self._receive(msg)
+
+
+class RemoteBackend(Client):
+    """Line-delimited JSON over a socket to a running server."""
+
+    def __init__(self, host: str, port: int, timeout: float = 10.0):
+        super().__init__(timeout)
+        try:
+            self.sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as err:
+            raise ConnectionLost(f"cannot connect to {host}:{port}: {err}")
+        self.reader = self.sock.makefile("r", encoding="utf-8")
+        self.send({"type": "hello", "version": PROTOCOL_VERSION})
+        hello = self._read_direct()
+        if hello.get("type") != "hello":
+            raise ConnectionLost(f"handshake refused: {hello}")
+        # From here the receiver blocks until the server speaks, however long
+        # the session idles; `request` bounds each reply wait by itself.
+        self.sock.settimeout(None)
+        self.receiver = threading.Thread(target=self._receive_loop, daemon=True)
+        self.receiver.start()
+
+    def send(self, payload: dict):
+        try:
+            self.sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
+        except OSError as err:
+            raise ConnectionLost(str(err))
+
+    def _read_direct(self) -> dict:
+        line = self.reader.readline()
+        if not line:
+            raise ConnectionLost("server closed the connection")
+        return json.loads(line)
+
+    def _receive_loop(self):
+        while True:
+            try:
+                line = self.reader.readline()
+            except OSError:
+                line = ""
+            if not line:
+                self.replies.put(None)
+                return
+            try:
+                msg = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            self._receive(msg)
+
+    def close(self):
+        # shutting down first wakes the receiver thread blocked in recv
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(OSError):
+            self.sock.close()
 
 
 class Repl:
@@ -327,62 +267,59 @@ class Repl:
             self.emit(f"mk> {line}")
         if not line or line.startswith("//"):
             return True
-        try:
-            if line == ":quit":
-                return False
-            if line.startswith(":evolve"):
-                rest = line[len(":evolve"):].strip()
-                if rest.startswith("<<"):
-                    marker = rest[2:].strip() or "EOF"
-                    body_lines = []
-                    while True:
-                        nxt = read_more() if read_more else None
-                        if nxt is None or nxt.strip() == marker:
-                            break
-                        body_lines.append(nxt)
-                    source = "\n".join(body_lines)
-                else:
-                    source = rest
-                for msg in self.backend.evolve(source):
-                    self.emit(msg)
-            elif line.startswith(":load "):
-                path = line[len(":load "):].strip()
-                try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        source = fh.read()
-                except OSError as err:
-                    self.emit(f"error: {err}")
-                    return True
-                for msg in self.backend.evolve(source):
-                    self.emit(msg)
-            elif line.startswith("do ") or line == "do":
-                for msg in self.backend.do(line):
-                    self.emit(msg)
-            elif line.startswith(":read "):
-                for msg in self.backend.read(line[len(":read "):].strip()):
-                    self.emit(msg)
-            elif line.startswith(":watch "):
-                self.backend.watch(line[len(":watch "):].strip())
-            elif line.startswith(":unwatch "):
-                self.backend.unwatch(line[len(":unwatch "):].strip())
-            elif line == ":env":
-                for msg in self.backend.env():
-                    self.emit(msg)
-            elif line == ":graph":
-                for msg in self.backend.graph():
-                    self.emit(msg)
-            elif line.startswith(":dump "):
-                path = line[len(":dump "):].strip()
-                try:
-                    with open(path, "w", encoding="utf-8") as fh:
-                        json.dump(self.backend.dump(), fh, indent=2, sort_keys=True)
-                    self.emit(f"wrote {path}")
-                except OSError as err:
-                    self.emit(f"error: {err}")
+        if line == ":quit":
+            return False
+        if line.startswith(":evolve"):
+            rest = line[len(":evolve"):].strip()
+            if rest.startswith("<<"):
+                marker = rest[2:].strip() or "EOF"
+                body_lines = []
+                while True:
+                    nxt = read_more() if read_more else None
+                    if nxt is None or nxt.strip() == marker:
+                        break
+                    body_lines.append(nxt)
+                source = "\n".join(body_lines)
             else:
-                self.emit(f"error: unknown command {line.split()[0]!r}")
-        except ParseError as err:
-            self.emit(f"rejected: {err}")
+                source = rest
+            for msg in self.backend.evolve(source):
+                self.emit(msg)
+        elif line.startswith(":load "):
+            path = line[len(":load "):].strip()
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    source = fh.read()
+            except OSError as err:
+                self.emit(f"error: {err}")
+                return True
+            for msg in self.backend.evolve(source):
+                self.emit(msg)
+        elif line.startswith("do ") or line == "do":
+            for msg in self.backend.do(line):
+                self.emit(msg)
+        elif line.startswith(":read "):
+            for msg in self.backend.read(line[len(":read "):].strip()):
+                self.emit(msg)
+        elif line.startswith(":watch "):
+            self.backend.watch(line[len(":watch "):].strip())
+        elif line.startswith(":unwatch "):
+            self.backend.unwatch(line[len(":unwatch "):].strip())
+        elif line == ":env":
+            for msg in self.backend.env():
+                self.emit(msg)
+        elif line == ":graph":
+            for msg in self.backend.graph():
+                self.emit(msg)
+        elif line.startswith(":dump "):
+            path = line[len(":dump "):].strip()
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(self.backend.dump(), fh, indent=2, sort_keys=True)
+                self.emit(f"wrote {path}")
+            except OSError as err:
+                self.emit(f"error: {err}")
+        else:
+            self.emit(f"error: unknown command {line.split()[0]!r}")
         self.flush_events()
         return True
 

@@ -90,7 +90,11 @@ class Config:
     store: Store = field(default_factory=empty_store)
     q_r: tuple[Submission, ...] = ()
     q_do: tuple[Submission, ...] = ()
-    next_txn: int = 1
+
+    @property
+    def next_txn(self) -> int:
+        """The id the next committed transaction gets."""
+        return self.store.txn + 1
 
 
 def _planned(env: TypeEnv, subs: Sequence[Submission], plan):
@@ -283,14 +287,7 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
         new_store, prop = init_cells(cfg.store, new_env, union_prog, cfg.next_txn)
     except EvalError as err:
         return replace(cfg, q_r=remaining), Rejected(err, whos)
-    consumed = 1 if prop.txn is not None else 0
-    new_cfg = replace(
-        cfg,
-        env=new_env,
-        store=new_store,
-        q_r=remaining,
-        next_txn=cfg.next_txn + consumed,
-    )
+    new_cfg = replace(cfg, env=new_env, store=new_store, q_r=remaining)
     return new_cfg, Accepted(planned, prop.changes, prop.txn, whos, prop.recomputed)
 
 
@@ -415,7 +412,7 @@ def step_do_many(
             if base.value_of(n) != store.value_of(n)
         )
     outcomes[place] = Executed(changes, store.txn, tuple(who for who, *_ in runs), recomputed)
-    return replace(cfg, store=store, q_do=remaining, next_txn=store.txn + 1), tuple(outcomes)
+    return replace(cfg, store=store, q_do=remaining), tuple(outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +436,6 @@ class Step:
         return out
 
 
-def evolve_viable(cfg: Config, sub: Submission) -> bool:
-    """Would this evolution be accepted right now (statically)?"""
-    return isinstance(_evolution_plan(cfg.env, (sub,)), TypeEnv)
-
-
 def evolve_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     """Would these two evolutions be accepted together right now (statically)?"""
     return isinstance(_evolution_plan(cfg.env, (s1, s2)), TypeEnv)
@@ -458,7 +450,9 @@ def enabled_steps(cfg: Config) -> tuple[Step, ...]:
     approvable in any combination, the only evolution step is queue death.
     """
     steps: list[Step] = []
-    singles = [i for i, s in enumerate(cfg.q_r) if evolve_viable(cfg, s)]
+    singles = [
+        i for i, s in enumerate(cfg.q_r) if isinstance(_evolution_plan(cfg.env, (s,)), TypeEnv)
+    ]
     steps.extend(Step("evolve_one", i) for i in singles)
     pair_found = False
     for i in range(len(cfg.q_r)):

@@ -266,7 +266,6 @@ def config_key(cfg: Config) -> tuple:
         store.txn,
         cfg.q_r,
         cfg.q_do,
-        cfg.next_txn,
     )
 
 

@@ -441,18 +441,6 @@ def init_cells(
     return new, PropagationResult(txn, _diff(before, new), tuple(order))
 
 
-def snapshot_read(store: Store, names: Iterable[str], txn_floor: int = 0) -> dict[str, Value]:
-    """Read a set of cells from one consistent committed snapshot.
-
-    Store values are immutable snapshots, so the read can never mix pre-
-    and post-states of a transaction; `txn_floor` asserts the snapshot is
-    recent enough.
-    """
-    if txn_floor > store.txn:
-        raise ValueError(f"snapshot at txn {store.txn} is older than requested floor {txn_floor}")
-    return {n: store.value_of(n) for n in names}
-
-
 def merge_defs(
     d1: Mapping[str, DefCell],
     d2: Mapping[str, DefCell],

