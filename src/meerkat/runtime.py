@@ -222,10 +222,11 @@ def submit_do(cfg: Config, d: DoStmt, who: object = "anon") -> Config:
 
 def _evolution_delta(
     env: TypeEnv, programs: Sequence[Program]
-) -> TypeEnv | TypeCheckError | CompatReport:
+) -> tuple[TypeEnv, TypeEnv] | TypeCheckError | CompatReport:
     """Plan evolutions that commit together under the lock discipline.
 
-    Returns their combined delta, or the report that refuses them: a
+    Returns their combined delta with the env that `compatible` merged and
+    accepted, which is the env to commit, or the report that refuses them: a
     write conflict when two programs rebind the same name, the type
     error, or the compatibility report of the combined delta.  Each
     program is typed with every other program's rebound names hidden (a
@@ -248,10 +249,12 @@ def _evolution_delta(
     for delta in deltas[1:]:
         combined = env_merge(combined, delta)
     report = compatible(env, combined)
-    return combined if report.ok else report
+    return (combined, report.merged) if report.ok else report
 
 
-def _evolution_plan(env: TypeEnv, subs: Sequence[Submission]) -> TypeEnv | TypeCheckError | CompatReport:
+def _evolution_plan(
+    env: TypeEnv, subs: Sequence[Submission]
+) -> tuple[TypeEnv, TypeEnv] | TypeCheckError | CompatReport:
     """`_evolution_delta` of the queued evolutions `subs`, once per env."""
     return _planned(env, subs, lambda: _evolution_delta(env, [s.item for s in subs]))
 
@@ -277,18 +280,18 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
     assert all(isinstance(r, Program) for r in programs)
     whos = tuple(p.who for p in picks)
     planned = _evolution_plan(cfg.env, picks)
-    if not isinstance(planned, TypeEnv):
+    if not isinstance(planned, tuple):
         if len(picks) == 1:
             return replace(cfg, q_r=remaining), Rejected(planned, whos)
         return cfg, Rejected(planned, whos, final=False)
-    new_env = env_merge(cfg.env, planned)
+    delta, new_env = planned
     try:
         union_prog = Program(tuple(d for r in programs for d in r.decls))
         new_store, prop = init_cells(cfg.store, new_env, union_prog, cfg.next_txn)
     except EvalError as err:
         return replace(cfg, q_r=remaining), Rejected(err, whos)
     new_cfg = replace(cfg, env=new_env, store=new_store, q_r=remaining)
-    return new_cfg, Accepted(planned, prop.changes, prop.txn, whos, prop.recomputed)
+    return new_cfg, Accepted(delta, prop.changes, prop.txn, whos, prop.recomputed)
 
 
 def step_queue_die(cfg: Config) -> tuple[Config, StepOutcome]:
@@ -438,7 +441,7 @@ class Step:
 
 def evolve_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     """Would these two evolutions be accepted together right now (statically)?"""
-    return isinstance(_evolution_plan(cfg.env, (s1, s2)), TypeEnv)
+    return isinstance(_evolution_plan(cfg.env, (s1, s2)), tuple)
 
 
 def enabled_steps(cfg: Config) -> tuple[Step, ...]:
@@ -451,7 +454,7 @@ def enabled_steps(cfg: Config) -> tuple[Step, ...]:
     """
     steps: list[Step] = []
     singles = [
-        i for i, s in enumerate(cfg.q_r) if isinstance(_evolution_plan(cfg.env, (s,)), TypeEnv)
+        i for i, s in enumerate(cfg.q_r) if isinstance(_evolution_plan(cfg.env, (s,)), tuple)
     ]
     steps.extend(Step("evolve_one", i) for i in singles)
     pair_found = False

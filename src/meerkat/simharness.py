@@ -256,8 +256,9 @@ def config_key(cfg: Config) -> tuple:
     """Everything a later step reads from `cfg`, hashable and in insertion
     order: configs with equal keys enable the same steps, fire them to
     equal configs and pass or fail the same audits.  The env's bindings
-    are the dependency graph; its `readers()` and the submissions' `plans`
-    are only caches and take no part."""
+    are the dependency graph; its derived `readers()`, position index and
+    well-formed mark, and the submissions' `plans`, are only caches and
+    take no part."""
     store = cfg.store
     return (
         cfg.env.items(),

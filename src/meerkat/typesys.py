@@ -8,15 +8,18 @@ carry the same kind of set as a latent annotation: the reads happen when
 the function is applied or the action is executed, not where the literal
 appears.
 
-The checks in this module are all pure; environments are immutable (an
-env caches only its derived reverse edges) and every operation returns a
-fresh value or a report.
+The checks in this module are all pure; environments are immutable and
+every operation returns a fresh value or a report.  An env caches only
+what is derived from its bindings: its reverse edges, its position index,
+and whether `compatible` found it well-formed.  The cached reverse edges
+and position index of an env that `compatible` accepts are patched from
+its base, so accepting an evolution costs what its delta touches.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .syntax import (
@@ -178,13 +181,22 @@ class Binding:
 
 
 class TypeEnv:
-    """Ordered, immutable map of top-level names to bindings: the one dependency graph."""
+    """Ordered, immutable map of top-level names to bindings: the one dependency graph.
 
-    __slots__ = ("_bindings", "_readers")
+    Besides its bindings an env keeps three derived facts: its reverse
+    edges (`readers()`), each name's position, and a mark that it is known
+    to be well-formed.  Only the merged env of a passing `compatible`
+    carries the mark; `TypeEnv()`, `bind`, `without` and `env_merge` never
+    set it, so any other env takes `compatible`'s whole-env check.
+    """
+
+    __slots__ = ("_bindings", "_readers", "_index", "_well_formed")
 
     def __init__(self, bindings: Mapping[str, Binding] | Iterable[tuple[str, Binding]] = ()):
         self._bindings = dict(bindings.items() if isinstance(bindings, Mapping) else bindings)
         self._readers: dict[str, tuple[str, ...]] | None = None
+        self._index: dict[str, int] | None = None
+        self._well_formed = False
 
     def get(self, name: str) -> Binding | None:
         return self._bindings.get(name)
@@ -210,6 +222,12 @@ class TypeEnv:
         if self._readers is None:
             self._readers = _reverse_edges(self)
         return self._readers
+
+    def _positions(self) -> dict[str, int]:
+        """name -> its position in env order, derived on first use and kept."""
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self._bindings)}
+        return self._index
 
     def bind(self, name: str, binding: Binding) -> "TypeEnv":
         merged = dict(self._bindings)
@@ -268,7 +286,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class CompatReport:
+    """What `compatible` found.  An ok report also carries the merged env
+    it accepted, which is the env to commit; it takes no part in equality."""
+
     violations: tuple[Violation, ...] = ()
+    merged: TypeEnv | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -361,10 +383,30 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
     type changes that leave a dependent definition behind: if a rebound
     name's type changes, every definition that reads it must itself be
     rebound in the same delta; `base.readers()` lists those dependents.
+
+    When `base` is marked well-formed, only what the delta touches is
+    checked: the kind flips and stale dependents above, the consistency of
+    the delta's bindings, and cycles reachable from the delta's names (a
+    new cycle must pass through one of them).  Any other base, and any
+    violation the local check sees, takes the whole-env scan, so a
+    rejection lists every violation of the merged env in the same order
+    either way.  An ok report carries the merged env, marked well-formed,
+    with its reverse edges and position index patched from `base`'s.
     """
     merged = env_merge(base, delta)
-    violations = list(well_formed(merged).violations)
-    delta_names = set(delta.names())
+    violations = _delta_violations(base, delta)
+    if not (base._well_formed and not violations and _delta_well_formed(delta, merged)):
+        violations[:0] = well_formed(merged).violations
+        if violations:
+            return CompatReport(tuple(violations))
+    _patch_derived(base, delta, merged)
+    merged._well_formed = True
+    return CompatReport(merged=merged)
+
+
+def _delta_violations(base: TypeEnv, delta: TypeEnv) -> list[Violation]:
+    """The kind flips and stale dependents of applying `delta` to `base`."""
+    violations: list[Violation] = []
     for name, new_b in delta.items():
         old_b = base.get(name)
         if old_b is None:
@@ -376,7 +418,7 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
             )
         if old_b.ty != new_b.ty:
             for dep_name in base.readers().get(name, ()):
-                if dep_name not in delta_names:
+                if dep_name not in delta:
                     violations.append(
                         Violation(
                             "stale_dependent",
@@ -384,7 +426,77 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
                             f"'{dep_name}' reads '{name}' whose type changed but was not rebound",
                         )
                     )
-    return CompatReport(tuple(violations))
+    return violations
+
+
+def _delta_well_formed(delta: TypeEnv, merged: TypeEnv) -> bool:
+    """Is `merged` well-formed, given that the base it overwrites is and
+    that `_delta_violations` found nothing?
+
+    Only the delta's bindings can have become inconsistent: a reader in
+    `base` of a name rebound at another type is a stale dependent.  Only
+    a path from a delta name can close a cycle.
+    """
+    for name, b in delta.items():
+        for dep, dep_ty in b.deps or ():
+            bound = merged.get(dep)
+            if bound is None or bound.ty != dep_ty:
+                return False
+    state: dict[str, int] = {}  # 1 on stack, 2 done
+    for root in delta.names():
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, _direct_reads(merged, root))]
+        while stack:
+            node, reads = stack[-1]
+            for nxt in reads:
+                seen = state.get(nxt)
+                if seen == 1:
+                    return False
+                if seen is None:
+                    state[nxt] = 1
+                    stack.append((nxt, _direct_reads(merged, nxt)))
+                    break
+            else:
+                state[node] = 2
+                stack.pop()
+    return True
+
+
+def _direct_reads(env: TypeEnv, name: str) -> Iterator[str]:
+    b = env.get(name)
+    return (d for d, _ in b.deps or ()) if b is not None else iter(())
+
+
+def _patch_derived(base: TypeEnv, delta: TypeEnv, merged: TypeEnv) -> None:
+    """Give `merged` (`base` overwritten by `delta`) its reverse edges and
+    position index, patched from `base`'s instead of derived from every
+    binding.  A rebound name keeps its position and a new name appends,
+    so each reader list stays in `merged`'s env order."""
+    index = dict(base._positions())
+    readers = dict(base.readers())
+    added = []
+    for name, b in delta.items():
+        if name not in index:
+            index[name] = len(index)
+            added.append((name, b))
+            continue
+        old_reads = (base.get(name).deps or EMPTY_DEPS).names()
+        new_reads = (b.deps or EMPTY_DEPS).names()
+        for dep in old_reads - new_reads:
+            rest = tuple(n for n in readers[dep] if n != name)
+            if rest:
+                readers[dep] = rest
+            else:
+                del readers[dep]
+        for dep in new_reads - old_reads:
+            readers[dep] = tuple(sorted(readers.get(dep, ()) + (name,), key=index.__getitem__))
+    for name, b in added:
+        for dep, _ in b.deps or ():
+            readers[dep] = readers.get(dep, ()) + (name,)
+    merged._index = index
+    merged._readers = readers
 
 
 def topo_order(env: TypeEnv, names: Iterable[str]) -> list[str]:
@@ -617,7 +729,6 @@ def infer_program(env: TypeEnv, r: Program) -> TypeEnv:
     sequence.  A state variable's initializer must read nothing.
     """
     delta = TypeEnv()
-    working = env
     for d in r.decls:
         if d.name in delta:
             raise TypeCheckError(
@@ -626,6 +737,7 @@ def infer_program(env: TypeEnv, r: Program) -> TypeEnv:
                 d.name,
                 d.span,
             )
+        working = env_merge(env, delta) if delta else env
         ty, deps = infer_expr(working, {}, d.init)
         if d.kind is DeclKind.STATE:
             if deps:
@@ -640,7 +752,6 @@ def infer_program(env: TypeEnv, r: Program) -> TypeEnv:
         else:
             binding = Binding(ty, deps)
         delta = delta.bind(d.name, binding)
-        working = env_merge(env, delta)
     return delta
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import socket
 import time
+from pathlib import Path
 
 import pytest
 
@@ -138,7 +139,7 @@ def test_connection_refused_exit_code():
 @pytest.fixture
 def server():
     srv = MeerkatServer(
-        ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(open(LISTING_PATH).read()))
+        ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(Path(LISTING_PATH).read_text()))
     )
     srv.start()
     yield srv

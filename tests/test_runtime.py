@@ -421,7 +421,7 @@ def reference_enabled_steps(cfg: Config) -> tuple[Step, ...]:
     from `check_do` and `_evolution_delta`, with no cache."""
 
     def approvable(*subs: Submission) -> bool:
-        return isinstance(_evolution_delta(cfg.env, [s.item for s in subs]), TypeEnv)
+        return isinstance(_evolution_delta(cfg.env, [s.item for s in subs]), tuple)
 
     def do_plan(sub: Submission):
         try:
@@ -567,3 +567,33 @@ def test_a_run_of_dos_derives_the_reverse_edges_once(monkeypatch):
         assert outcome.recomputed == ("a", "b", "c")
     assert len(derived) == 1 and derived[0] is cfg.env
     assert values(cfg) == {"x": 49, "y": 0, "a": 50, "b": 100, "c": 100}
+
+
+def test_accepted_evolutions_check_only_what_their_delta_touches(monkeypatch):
+    # an env that `compatible` accepted is known well-formed, so the next
+    # evolution checks its delta and patches the reverse edges from that
+    # env: accepting it never walks the whole env
+    cfg = quiesced(" ".join(f"var v_{k} = {k}; def d_{k} = v_{k} * 2 + 1;" for k in range(300)))
+    reverse_edges = meerkat.typesys._reverse_edges
+    calls = []
+    for name in ("well_formed", "_reverse_edges"):
+        original = getattr(meerkat.typesys, name)
+        monkeypatch.setattr(
+            meerkat.typesys, name, lambda env, name=name, original=original: calls.append(name) or original(env)
+        )
+    for k in range(1, 51):
+        source = (
+            f"def e_{k} = d_{k} + v_{k + 1};",  # a new definition
+            f"def d_{k} = v_{k} * 2 + 1;",  # the same body again
+            f"def d_{k} = v_{k + 1} + d_{k - 1};",  # a rebinding that changes its reads
+        )[k % 3]
+        cfg = submit_evolution(cfg, parse_program(source), "p")
+        cfg, (outcome,) = run_until_quiescent(cfg)
+        assert isinstance(outcome, Accepted), source
+    assert calls == []
+    assert cfg.env.readers() == reverse_edges(cfg.env)
+    assert values(cfg)["d_2"] == 3 + 3 and values(cfg)["e_3"] == 7 + 4
+    # a kind flip takes the whole-env scan and gets its report
+    report = _evolution_delta(cfg.env, [parse_program("var d_7 = 0;")])
+    assert calls == ["well_formed"]
+    assert str(report) == "kind_flip(d_7): 'd_7' changed from def to var"

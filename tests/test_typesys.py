@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meerkat.syntax import parse_do, parse_expr, parse_program
@@ -21,6 +21,7 @@ from meerkat.typesys import (
     TypeCheckError,
     TypeEnv,
     Violation,
+    _reverse_edges,
     check_do,
     compatible,
     dep_edges,
@@ -434,6 +435,29 @@ def whole_env_compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
 @given(random_envs(), random_envs())
 def test_compatible_equals_the_whole_env_scan(base, delta):
     assert compatible(base, delta) == whole_env_compatible(base, delta)
+
+
+_program_envs = random_programs().map(lambda source: infer_program(TypeEnv(), parse_program(source)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(random_envs(), _program_envs), st.lists(st.one_of(random_envs(), _program_envs), min_size=1, max_size=4))
+def test_compatible_on_an_accepted_env_equals_the_whole_env_scan(base, deltas):
+    # accepting the base onto the empty env marks it well-formed, so each
+    # check below starts on the delta-local path; every accepted merge is
+    # the next base
+    accepted = compatible(TypeEnv(), base)
+    assume(accepted.ok)
+    env = accepted.merged
+    for delta in deltas:
+        report = compatible(env, delta)
+        assert report == whole_env_compatible(env, delta)
+        if report.ok:
+            merged = report.merged
+            assert merged.items() == env_merge(env, delta).items()
+            assert merged.readers() == _reverse_edges(merged)
+            assert merged._positions() == {n: i for i, n in enumerate(merged.names())}
+            env = merged
 
 
 def test_stale_dependents_are_reported_in_env_order():
