@@ -338,16 +338,25 @@ def _do_plan(env: TypeEnv, sub: Submission) -> DoPlan | TypeCheckError:
     return _planned(env, (sub,), plan)
 
 
-def do_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
-    """Lock check for running two queued actions concurrently: both type,
+def _locks_compatible(p1: DoPlan | TypeCheckError, p2: DoPlan | TypeCheckError) -> bool:
+    """The lock rule for two actions, given their `_do_plan`s: both type,
     their write sets are disjoint and neither reads a variable the other
-    writes.  Only set logic: the plans are `_do_plan`'s."""
-    p1, p2 = _do_plan(cfg.env, s1), _do_plan(cfg.env, s2)
-    if isinstance(p1, TypeCheckError) or isinstance(p2, TypeCheckError):
-        return False
-    return not (
-        p1.writes & p2.writes or p1.read_vars & p2.writes or p2.read_vars & p1.writes
+    writes.  Every check of a pair of actions comes here."""
+    return (
+        isinstance(p1, DoPlan)
+        and isinstance(p2, DoPlan)
+        and p1.writes.isdisjoint(p2.writes)
+        and p1.read_vars.isdisjoint(p2.writes)
+        and p2.read_vars.isdisjoint(p1.writes)
     )
+
+
+def do_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
+    """Lock check for running two queued actions concurrently: the two
+    `_do_plan` lookups under `cfg.env`, then `_locks_compatible`'s set
+    logic.  A scheduling step does not call this per pair: `enabled_steps`
+    reads each queued plan once and passes the plans to `_locks_compatible`."""
+    return _locks_compatible(_do_plan(cfg.env, s1), _do_plan(cfg.env, s2))
 
 
 def step_do_many(
@@ -451,6 +460,9 @@ def enabled_steps(cfg: Config) -> tuple[Step, ...]:
     pair); actions are always steppable one at a time and additionally as
     lock-compatible pairs.  When evolutions are pending but none is
     approvable in any combination, the only evolution step is queue death.
+    With two or more queued actions the step reads each one's plan once and
+    checks every pair by `_locks_compatible`'s set logic over those plans;
+    a lone action is not typed here at all.
     """
     steps: list[Step] = []
     singles = [
@@ -466,10 +478,12 @@ def enabled_steps(cfg: Config) -> tuple[Step, ...]:
     if cfg.q_r and not singles and not pair_found:
         steps.append(Step("queue_die"))
     steps.extend(Step("do_one", i) for i in range(len(cfg.q_do)))
-    for i in range(len(cfg.q_do)):
-        for j in range(i + 1, len(cfg.q_do)):
-            if do_pair_viable(cfg, cfg.q_do[i], cfg.q_do[j]):
-                steps.append(Step("do_two", i, j))
+    if len(cfg.q_do) >= 2:
+        plans = [_do_plan(cfg.env, s) for s in cfg.q_do]
+        for i, p1 in enumerate(plans):
+            steps.extend(
+                Step("do_two", i, j) for j in range(i + 1, len(plans)) if _locks_compatible(p1, plans[j])
+            )
     return tuple(steps)
 
 

@@ -19,6 +19,7 @@ its base, so accepting an evolution costs what its delta touches.
 from __future__ import annotations
 
 import heapq
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -83,7 +84,7 @@ class DepSet:
 
     @staticmethod
     def of(pairs: Mapping[str, "Type"] | Iterable[tuple[str, "Type"]] = ()) -> "DepSet":
-        d = dict(pairs.items() if isinstance(pairs, Mapping) else pairs)
+        d = dict(pairs.items() if isinstance(pairs, abc.Mapping) else pairs)
         return DepSet(tuple(sorted(d.items())))
 
     def names(self) -> frozenset[str]:
@@ -193,7 +194,7 @@ class TypeEnv:
     __slots__ = ("_bindings", "_readers", "_index", "_well_formed")
 
     def __init__(self, bindings: Mapping[str, Binding] | Iterable[tuple[str, Binding]] = ()):
-        self._bindings = dict(bindings.items() if isinstance(bindings, Mapping) else bindings)
+        self._bindings = dict(bindings.items() if isinstance(bindings, abc.Mapping) else bindings)
         self._readers: dict[str, tuple[str, ...]] | None = None
         self._index: dict[str, int] | None = None
         self._well_formed = False

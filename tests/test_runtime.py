@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import meerkat.runtime
 import meerkat.typesys
 from meerkat.runtime import (
     Accepted,
@@ -551,6 +552,52 @@ class TestPlanCache:
         cfg, _ = apply_step(cfg, Step("evolve_one", 0))
         enabled_steps(cfg)
         assert sub.plans["env"] is cfg.env
+
+    def test_a_plan_outside_an_evolutions_footprint_still_goes_stale(self):
+        # the `do` reads and writes nothing the evolution rebinds, yet it
+        # stops typing: `w` is looked up to type the unused argument, so a
+        # plan may be kept only while every name `check_do` looked up keeps
+        # its binding, not just the names in the lock footprint
+        cfg = quiesced("var u = 0; var v = 0; var w = 1;")
+        cfg = submit_do(cfg, parse_do("do ((fn f => action { v := 1 }) (fn x => w + 1))"), "a")
+        cfg = submit_do(cfg, parse_do("do (action { u := 1 })"), "b")
+        assert Step("do_two", 0, 1) in enabled_steps(cfg)
+        cached = cfg.q_do[0].plans[()][1]
+        assert (cached.reads(), cached.writes) == (frozenset(), frozenset({"v"}))
+        cfg = submit_evolution(cfg, parse_program('var w = "s";'), "p")
+        cfg, outcomes = run_until_quiescent(cfg)
+        assert isinstance(outcomes[0], Accepted) and outcomes[0].who == ("p",)
+        assert isinstance(outcomes[1], ActionFailed) and outcomes[1].notified == ("a",)
+        assert outcomes[1].error.reason == "TypeMismatch"
+        assert values(cfg) == {"u": 1, "v": 0}
+
+    def test_a_step_reads_each_queued_plan_once(self, monkeypatch):
+        # the pair checks are set logic over plans read once per step: q
+        # plan lookups, not two per pair, and no typing with a lone action
+        calls = {"_do_plan": 0, "do_pair_viable": 0, "check_do": 0}
+
+        def counting(name):
+            original = getattr(meerkat.runtime, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(meerkat.runtime, name, wrapper)
+
+        cfg = quiesced(" ".join(f"var v_{k} = 0;" for k in range(24)))
+        lone = submit_do(cfg, parse_do("do (action { v_0 := 1 })"), "u")
+        for k in range(24):
+            cfg = submit_do(cfg, parse_do(f"do (action {{ v_{k} := v_{(k + 1) % 24} }})"), f"u{k}")
+        for name in calls:
+            counting(name)
+        steps = enabled_steps(cfg)
+        assert calls["_do_plan"] == 24 and calls["do_pair_viable"] == 0
+        assert steps == reference_enabled_steps(cfg)
+        assert sum(s.kind == "do_two" for s in steps) == 24 * 23 // 2 - 24
+        calls.update(dict.fromkeys(calls, 0))
+        assert enabled_steps(lone) == (Step("do_one", 0),)
+        assert calls["check_do"] == 0
 
 
 def test_a_run_of_dos_derives_the_reverse_edges_once(monkeypatch):
