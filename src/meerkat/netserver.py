@@ -42,7 +42,7 @@ been answered.
 A session is closed only at EOF, on a refused hello (a version mismatch),
 when its outbound buffer overflows or when it sends an overlong line, never
 for being idle.  Slow subscribers never block stepping: a session with
-``buffer_limit`` unsent messages keeps only the first (it may be partly
+``BUFFER_LIMIT`` unsent messages keeps only the first (it may be partly
 sent), is sent ``{"type": "error", "reason": "overflow"}`` and is closed.
 A session whose unfinished line grows past ``LINE_LIMIT`` bytes is sent
 ``{"type": "error", "reason": "line_too_long"}`` the same way, so no client
@@ -90,6 +90,7 @@ from .typesys import CompatReport, TypeCheckError
 PROTOCOL_VERSION = 1
 DEFAULT_BIND = ("127.0.0.1", 7788)
 LINE_LIMIT = 1 << 20  # bytes of one session's unfinished line
+BUFFER_LIMIT = 256  # unsent outbound messages per session
 
 
 @dataclass
@@ -99,7 +100,6 @@ class ServerConfig:
     open_mode: bool = False  # let user-role sessions evolve code
     trace_path: str | None = None
     seed: int = 0
-    buffer_limit: int = 256  # unsent outbound messages per session
 
 
 @dataclass(eq=False)
@@ -378,7 +378,7 @@ class MeerkatServer:
         session = self.state.sessions.get(sid)
         if session is None:
             return
-        if len(session.outbox) >= self.config.buffer_limit:
+        if len(session.outbox) >= BUFFER_LIMIT:
             # a subscriber that cannot keep up must not stall the stepper
             self._drop(session, "overflow")
             return

@@ -71,8 +71,8 @@ from .runtime import (
     submit_do,
     submit_evolution,
 )
-from .store import DefCell, Store, Value, VarCell, eval_expr, value_to_text
-from .syntax import Expr, parse_do, parse_program
+from .store import DefCell, Store, Value, VarCell, eval_expr, value_to_json
+from .syntax import Expr, ParseError, parse_do, parse_program
 from .typesys import TypeEnv, env_merge, topo_order
 
 
@@ -113,6 +113,8 @@ class Scenario:
 
     @staticmethod
     def from_json(doc: dict) -> "Scenario":
+        if not isinstance(doc, dict):
+            raise ValueError("a scenario must be a JSON object")
         items = []
         for entry in doc.get("submissions", ()):
             kind = entry["kind"]
@@ -209,7 +211,8 @@ def check_oracle(cfg: Config) -> list[str]:
         got = store.defs[name].c
         if got != want:
             problems.append(
-                f"'{name}' is {value_to_text(got)} but recomputing from scratch gives {value_to_text(want)}"
+                f"'{name}' is {json.dumps(value_to_json(got))} but recomputing from scratch gives "
+                f"{json.dumps(value_to_json(want))}"
             )
     return problems
 
@@ -256,9 +259,8 @@ def config_key(cfg: Config) -> tuple:
     """Everything a later step reads from `cfg`, hashable and in insertion
     order: configs with equal keys enable the same steps, fire them to
     equal configs and pass or fail the same audits.  The env's bindings
-    are the dependency graph; its derived `readers()`, position index and
-    well-formed mark, and the submissions' `plans`, are only caches and
-    take no part."""
+    are the dependency graph; its derived `readers()` and well-formed
+    mark, and the submissions' `plans`, are only caches and take no part."""
     store = cfg.store
     return (
         cfg.env.items(),
@@ -436,7 +438,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-    except (OSError, ValueError, KeyError) as err:
+        build_config(scenario)  # an unparsable or refused program fails here, not inside explore
+    except (OSError, ValueError, KeyError, TypeError, ParseError) as err:
         print(f"error: cannot load scenario: {err}", file=sys.stderr)
         return 1
     mode = Exhaustive(args.exhaustive) if args.exhaustive is not None else Seeded(args.runs, args.seed)

@@ -17,6 +17,7 @@ store holds only cells.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -108,20 +109,6 @@ Value = IntV | BoolV | StringV | UnitV | ClosureV | ActionV
 
 def _capture(ctx: Mapping[str, "Value"]) -> LocalBindings:
     return tuple(sorted(ctx.items()))
-
-
-def value_to_text(v: Value) -> str:
-    if isinstance(v, IntV):
-        return str(v.v)
-    if isinstance(v, BoolV):
-        return "true" if v.v else "false"
-    if isinstance(v, StringV):
-        return '"' + v.v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(v, UnitV):
-        return "()"
-    if isinstance(v, ClosureV):
-        return render(Lambda(v.param, v.body))
-    return render(ActionLit(v.body))
 
 
 def value_to_json(v: Value):
@@ -231,8 +218,8 @@ class Store:
         )
 
     def __repr__(self) -> str:
-        vs = ", ".join(f"{n}={value_to_text(c.c)}" for n, c in self.vars.items())
-        ds = ", ".join(f"{n}={value_to_text(c.c)}" for n, c in self.defs.items())
+        vs = ", ".join(f"{n}={json.dumps(value_to_json(c.c))}" for n, c in self.vars.items())
+        ds = ", ".join(f"{n}={json.dumps(value_to_json(c.c))}" for n, c in self.defs.items())
         return f"Store(txn={self.txn}, vars=[{vs}], defs=[{ds}])"
 
 
@@ -311,7 +298,7 @@ def eval_expr(
         fn = eval_expr(store, ctx, e.fn, var_overlay, on_ref)
         arg = eval_expr(store, ctx, e.arg, var_overlay, on_ref)
         if not isinstance(fn, ClosureV):
-            raise EvalError("NotAFunction", f"cannot apply {value_to_text(fn)}")
+            raise EvalError("NotAFunction", f"cannot apply {json.dumps(value_to_json(fn))}")
         call_ctx = dict(fn.env)
         call_ctx[fn.param] = arg
         return eval_expr(store, call_ctx, fn.body, var_overlay, on_ref)

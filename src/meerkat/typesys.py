@@ -10,10 +10,10 @@ appears.
 
 The checks in this module are all pure; environments are immutable and
 every operation returns a fresh value or a report.  An env caches only
-what is derived from its bindings: its reverse edges, its position index,
-and whether `compatible` found it well-formed.  The cached reverse edges
-and position index of an env that `compatible` accepts are patched from
-its base, so accepting an evolution costs what its delta touches.
+what is derived from its bindings: its reverse edges and whether
+`compatible` found it well-formed.  The reverse edges of an env that
+`compatible` accepts are patched from its base's, so accepting an
+evolution costs what its delta touches.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from collections import abc
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .syntax import (
     ActionLit,
@@ -184,19 +184,18 @@ class Binding:
 class TypeEnv:
     """Ordered, immutable map of top-level names to bindings: the one dependency graph.
 
-    Besides its bindings an env keeps three derived facts: its reverse
-    edges (`readers()`), each name's position, and a mark that it is known
-    to be well-formed.  Only the merged env of a passing `compatible`
-    carries the mark; `TypeEnv()`, `bind`, `without` and `env_merge` never
-    set it, so any other env takes `compatible`'s whole-env check.
+    Besides its bindings an env keeps two derived facts: its reverse
+    edges (`readers()`) and a mark that it is known to be well-formed.
+    Only the merged env of a passing `compatible` carries the mark;
+    `TypeEnv()`, `bind`, `without` and `env_merge` never set it, so any
+    other env takes `compatible`'s whole-env check.
     """
 
-    __slots__ = ("_bindings", "_readers", "_index", "_well_formed")
+    __slots__ = ("_bindings", "_readers", "_well_formed")
 
     def __init__(self, bindings: Mapping[str, Binding] | Iterable[tuple[str, Binding]] = ()):
         self._bindings = dict(bindings.items() if isinstance(bindings, abc.Mapping) else bindings)
-        self._readers: dict[str, tuple[str, ...]] | None = None
-        self._index: dict[str, int] | None = None
+        self._readers: dict[str, frozenset[str]] | None = None
         self._well_formed = False
 
     def get(self, name: str) -> Binding | None:
@@ -217,18 +216,12 @@ class TypeEnv:
     def items(self) -> tuple[tuple[str, Binding], ...]:
         return tuple(self._bindings.items())
 
-    def readers(self) -> Mapping[str, tuple[str, ...]]:
-        """name -> the definitions that read it directly, in env order,
-        derived on first use and kept: the env is immutable."""
+    def readers(self) -> Mapping[str, frozenset[str]]:
+        """name -> the definitions that read it directly, derived on first
+        use and kept: the env is immutable."""
         if self._readers is None:
             self._readers = _reverse_edges(self)
         return self._readers
-
-    def _positions(self) -> dict[str, int]:
-        """name -> its position in env order, derived on first use and kept."""
-        if self._index is None:
-            self._index = {n: i for i, n in enumerate(self._bindings)}
-        return self._index
 
     def bind(self, name: str, binding: Binding) -> "TypeEnv":
         merged = dict(self._bindings)
@@ -316,22 +309,28 @@ def dep_edges(env: TypeEnv) -> dict[str, frozenset[str]]:
     }
 
 
-def _reverse_edges(env: TypeEnv) -> dict[str, tuple[str, ...]]:
-    """The reverse of `dep_edges(env)`, each reader list in env order."""
-    rev: dict[str, list[str]] = {}
+def _reverse_edges(env: TypeEnv) -> dict[str, frozenset[str]]:
+    """The reverse of `dep_edges(env)`."""
+    rev: dict[str, set[str]] = {}
     for n, b in env.items():
         for d, _ in b.deps or ():
-            rev.setdefault(d, []).append(n)
-    return {d: tuple(ns) for d, ns in rev.items()}
+            rev.setdefault(d, set()).add(n)
+    return {d: frozenset(ns) for d, ns in rev.items()}
 
 
 def well_formed(env: TypeEnv) -> CompatReport:
     """Check the two environment invariants: consistency and acyclicity."""
+    return CompatReport(tuple(_violations(env, env.names())))
+
+
+def _violations(env: TypeEnv, names: Sequence[str]) -> list[Violation]:
+    """The inconsistent bindings among `names`, in the order given, then
+    the cycles reachable from them: a DFS from each name in sorted order,
+    taking reads in sorted order and skipping unbound names, reports every
+    back edge it meets.  Every name must be bound in `env`."""
     violations: list[Violation] = []
-    for name, b in env.items():
-        if b.is_state:
-            continue
-        for dep, dep_ty in b.deps:
+    for name in names:
+        for dep, dep_ty in env.get(name).deps or ():
             bound = env.get(dep)
             if bound is None:
                 violations.append(Violation("inconsistent", name, f"reads unbound name '{dep}'"))
@@ -343,37 +342,32 @@ def well_formed(env: TypeEnv) -> CompatReport:
                         f"reads '{dep}' at {render_type(dep_ty)} but it is bound at {render_type(bound.ty)}",
                     )
                 )
-    edges = dep_edges(env)
-    state = {n: 0 for n in edges}  # 0 new, 1 on stack, 2 done
-    for root in sorted(edges):
-        if state[root]:
+    state: dict[str, int] = {}  # 1 on the trail, 2 done
+    for root in sorted(names):
+        if root in state:
             continue
-        # iterative DFS so deep graphs cannot overflow the stack
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(edges[root])))]
+        # iterative DFS so deep graphs cannot overflow the stack; a binding's
+        # reads are a DepSet, already sorted by name
         state[root] = 1
         trail = [root]
+        stack = [iter(env.get(root).deps or ())]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in edges:
+            for nxt, _ in stack[-1]:
+                if nxt not in env:
                     continue
-                if state[nxt] == 1:
+                seen = state.get(nxt)
+                if seen == 1:
                     cycle = trail[trail.index(nxt):] + [nxt]
-                    violations.append(
-                        Violation("cycle", nxt, " -> ".join(cycle), tuple(cycle))
-                    )
-                elif state[nxt] == 0:
+                    violations.append(Violation("cycle", nxt, " -> ".join(cycle), tuple(cycle)))
+                elif seen is None:
                     state[nxt] = 1
-                    stack.append((nxt, iter(sorted(edges[nxt]))))
                     trail.append(nxt)
-                    advanced = True
+                    stack.append(iter(env.get(nxt).deps or ()))
                     break
-            if not advanced:
-                state[node] = 2
+            else:
+                state[trail.pop()] = 2
                 stack.pop()
-                trail.pop()
-    return CompatReport(tuple(violations))
+    return violations
 
 
 def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
@@ -386,17 +380,18 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
     rebound in the same delta; `base.readers()` lists those dependents.
 
     When `base` is marked well-formed, only what the delta touches is
-    checked: the kind flips and stale dependents above, the consistency of
-    the delta's bindings, and cycles reachable from the delta's names (a
-    new cycle must pass through one of them).  Any other base, and any
-    violation the local check sees, takes the whole-env scan, so a
-    rejection lists every violation of the merged env in the same order
-    either way.  An ok report carries the merged env, marked well-formed,
-    with its reverse edges and position index patched from `base`'s.
+    checked: the kind flips and stale dependents above, and the violations
+    among the delta's names and reachable from them (a base reader of a
+    name rebound at another type is a stale dependent, and a new cycle
+    must pass through a delta name).  Any other base, and anything the
+    local check finds, takes the whole-env scan, so a rejection lists
+    every violation of the merged env in the same order either way.  An
+    ok report carries the merged env, marked well-formed, with its reverse
+    edges patched from `base`'s.
     """
     merged = env_merge(base, delta)
     violations = _delta_violations(base, delta)
-    if not (base._well_formed and not violations and _delta_well_formed(delta, merged)):
+    if not (base._well_formed and not violations and not _violations(merged, delta.names())):
         violations[:0] = well_formed(merged).violations
         if violations:
             return CompatReport(tuple(violations))
@@ -406,7 +401,8 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
 
 
 def _delta_violations(base: TypeEnv, delta: TypeEnv) -> list[Violation]:
-    """The kind flips and stale dependents of applying `delta` to `base`."""
+    """The kind flips and stale dependents of applying `delta` to `base`,
+    each rebound name's stale dependents in `base`'s env order."""
     violations: list[Violation] = []
     for name, new_b in delta.items():
         old_b = base.get(name)
@@ -418,85 +414,36 @@ def _delta_violations(base: TypeEnv, delta: TypeEnv) -> list[Violation]:
                 Violation("kind_flip", name, f"'{name}' changed from {was} to {now}")
             )
         if old_b.ty != new_b.ty:
-            for dep_name in base.readers().get(name, ()):
-                if dep_name not in delta:
-                    violations.append(
-                        Violation(
-                            "stale_dependent",
-                            dep_name,
-                            f"'{dep_name}' reads '{name}' whose type changed but was not rebound",
-                        )
+            stale = {n for n in base.readers().get(name, ()) if n not in delta}
+            if stale:
+                violations.extend(
+                    Violation(
+                        "stale_dependent",
+                        dep_name,
+                        f"'{dep_name}' reads '{name}' whose type changed but was not rebound",
                     )
+                    for dep_name in base.names()
+                    if dep_name in stale
+                )
     return violations
 
 
-def _delta_well_formed(delta: TypeEnv, merged: TypeEnv) -> bool:
-    """Is `merged` well-formed, given that the base it overwrites is and
-    that `_delta_violations` found nothing?
-
-    Only the delta's bindings can have become inconsistent: a reader in
-    `base` of a name rebound at another type is a stale dependent.  Only
-    a path from a delta name can close a cycle.
-    """
-    for name, b in delta.items():
-        for dep, dep_ty in b.deps or ():
-            bound = merged.get(dep)
-            if bound is None or bound.ty != dep_ty:
-                return False
-    state: dict[str, int] = {}  # 1 on stack, 2 done
-    for root in delta.names():
-        if root in state:
-            continue
-        state[root] = 1
-        stack = [(root, _direct_reads(merged, root))]
-        while stack:
-            node, reads = stack[-1]
-            for nxt in reads:
-                seen = state.get(nxt)
-                if seen == 1:
-                    return False
-                if seen is None:
-                    state[nxt] = 1
-                    stack.append((nxt, _direct_reads(merged, nxt)))
-                    break
-            else:
-                state[node] = 2
-                stack.pop()
-    return True
-
-
-def _direct_reads(env: TypeEnv, name: str) -> Iterator[str]:
-    b = env.get(name)
-    return (d for d, _ in b.deps or ()) if b is not None else iter(())
-
-
 def _patch_derived(base: TypeEnv, delta: TypeEnv, merged: TypeEnv) -> None:
-    """Give `merged` (`base` overwritten by `delta`) its reverse edges and
-    position index, patched from `base`'s instead of derived from every
-    binding.  A rebound name keeps its position and a new name appends,
-    so each reader list stays in `merged`'s env order."""
-    index = dict(base._positions())
+    """Give `merged` (`base` overwritten by `delta`) its reverse edges,
+    patched from `base`'s instead of derived from every binding."""
     readers = dict(base.readers())
-    added = []
     for name, b in delta.items():
-        if name not in index:
-            index[name] = len(index)
-            added.append((name, b))
-            continue
-        old_reads = (base.get(name).deps or EMPTY_DEPS).names()
-        new_reads = (b.deps or EMPTY_DEPS).names()
+        old_b = base.get(name)
+        old_reads = frozenset() if old_b is None or old_b.is_state else old_b.deps.names()
+        new_reads = frozenset() if b.is_state else b.deps.names()
         for dep in old_reads - new_reads:
-            rest = tuple(n for n in readers[dep] if n != name)
+            rest = readers[dep] - {name}
             if rest:
                 readers[dep] = rest
             else:
                 del readers[dep]
         for dep in new_reads - old_reads:
-            readers[dep] = tuple(sorted(readers.get(dep, ()) + (name,), key=index.__getitem__))
-    for name, b in added:
-        for dep, _ in b.deps or ():
-            readers[dep] = readers.get(dep, ()) + (name,)
-    merged._index = index
+            readers[dep] = readers.get(dep, frozenset()) | {name}
     merged._readers = readers
 
 

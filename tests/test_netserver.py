@@ -477,10 +477,9 @@ def test_stop_closes_idle_sessions():
     silent.close()
 
 
-def test_overflowing_subscriber_reads_the_notice_before_eof():
-    srv = MeerkatServer(
-        ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(LISTING), buffer_limit=1)
-    )
+def test_overflowing_subscriber_reads_the_notice_before_eof(monkeypatch):
+    monkeypatch.setattr(meerkat.netserver, "BUFFER_LIMIT", 1)
+    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(LISTING)))
     srv.start()
     try:
         watcher = Client(srv.address)

@@ -6,6 +6,7 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -266,6 +267,26 @@ class TestScenarioFiles:
 
     def test_cli_flags_missing_file(self, capsys):
         assert main(["--scenario", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"submissions": [1]},
+            {"submissions": [{"kind": "do", "expr": "do (action { x := })"}]},
+            {"submissions": [{"kind": "evolve", "code": "def a = ;"}]},
+            {"initial": "def a = b;"},
+        ],
+        ids=["array", "non-object-submission", "unparsable-do", "unparsable-code", "refused-initial"],
+    )
+    def test_cli_refuses_a_malformed_scenario(self, tmp_path, capsys, doc):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot load scenario: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_cli_exit_code_on_violation(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

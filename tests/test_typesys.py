@@ -28,6 +28,7 @@ from meerkat.typesys import (
     env_merge,
     infer_expr,
     infer_program,
+    render_type,
     transitive_reads,
     well_formed,
 )
@@ -403,11 +404,85 @@ def random_envs(draw):
     return TypeEnv(bindings)
 
 
+def reference_well_formed(env: TypeEnv) -> CompatReport:
+    """`well_formed` as written before it shared one walk with `compatible`:
+    every binding's consistency in env order, then a DFS from each name in
+    sorted order that reports every back edge it meets as a cycle."""
+    violations: list[Violation] = []
+    for name, b in env.items():
+        if b.is_state:
+            continue
+        for dep, dep_ty in b.deps:
+            bound = env.get(dep)
+            if bound is None:
+                violations.append(Violation("inconsistent", name, f"reads unbound name '{dep}'"))
+            elif bound.ty != dep_ty:
+                violations.append(
+                    Violation(
+                        "inconsistent",
+                        name,
+                        f"reads '{dep}' at {render_type(dep_ty)} but it is bound at {render_type(bound.ty)}",
+                    )
+                )
+    edges = {n: (frozenset() if b.is_state else b.deps.names()) for n, b in env.items()}
+    state = {n: 0 for n in edges}  # 0 new, 1 on stack, 2 done
+    for root in sorted(edges):
+        if state[root]:
+            continue
+        stack = [(root, iter(sorted(edges[root])))]
+        state[root] = 1
+        trail = [root]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in edges:
+                    continue
+                if state[nxt] == 1:
+                    cycle = trail[trail.index(nxt):] + [nxt]
+                    violations.append(Violation("cycle", nxt, " -> ".join(cycle), tuple(cycle)))
+                elif state[nxt] == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(sorted(edges[nxt]))))
+                    trail.append(nxt)
+                    advanced = True
+                    break
+            if not advanced:
+                state[node] = 2
+                stack.pop()
+                trail.pop()
+    return CompatReport(tuple(violations))
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_envs())
+def test_well_formed_equals_the_reference(env):
+    assert well_formed(env) == reference_well_formed(env)
+
+
+def test_well_formed_reports_every_violation_in_a_fixed_order():
+    env = TypeEnv({
+        "x": Binding(BOOL, None),
+        "c": Binding(INT, DepSet.of({"a": INT})),
+        "a": Binding(INT, DepSet.of({"b": INT, "c": INT})),
+        "w": Binding(INT, DepSet.of({"x": INT})),
+        "b": Binding(INT, DepSet.of({"a": INT, "z": INT})),
+    })
+    expected = (
+        Violation("inconsistent", "w", "reads 'x' at Int but it is bound at Bool"),
+        Violation("inconsistent", "b", "reads unbound name 'z'"),
+        Violation("cycle", "a", "a -> b -> a", ("a", "b", "a")),
+        Violation("cycle", "a", "a -> c -> a", ("a", "c", "a")),
+    )
+    assert well_formed(env).violations == expected
+    assert reference_well_formed(env).violations == expected
+
+
 def whole_env_compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
     """`compatible` as written before the env kept reverse edges: it scans
     every binding of the merged env for stale dependents."""
     merged = env_merge(base, delta)
-    violations = list(well_formed(merged).violations)
+    violations = list(reference_well_formed(merged).violations)
     delta_names = set(delta.names())
     for name, new_b in delta.items():
         old_b = base.get(name)
@@ -456,7 +531,6 @@ def test_compatible_on_an_accepted_env_equals_the_whole_env_scan(base, deltas):
             merged = report.merged
             assert merged.items() == env_merge(env, delta).items()
             assert merged.readers() == _reverse_edges(merged)
-            assert merged._positions() == {n: i for i, n in enumerate(merged.names())}
             env = merged
 
 
@@ -477,9 +551,9 @@ def test_stale_dependents_are_reported_in_env_order():
 @settings(max_examples=200, deadline=None)
 @given(random_envs())
 def test_readers_are_the_reverse_of_dep_edges(env):
-    reverse: dict[str, list[str]] = {}
+    reverse: dict[str, set[str]] = {}
     for name, deps in dep_edges(env).items():
         for dep in deps:
-            reverse.setdefault(dep, []).append(name)
-    assert env.readers() == {dep: tuple(names) for dep, names in reverse.items()}
+            reverse.setdefault(dep, set()).add(name)
+    assert env.readers() == {dep: frozenset(names) for dep, names in reverse.items()}
     assert env.readers() is env.readers()
