@@ -18,16 +18,19 @@ cap — and checks, at every step of every run:
 Violations come back in a `Verdict` along with a replayable trace.  Its
 counts are:
 
-  * `states`: steps fired, each audited (exhaustive mode fires each
-    config's steps once);
+  * `states`: steps fired, each with its waves audited (exhaustive mode
+    fires each config's steps once);
   * `runs`: complete schedules, each ending in a quiescent config;
   * `configs`: distinct configs the exhaustive walk visited (0 when seeded).
 
 Exhaustive mode walks the DAG of distinct configs rather than the tree of
-schedules.  `config_key` holds everything a later step reads, so two
-schedules that reach equal keys continue identically: each config's steps
-are fired and audited once, each distinct final store is compared with
-the oracle once, and `runs` counts the schedules as paths through the DAG.
+schedules.  `config_key` holds everything a later step reads, by name and
+not in the order names were bound, so two schedules that reach equal keys
+continue identically, even when they accepted two evolutions in opposite
+orders: each config is audited once, when the first step reaches it, its
+steps are fired once, each distinct final store is compared with the
+oracle once, and `runs` counts the schedules as paths through the DAG.
+Seeded mode and `replay` audit the config after every step.
 
 Scenario files are JSON::
 
@@ -67,7 +70,7 @@ from .runtime import (
     enabled_steps,
     initial_config,
     run_steps,
-    run_until_quiescent,
+    step_evolve_many,
     submit_do,
     submit_evolution,
 )
@@ -233,9 +236,11 @@ def build_config(scenario: Scenario) -> Config:
     cfg = initial_config()
     if scenario.initial:
         cfg = submit_evolution(cfg, parse_program(scenario.initial), "__init__")
-        cfg, outcomes = run_until_quiescent(cfg)
-        if not outcomes or not isinstance(outcomes[0], Accepted):
-            raise ValueError(f"initial program was not accepted: {outcomes}")
+        # fired directly: a refused evolution is never offered, and the
+        # queue death that ends it would not say why
+        cfg, outcome = step_evolve_many(cfg, cfg.q_r)
+        if not isinstance(outcome, Accepted):
+            raise ValueError(f"initial program was not accepted: {outcome.report}")
     for item in scenario.submissions:
         if item.kind == "evolve":
             cfg = submit_evolution(cfg, parse_program(item.source), item.who)
@@ -256,16 +261,19 @@ def _finish_run(cfg: Config, verdict: Verdict, finals: set):
 
 
 def config_key(cfg: Config) -> tuple:
-    """Everything a later step reads from `cfg`, hashable and in insertion
-    order: configs with equal keys enable the same steps, fire them to
-    equal configs and pass or fail the same audits.  The env's bindings
-    are the dependency graph; its derived `readers()` and well-formed
-    mark, and the submissions' `plans`, are only caches and take no part."""
+    """Everything a later step reads from `cfg`, hashable and blind to the
+    order names were bound in: configs with equal keys enable the same
+    steps, fire them to configs with equal keys and pass or fail the same
+    audits.  The env's bindings and the store's cells are keyed by name,
+    since every reader of their order only lists the same facts in another
+    order (`topo_order` breaks ties by name).  The env's bindings are the
+    dependency graph; its derived `readers()` and well-formed mark, and the
+    submissions' `plans`, are only caches and take no part."""
     store = cfg.store
     return (
-        cfg.env.items(),
-        tuple(store.vars.items()),
-        tuple(store.defs.items()),
+        tuple(sorted(cfg.env.items())),
+        tuple(sorted(store.vars.items())),
+        tuple(sorted(store.defs.items())),
         store.txn,
         cfg.q_r,
         cfg.q_do,
@@ -290,17 +298,16 @@ _STOP = object()  # the step budget ran out
 def _explore_dag(start: Config, mode: Exhaustive, verdict: Verdict, finals: set):
     """Depth-first walk over the distinct configs reachable from `start`.
 
-    Each config is interned once by its key, so its steps are fired and
-    audited once however many schedules reach it; later visits follow the
-    stored child nodes.  The number of complete schedules below a node
+    Each config is interned once by its key and audited then, by the first
+    step that reaches it; its steps are fired once however many schedules
+    reach it, and later visits follow the stored child nodes.  A fired
+    step's waves are audited on every edge, since a wave depends on the
+    config it ran from.  The number of complete schedules below a node
     depends on the depth budget left, so it is memoised per (node, budget),
     which keeps `depth_cap` exact.  The first violating step found gives
     the counterexample: the picks that lead to it.
     """
     interned: dict[tuple, _Node] = {}
-
-    def intern(cfg: Config) -> _Node:
-        return interned.setdefault(config_key(cfg), _Node(cfg))
 
     runs_below: dict[tuple[_Node, int], int] = {}
 
@@ -334,14 +341,20 @@ def _explore_dag(start: Config, mode: Exhaustive, verdict: Verdict, finals: set)
                 nxt, outs = apply_step(cfg, step)
                 verdict.states += 1
                 before = len(verdict.violations)
-                _audit_step(cfg, nxt, outs, verdict)
+                for o in outs:
+                    verdict.violations.extend(validate_wave(cfg, o))
+                key = config_key(nxt)
+                child = interned.get(key)
+                if child is None:
+                    child = interned[key] = _Node(nxt)
+                    verdict.violations.extend(check_config(nxt))
                 if len(verdict.violations) > before and verdict.counterexample is None:
                     verdict.counterexample = {"kind": "picks", "picks": list(picks + (k,))}
-                children.append(intern(nxt))
+                children.append(child)
             node.children = tuple(children)
         return None
 
-    root = intern(start)
+    root = interned[config_key(start)] = _Node(start)
     # the descent: [node, picks reaching it, next child, schedules counted below it]
     frames: list[list] = []
     total = settle(root, ())

@@ -14,6 +14,7 @@ import random
 import socket
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -260,11 +261,18 @@ def explore_exhaustively(stats: ExplorationStats, base, submissions, state_cap=6
 def exploration() -> ExplorationStats:
     start = time.monotonic()
     stats = ExplorationStats()
-    for base, submissions in generate_scenarios():
+    scenarios = generate_scenarios()
+    covered = Counter()
+    for base, submissions in scenarios:
         explore_exhaustively(stats, base, submissions)
+        covered[base] += 1
         if stats.states >= 14_000:
             break
     stats.elapsed = time.monotonic() - start
+    offered = Counter(base for base, _ in scenarios)
+    print(f"exploration covered {stats.scenarios}/{len(scenarios)} scenarios in {stats.states} steps:")
+    for base in BASES:
+        print(f"  {covered[base]}/{offered[base]} on base {base!r}")
     return stats
 
 

@@ -269,22 +269,24 @@ class TestScenarioFiles:
         assert main(["--scenario", "/nonexistent.json"]) == 1
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, why",
         [
-            [],
-            {"submissions": [1]},
-            {"submissions": [{"kind": "do", "expr": "do (action { x := })"}]},
-            {"submissions": [{"kind": "evolve", "code": "def a = ;"}]},
-            {"initial": "def a = b;"},
+            ([], "a scenario must be a JSON object"),
+            ({"submissions": [1]}, "not subscriptable"),
+            ({"submissions": [{"kind": "do", "expr": "do (action { x := })"}]}, "1:19: unexpected '}'"),
+            ({"submissions": [{"kind": "evolve", "code": "def a = ;"}]}, "1:9: unexpected ';'"),
+            # the planner's reason, not the queue death that ends a refusal
+            ({"initial": "def a = b;"}, "initial program was not accepted: UnboundName: 'b' is not bound"),
         ],
         ids=["array", "non-object-submission", "unparsable-do", "unparsable-code", "refused-initial"],
     )
-    def test_cli_refuses_a_malformed_scenario(self, tmp_path, capsys, doc):
+    def test_cli_refuses_a_malformed_scenario(self, tmp_path, capsys, doc, why):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert main(["--scenario", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot load scenario: ")
+        assert why in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -496,3 +498,109 @@ class TestMemoisedExplorer:
         assert not verdict.schedules_complete
         assert 3 <= verdict.states < explore(MIXED, Exhaustive(depth_cap=8)).states
         assert verdict.runs < 8
+
+
+# ---------------------------------------------------------------------------
+# The order-insensitive config key against an insertion-order key
+# ---------------------------------------------------------------------------
+
+def insertion_order_key(cfg) -> tuple:
+    """`config_key` without sorting: configs that bind the same names in
+    other orders, say after two evolutions accepted in either order, get
+    distinct keys and are walked and audited apart."""
+    store = cfg.store
+    return (
+        cfg.env.items(),
+        tuple(store.vars.items()),
+        tuple(store.defs.items()),
+        store.txn,
+        cfg.q_r,
+        cfg.q_do,
+    )
+
+
+def assert_keys_agree(scenario: Scenario, depth_cap: int, monkeypatch, flag: bool = False):
+    mode = Exhaustive(depth_cap=depth_cap)
+    with monkeypatch.context() as m:
+        if flag:
+            m.setattr(sim, "check_config", flag_x_two(sim.check_config))
+        new, new_finals = memo_explore(scenario, mode, monkeypatch)
+        m.setattr(sim, "config_key", insertion_order_key)
+        old, old_finals = memo_explore(scenario, mode, monkeypatch)
+    assert new.ok == old.ok
+    assert set(new.violations) == set(old.violations)
+    assert new_finals == old_finals
+    assert new.runs == old.runs
+    assert new.schedules_complete == old.schedules_complete
+    assert new.states <= old.states
+    assert new.configs <= old.configs
+
+
+# two to three evolutions from the pool, then up to two more submissions,
+# queued in any order
+multi_evolution_scenarios = st.builds(
+    lambda initial, subs, independent: Scenario(
+        initial, tuple(ScenarioItem(kind, src, who) for (kind, src), who in subs), independent
+    ),
+    st.sampled_from(INITIALS),
+    st.tuples(
+        st.lists(
+            st.tuples(st.tuples(st.just("evolve"), st.sampled_from(EVOLUTION_POOL)), st.sampled_from(["p1", "p2"])),
+            min_size=2,
+            max_size=3,
+        ),
+        st.lists(st.tuples(submission_items, st.sampled_from(["u1", "u2"])), max_size=2),
+    ).flatmap(lambda parts: st.permutations(parts[0] + parts[1])),
+    st.sampled_from([True, True, False]),
+)
+
+
+class TestOrderInsensitiveKey:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(small_scenarios, multi_evolution_scenarios), depth_caps, st.booleans())
+    def test_agrees_with_the_insertion_order_key(self, monkeypatch, scenario, depth_cap, flag):
+        assert_keys_agree(scenario, depth_cap, monkeypatch, flag)
+
+    def test_evolutions_accepted_in_either_order_meet(self, monkeypatch):
+        # `y` then `z` and `z` then `y` bind the same names in other orders:
+        # one config, where the insertion-order key keeps two (and so two
+        # more after the action), and 16 fired steps become 15
+        scenario = Scenario(
+            initial="var x = 1;",
+            submissions=(
+                ScenarioItem("evolve", "def y = x + 1;", "p1"),
+                ScenarioItem("evolve", "def z = x + 2;", "p2"),
+                ScenarioItem("do", "do (action { x := 2 })", "u1"),
+            ),
+            independent=True,
+        )
+        calls = {"check_config": 0, "validate_wave": 0}
+
+        def counting(name):
+            audit = getattr(sim, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return audit(*args)
+
+            return counted
+
+        outcomes_per_step = []
+        apply_step = sim.apply_step
+
+        def recording_apply_step(cfg, step):
+            nxt, outs = apply_step(cfg, step)
+            outcomes_per_step.append(len(outs))
+            return nxt, outs
+
+        for name in calls:
+            monkeypatch.setattr(sim, name, counting(name))
+        monkeypatch.setattr(sim, "apply_step", recording_apply_step)
+        verdict = explore(scenario, Exhaustive())
+        assert verdict.ok, verdict.violations
+        assert (verdict.runs, verdict.states, verdict.configs) == (8, 15, 10)
+        # every config but the start is audited once; every fired step's
+        # outcomes are audited, one wave check each
+        assert calls["check_config"] == verdict.configs - 1
+        assert len(outcomes_per_step) == verdict.states
+        assert calls["validate_wave"] == sum(outcomes_per_step)
