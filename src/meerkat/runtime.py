@@ -26,8 +26,10 @@ waiting submitter is notified.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Protocol, Sequence
+from typing import Protocol
 
 from .store import (
     ActionV,
@@ -326,8 +328,12 @@ def _run_action(store: Store, d: DoStmt) -> dict[str, Value]:
 
 def _do_plan(env: TypeEnv, sub: Submission) -> DoPlan | TypeCheckError:
     """The lock plan of the queued `do` in `sub` under `env`, or the type
-    error that refuses it.  It is typed once per env: the scheduler's pair
-    checks and the step that fires it all read the same plan."""
+    error that refuses it.  It is typed once per env: the scheduling step
+    and the step that fires it read the same plan, and a lookup that finds
+    it cached allocates nothing."""
+    hit = sub.plans.get(()) if sub.plans.get("env") is env else None
+    if hit is not None:
+        return hit[1]
 
     def plan() -> DoPlan | TypeCheckError:
         try:
@@ -341,7 +347,8 @@ def _do_plan(env: TypeEnv, sub: Submission) -> DoPlan | TypeCheckError:
 def _locks_compatible(p1: DoPlan | TypeCheckError, p2: DoPlan | TypeCheckError) -> bool:
     """The lock rule for two actions, given their `_do_plan`s: both type,
     their write sets are disjoint and neither reads a variable the other
-    writes.  Every check of a pair of actions comes here."""
+    writes.  `enabled_steps` applies the same rule to a whole queue at
+    once, through an index of the variables each action writes."""
     return (
         isinstance(p1, DoPlan)
         and isinstance(p2, DoPlan)
@@ -354,8 +361,9 @@ def _locks_compatible(p1: DoPlan | TypeCheckError, p2: DoPlan | TypeCheckError) 
 def do_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     """Lock check for running two queued actions concurrently: the two
     `_do_plan` lookups under `cfg.env`, then `_locks_compatible`'s set
-    logic.  A scheduling step does not call this per pair: `enabled_steps`
-    reads each queued plan once and passes the plans to `_locks_compatible`."""
+    logic.  A scheduling step does not check pairs at all: `enabled_steps`
+    reads each queued plan once and finds the conflicting pairs through an
+    index of who writes what, which `step_do_many`'s check here confirms."""
     return _locks_compatible(_do_plan(cfg.env, s1), _do_plan(cfg.env, s2))
 
 
@@ -453,38 +461,109 @@ def evolve_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     return isinstance(_evolution_plan(cfg.env, (s1, s2)), tuple)
 
 
-def enabled_steps(cfg: Config) -> tuple[Step, ...]:
-    """Every step the scheduler may fire from this configuration.
+class _Options(Sequence):
+    """The steps `enabled_steps` offers, each built only when it is read.
+
+    In order: `head` (the evolution steps, or queue death), a `do_one` for
+    each of the `n` queued actions, then a `do_two` for each lock-compatible
+    pair `(i, j)`, `i < j`, by `i` and then `j`.  `clashes[i]` holds the
+    later actions that action `i` may not pair with, or is None when it
+    pairs with none; `starts[i]` is the index of row `i`'s first pair.
+    Element k and the length equal those of the full tuple, so a recorded
+    pick names the same step.
+    """
+
+    __slots__ = ("head", "n", "clashes", "starts", "size")
+
+    def __init__(self, head: tuple[Step, ...], n: int, clashes: list[set[int] | None]):
+        self.head, self.n, self.clashes = head, n, clashes
+        self.starts: list[int] = []
+        size = len(head) + n
+        for i, row in enumerate(clashes):
+            self.starts.append(size)
+            size += 0 if row is None else n - 1 - i - len(row)
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, k: int) -> Step:
+        if k < 0:
+            k += self.size
+        if not 0 <= k < self.size:
+            raise IndexError("step index out of range")
+        if k < len(self.head):
+            return self.head[k]
+        if k < len(self.head) + self.n:
+            return Step("do_one", k - len(self.head))
+        i = bisect_right(self.starts, k) - 1
+        j = i + 1 + k - self.starts[i]
+        for c in sorted(self.clashes[i]):  # skip the clashes up to the j-th partner
+            if c > j:
+                break
+            j += 1
+        return Step("do_two", i, j)
+
+    def __iter__(self) -> Iterator[Step]:
+        yield from self.head
+        for i in range(self.n):
+            yield Step("do_one", i)
+        for i, row in enumerate(self.clashes):
+            if row is not None:
+                for j in range(i + 1, self.n):
+                    if j not in row:
+                        yield Step("do_two", i, j)
+
+
+def enabled_steps(cfg: Config) -> Sequence[Step]:
+    """Every step the scheduler may fire from this configuration, as a
+    lazy sequence: `len`, indexing and iteration give the steps in a fixed
+    order, and a `Step` is built only when one is read.
 
     Evolutions appear only when they would be approved (alone or as a
     pair); actions are always steppable one at a time and additionally as
     lock-compatible pairs.  When evolutions are pending but none is
     approvable in any combination, the only evolution step is queue death.
-    With two or more queued actions the step reads each one's plan once and
-    checks every pair by `_locks_compatible`'s set logic over those plans;
-    a lone action is not typed here at all.
+    With two or more queued actions the step reads each one's plan once,
+    indexes the actions by the variables they write and looks each one's
+    reads and writes up in that index; an action that does not type pairs
+    with none.  So a step with q queued actions costs the evolution pairs
+    plus the actions' footprints and their conflicts, not a check per pair
+    of actions; a lone action is not typed here at all.
     """
-    steps: list[Step] = []
+    head: list[Step] = []
     singles = [
         i for i, s in enumerate(cfg.q_r) if isinstance(_evolution_plan(cfg.env, (s,)), tuple)
     ]
-    steps.extend(Step("evolve_one", i) for i in singles)
+    head.extend(Step("evolve_one", i) for i in singles)
     pair_found = False
     for i in range(len(cfg.q_r)):
         for j in range(i + 1, len(cfg.q_r)):
             if evolve_pair_viable(cfg, cfg.q_r[i], cfg.q_r[j]):
-                steps.append(Step("evolve_two", i, j))
+                head.append(Step("evolve_two", i, j))
                 pair_found = True
     if cfg.q_r and not singles and not pair_found:
-        steps.append(Step("queue_die"))
-    steps.extend(Step("do_one", i) for i in range(len(cfg.q_do)))
-    if len(cfg.q_do) >= 2:
+        head.append(Step("queue_die"))
+    n = len(cfg.q_do)
+    clashes: list[set[int] | None] = []
+    if n >= 2:
         plans = [_do_plan(cfg.env, s) for s in cfg.q_do]
-        for i, p1 in enumerate(plans):
-            steps.extend(
-                Step("do_two", i, j) for j in range(i + 1, len(plans)) if _locks_compatible(p1, plans[j])
-            )
-    return tuple(steps)
+        untyped = [i for i, p in enumerate(plans) if not isinstance(p, DoPlan)]
+        writers: dict[str, list[int]] = {}
+        for i, p in enumerate(plans):
+            if isinstance(p, DoPlan):
+                clashes.append({j for j in untyped if j > i})
+                for v in p.writes:
+                    writers.setdefault(v, []).append(i)
+            else:
+                clashes.append(None)
+        for i, p in enumerate(plans):
+            if isinstance(p, DoPlan):
+                for v in p.writes | p.read_vars:
+                    for j in writers.get(v, ()):
+                        if j != i:
+                            clashes[min(i, j)].add(max(i, j))
+    return _Options(tuple(head), n, clashes)
 
 
 def apply_step(cfg: Config, step: Step) -> tuple[Config, tuple[StepOutcome, ...]]:
@@ -506,7 +585,10 @@ def apply_step(cfg: Config, step: Step) -> tuple[Config, tuple[StepOutcome, ...]
 
 
 class ScheduleSource(Protocol):
-    def choose(self, cfg: Config, options: Sequence[Step]) -> Step: ...
+    def choose(self, cfg: Config, options: Sequence[Step]) -> Step:
+        """Pick one of `options`, the nonempty result of `enabled_steps`.
+        Read it only through `len`, indexing and iteration: it is a lazy
+        sequence, not a tuple."""
 
 
 class RandomSchedule:

@@ -55,7 +55,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .runtime import (
     Accepted,
@@ -64,6 +64,7 @@ from .runtime import (
     FixedSchedule,
     PickOutOfRange,
     RandomSchedule,
+    Step,
     StepOutcome,
     apply_step,
     check_config,
@@ -288,7 +289,7 @@ class _Node:
 
     def __init__(self, cfg: Config):
         self.cfg = cfg
-        self.options: tuple | None = None
+        self.options: Sequence[Step] | None = None
         self.children: tuple[_Node, ...] | None = None
 
 

@@ -639,11 +639,6 @@ def _walk(e: Expr) -> Iterator[tuple[Expr, int]]:
         stack.extend((kid, depth + 1) for kid in kids)
 
 
-def iter_exprs(e: Expr) -> Iterator[Expr]:
-    """Yield `e` and every subexpression, pre-order."""
-    return (cur for cur, _ in _walk(e))
-
-
 def _expr_depth(e: Expr) -> int:
     """The number of nodes on the longest path down from `e`."""
     return max(depth for _, depth in _walk(e))

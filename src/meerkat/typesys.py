@@ -302,15 +302,8 @@ class CompatReport:
 OK_REPORT = CompatReport()
 
 
-def dep_edges(env: TypeEnv) -> dict[str, frozenset[str]]:
-    """name -> the set of names its binding reads directly (empty for state vars)."""
-    return {
-        n: (frozenset() if b.is_state else b.deps.names()) for n, b in env.items()
-    }
-
-
 def _reverse_edges(env: TypeEnv) -> dict[str, frozenset[str]]:
-    """The reverse of `dep_edges(env)`."""
+    """name -> the definitions whose binding reads it directly."""
     rev: dict[str, set[str]] = {}
     for n, b in env.items():
         for d, _ in b.deps or ():

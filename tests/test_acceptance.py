@@ -48,7 +48,6 @@ from meerkat.typesys import (
     TypeEnv,
     check_do,
     compatible,
-    dep_edges,
     env_merge,
     infer_expr,
     infer_program,
@@ -57,6 +56,11 @@ from meerkat.typesys import (
 )
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
+
+
+def dep_edges(env: TypeEnv) -> dict[str, frozenset[str]]:
+    """name -> the names its binding reads directly (none for a state var)."""
+    return {n: frozenset() if b.is_state else b.deps.names() for n, b in env.items()}
 
 
 @contextmanager

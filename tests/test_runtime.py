@@ -8,6 +8,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meerkat.runtime
 import meerkat.typesys
@@ -28,6 +30,7 @@ from meerkat.runtime import (
     enabled_steps,
     evolve_pair_viable,
     initial_config,
+    run_steps,
     run_until_quiescent,
     step_do_many,
     step_evolve_many,
@@ -495,6 +498,28 @@ def burst_config(seed: int) -> Config:
     return cfg
 
 
+def ring_of_dos(cfg: Config, n: int) -> Config:
+    """`cfg` with n queued actions, action k copying `v_{k+1}` into `v_k`
+    (mod n): each clashes with its two neighbours and pairs with the rest."""
+    for k in range(n):
+        cfg = submit_do(cfg, parse_do(f"do (action {{ v_{k} := v_{(k + 1) % n} }})"), f"u{k}")
+    return cfg
+
+
+def counting_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Wrap each `meerkat.runtime` global in `names` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(meerkat.runtime, name)
+
+        def wrapper(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(meerkat.runtime, name, wrapper)
+    return calls
+
+
 class TestPlanCache:
     def test_a_cached_plan_does_not_survive_an_env_change(self):
         cfg = quiesced("var x = 0;")
@@ -502,10 +527,10 @@ class TestPlanCache:
         cfg = submit_evolution(cfg, parse_program('var x = "a";'), "p")
         cfg = submit_evolution(cfg, parse_program("def d = x + 1;"), "q")
         # both evolutions and the do are planned, and viable, under this env
-        assert enabled_steps(cfg) == (Step("evolve_one", 0), Step("evolve_one", 1), Step("do_one", 0))
+        assert tuple(enabled_steps(cfg)) == (Step("evolve_one", 0), Step("evolve_one", 1), Step("do_one", 0))
         cfg, _ = apply_step(cfg, Step("evolve_one", 0))
         # x is a string now: `def d` no longer types and the do no longer runs
-        assert enabled_steps(cfg) == (Step("queue_die"), Step("do_one", 0))
+        assert tuple(enabled_steps(cfg)) == (Step("queue_die"), Step("do_one", 0))
         cfg, outcomes = run_until_quiescent(cfg)
         assert outcomes[0] == QueueDied(("q",))
         assert isinstance(outcomes[1], ActionFailed)
@@ -524,7 +549,7 @@ class TestPlanCache:
             for seed in range(20):
                 cfg, schedule = start, RandomSchedule(seed)
                 while options := enabled_steps(cfg):
-                    assert options == reference_enabled_steps(cfg)
+                    assert tuple(options) == reference_enabled_steps(cfg)
                     fresh = with_fresh_submissions(cfg)
                     for i, j in combinations(range(len(cfg.q_do)), 2):
                         assert do_pair_viable(cfg, cfg.q_do[i], cfg.q_do[j]) == do_pair_viable(
@@ -572,32 +597,98 @@ class TestPlanCache:
         assert values(cfg) == {"u": 1, "v": 0}
 
     def test_a_step_reads_each_queued_plan_once(self, monkeypatch):
-        # the pair checks are set logic over plans read once per step: q
-        # plan lookups, not two per pair, and no typing with a lone action
-        calls = {"_do_plan": 0, "do_pair_viable": 0, "check_do": 0}
-
-        def counting(name):
-            original = getattr(meerkat.runtime, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(meerkat.runtime, name, wrapper)
-
+        # a step reads each queued plan once: q plan lookups, not two per
+        # pair, and no typing with a lone action
         cfg = quiesced(" ".join(f"var v_{k} = 0;" for k in range(24)))
         lone = submit_do(cfg, parse_do("do (action { v_0 := 1 })"), "u")
-        for k in range(24):
-            cfg = submit_do(cfg, parse_do(f"do (action {{ v_{k} := v_{(k + 1) % 24} }})"), f"u{k}")
-        for name in calls:
-            counting(name)
+        cfg = ring_of_dos(cfg, 24)
+        calls = counting_calls(monkeypatch, "_do_plan", "do_pair_viable", "check_do")
         steps = enabled_steps(cfg)
         assert calls["_do_plan"] == 24 and calls["do_pair_viable"] == 0
-        assert steps == reference_enabled_steps(cfg)
+        assert tuple(steps) == reference_enabled_steps(cfg)
         assert sum(s.kind == "do_two" for s in steps) == 24 * 23 // 2 - 24
         calls.update(dict.fromkeys(calls, 0))
-        assert enabled_steps(lone) == (Step("do_one", 0),)
+        assert tuple(enabled_steps(lone)) == (Step("do_one", 0),)
         assert calls["check_do"] == 0
+
+
+@st.composite
+def mixed_queues(draw):
+    """A quiesced config over 4-6 variables and `def d = v_0 + v_1`, with
+    0-12 queued actions and 0-3 queued evolutions, and a seed for picks.
+
+    The actions overlap on writes and reads by chance (the pool is small),
+    and include read-only, self read-write, empty and ill-typed ones; the
+    evolutions rebind `d` (which changes the reads of every action reading
+    it), add a definition, turn a variable into a string, or do not type.
+    """
+    n = draw(st.integers(4, 6))
+    var = st.integers(0, n - 1).map(lambda k: f"v_{k}")
+    cfg = quiesced(" ".join(f"var v_{k} = {k};" for k in range(n)) + " def d = v_0 + v_1;")
+    for k in range(draw(st.integers(0, 3))):
+        code = draw(st.sampled_from(["def d = {a} * 2;", "def e = {a} + 1;", 'var {a} = "s";', "def f = nope;"]))
+        cfg = submit_evolution(cfg, parse_program(code.format(a=draw(var))), f"p{k}")
+    for k in range(draw(st.integers(0, 12))):
+        a, b = draw(var), draw(var)
+        body = draw(
+            st.sampled_from(
+                [
+                    "action {{ {a} := {b} + 1 }}",
+                    "action {{ {a} := 1; {b} := d }}" if a != b else "action {{ {a} := d }}",
+                    "if {a} < 3 then action {{ }} else action {{ }}",
+                    "action {{ {a} := {a} * 2 }}",
+                    "action {{ }}",
+                    'action {{ {a} := "s" }}',
+                    "action {{ {a} := nope }}",
+                    "5",
+                ]
+            )
+        )
+        cfg = submit_do(cfg, parse_do(f"do ({body.format(a=a, b=b)})"), f"u{k}")
+    return cfg, draw(st.integers(0, 2**16))
+
+
+class TestLazyOptions:
+    def test_a_step_builds_no_pairs(self, monkeypatch):
+        # the pairs come from an index of who writes what, and a `Step` is
+        # built only when the schedule reads one
+        cfg = quiesced(" ".join(f"var v_{k} = 0;" for k in range(24)))
+        cfg = ring_of_dos(cfg, 24)
+        calls = counting_calls(monkeypatch, "_locks_compatible", "Step")
+        options = enabled_steps(cfg)
+        assert calls == {"_locks_compatible": 0, "Step": 0}
+        assert len(options) == 24 + 24 * 23 // 2 - 24
+        assert options[len(options) - 1] == Step("do_two", 21, 23)
+        assert calls == {"_locks_compatible": 0, "Step": 1}
+        # a drain of independent actions builds one `Step` per fired step
+        cfg = quiesced(" ".join(f"var v_{k} = 0;" for k in range(400)))
+        for k in range(400):
+            cfg = submit_do(cfg, parse_do(f"do (action {{ v_{k} := v_{k} + 1 }})"), f"u{k}")
+        calls.update(dict.fromkeys(calls, 0))
+        fired = 0
+        for _, _, cfg, _ in run_steps(cfg, RandomSchedule(1)):
+            fired += 1
+        assert calls["Step"] == fired and 200 <= fired < 400
+        assert values(cfg) == {f"v_{k}": 1 for k in range(400)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_queues())
+    def test_options_equal_the_reference_at_every_step(self, queued):
+        cfg, seed = queued
+        rng = random.Random(seed)
+        while True:
+            options, expected = enabled_steps(cfg), reference_enabled_steps(cfg)
+            assert len(options) == len(expected)
+            assert bool(options) == bool(expected)
+            assert [options[k] for k in range(len(expected))] == list(expected)
+            assert tuple(options) == expected
+            with pytest.raises(IndexError):
+                options[len(expected)]
+            if not expected:
+                break
+            assert options[-1] == expected[-1]
+            cfg, _ = apply_step(cfg, options[rng.randrange(len(options))])
+        assert not cfg.q_r and not cfg.q_do
 
 
 def test_a_run_of_dos_derives_the_reverse_edges_once(monkeypatch):

@@ -22,7 +22,7 @@ from meerkat.syntax import (
     Program,
     Ref,
     Write,
-    iter_exprs,
+    _walk,
     parse_do,
     parse_expr,
     parse_program,
@@ -273,6 +273,11 @@ def test_parsing_is_total_on_bytes(raw):
         parse_program(raw.decode("utf-8", errors="replace"))
     except ParseError:
         pass
+
+
+def iter_exprs(e):
+    """`e` and every subexpression, pre-order."""
+    return (cur for cur, _ in _walk(e))
 
 
 def test_iter_exprs_walks_every_node():
