@@ -48,6 +48,7 @@ from .store import (
     init_cells,
     merge_defs,
     propagate,
+    wave_order,
 )
 from .syntax import DoStmt, Program
 from .typesys import (
@@ -62,7 +63,6 @@ from .typesys import (
     compatible,
     env_merge,
     infer_program,
-    topo_order,
     well_formed,
 )
 
@@ -380,11 +380,14 @@ def step_do_many(
     from that store, so a type error or runtime fault fails that pick
     alone and aborts all of its writes.  The survivors' disjoint variable
     writes and their definition updates then merge in pick order through
-    `merge_defs`; a survivor whose writes fault a definition only in
-    combination with the earlier survivors fails, and the earlier ones
-    stand.  One `Executed` covers every survivor: it sits at the first
-    survivor's place among the outcomes and carries the last survivor's
-    transaction.
+    `merge_defs`, which recomputes the definitions downstream of every
+    write so far once, in their `wave_order`; a survivor whose writes
+    fault a definition only in combination with the earlier survivors
+    fails, and the earlier ones stand.  One `Executed` covers every
+    survivor: it sits at the first survivor's place among the outcomes
+    and carries the last survivor's transaction.  Its `recomputed` is the
+    `wave_order` of all the survivors' writes; like every wave order, it is
+    derived once per env and write set.
     """
     remaining = cfg.q_do
     for p in picks:
@@ -395,7 +398,8 @@ def step_do_many(
         return cfg, (Rejected(conflict, tuple(p.who for p in picks), final=False),)
     base = store = cfg.store
     outcomes: list = []
-    runs = []  # (who, writes, wave) of each survivor
+    runs = []  # (who, wave) of each survivor
+    written: set[str] = set()  # every survivor's variable writes
     for k, pick in enumerate(picks):
         planned = _do_plan(cfg.env, pick)
         if isinstance(planned, TypeCheckError):
@@ -407,7 +411,7 @@ def step_do_many(
             if runs:
                 # the combined writes may fault a definition each pick computed fine
                 merged_vars = {**store.vars, **{n: alone.vars[n] for n in pending}}
-                defs = merge_defs(store.defs, alone.defs, merged_vars, cfg.env)
+                defs = merge_defs(store.defs, alone.defs, merged_vars, cfg.env, written | pending.keys())
                 alone = Store(merged_vars, defs, prop.txn)
         except EvalError as err:
             outcomes.append(ActionFailed(err, (pick.who,)))
@@ -415,23 +419,23 @@ def step_do_many(
         if not runs:
             place = len(outcomes)
             outcomes.append(None)
-        runs.append((pick.who, pending, prop))
+        runs.append((pick.who, prop))
+        written |= pending.keys()
         store = alone
     if not runs:
         return replace(cfg, q_do=remaining), tuple(outcomes)
-    _, _, prop = runs[0]
+    _, prop = runs[0]
     changes, recomputed = prop.changes, prop.recomputed
     if len(runs) > 1:
-        recomputed = tuple(topo_order(cfg.env, {n for *_, wave in runs for n in wave.recomputed}))
+        recomputed = wave_order(cfg.env, written)
         # a definition may change only once several writes land, so diff
         # every written or recomputed name against the base
-        names = {n for _, pending, _ in runs for n in pending} | set(recomputed)
         changes = tuple(
             Change(n, base.value_of(n), store.value_of(n))
-            for n in sorted(names)
+            for n in sorted(written.union(recomputed))
             if base.value_of(n) != store.value_of(n)
         )
-    outcomes[place] = Executed(changes, store.txn, tuple(who for who, *_ in runs), recomputed)
+    outcomes[place] = Executed(changes, store.txn, tuple(who for who, _ in runs), recomputed)
     return replace(cfg, store=store, q_do=remaining), tuple(outcomes)
 
 

@@ -55,7 +55,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .runtime import (
     Accepted,
@@ -109,6 +109,13 @@ class ScenarioItem:
         return {"kind": self.kind, key: self.source, "who": self.who}
 
 
+def _required(entry, index: int, key: str):
+    try:
+        return entry[key]
+    except KeyError:
+        raise ValueError(f"submission {index} has no {key!r}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     initial: str | None = None
@@ -120,11 +127,11 @@ class Scenario:
         if not isinstance(doc, dict):
             raise ValueError("a scenario must be a JSON object")
         items = []
-        for entry in doc.get("submissions", ()):
-            kind = entry["kind"]
+        for index, entry in enumerate(doc.get("submissions", ())):
+            kind = _required(entry, index, "kind")
             if kind not in ("evolve", "do"):
                 raise ValueError(f"unknown submission kind {kind!r}")
-            source = entry["code"] if kind == "evolve" else entry["expr"]
+            source = _required(entry, index, "code" if kind == "evolve" else "expr")
             items.append(ScenarioItem(kind, source, str(entry.get("who", "anon"))))
         return Scenario(doc.get("initial"), tuple(items), bool(doc.get("independent", False)))
 
@@ -261,23 +268,51 @@ def _finish_run(cfg: Config, verdict: Verdict, finals: set):
     finals.add(observable(cfg))
 
 
-def config_key(cfg: Config) -> tuple:
+def _value(obj) -> object:
+    """What `config_key` compares of an env (its bindings by name), a
+    definition's expression or a queued submission (the object itself)."""
+    return tuple(sorted(obj.items())) if isinstance(obj, TypeEnv) else obj
+
+
+def _classes() -> Callable[[object], int]:
+    """Hash-consing for one walk: each env, expression or submission maps
+    to a small int shared by every equal value.  An object's value is
+    hashed once, when the walk first meets that object; the map holds the
+    object, so its `id` is never reused while the walk runs."""
+    by_id: dict[int, tuple[object, int]] = {}
+    by_value: dict[object, int] = {}
+
+    def canon(obj) -> int:
+        hit = by_id.get(id(obj))
+        if hit is None:
+            hit = by_id[id(obj)] = (obj, by_value.setdefault(_value(obj), len(by_value)))
+        return hit[1]
+
+    return canon
+
+
+def config_key(cfg: Config, canon: Callable[[object], object] = _value) -> tuple:
     """Everything a later step reads from `cfg`, hashable and blind to the
     order names were bound in: configs with equal keys enable the same
     steps, fire them to configs with equal keys and pass or fail the same
     audits.  The env's bindings and the store's cells are keyed by name,
     since every reader of their order only lists the same facts in another
     order (`topo_order` breaks ties by name).  The env's bindings are the
-    dependency graph; its derived `readers()` and well-formed mark, and the
-    submissions' `plans`, are only caches and take no part."""
+    dependency graph; its derived `readers()`, well-formed mark and wave
+    orders, and the submissions' `plans`, are only caches and take no part.
+
+    `canon` stands for the env, each definition's expression and each
+    queued submission in the key.  By default it is their value; the
+    exhaustive walk passes a `_classes()`, so equal values still give equal
+    keys but a key hashes only names, cell values and small ints."""
     store = cfg.store
     return (
-        tuple(sorted(cfg.env.items())),
-        tuple(sorted(store.vars.items())),
-        tuple(sorted(store.defs.items())),
+        canon(cfg.env),
+        tuple(sorted((n, c.c) for n, c in store.vars.items())),
+        tuple(sorted((n, c.c, canon(c.e)) for n, c in store.defs.items())),
         store.txn,
-        cfg.q_r,
-        cfg.q_do,
+        tuple(map(canon, cfg.q_r)),
+        tuple(map(canon, cfg.q_do)),
     )
 
 
@@ -301,14 +336,17 @@ def _explore_dag(start: Config, mode: Exhaustive, verdict: Verdict, finals: set)
 
     Each config is interned once by its key and audited then, by the first
     step that reaches it; its steps are fired once however many schedules
-    reach it, and later visits follow the stored child nodes.  A fired
-    step's waves are audited on every edge, since a wave depends on the
-    config it ran from.  The number of complete schedules below a node
+    reach it, and later visits follow the stored child nodes.  Keys go
+    through one `_classes()` per walk, so the env, expressions and
+    submissions a child shares with its parent are not hashed again.  A
+    fired step's waves are audited on every edge, since a wave depends on
+    the config it ran from.  The number of complete schedules below a node
     depends on the depth budget left, so it is memoised per (node, budget),
     which keeps `depth_cap` exact.  The first violating step found gives
     the counterexample: the picks that lead to it.
     """
     interned: dict[tuple, _Node] = {}
+    canon = _classes()
 
     runs_below: dict[tuple[_Node, int], int] = {}
 
@@ -344,7 +382,7 @@ def _explore_dag(start: Config, mode: Exhaustive, verdict: Verdict, finals: set)
                 before = len(verdict.violations)
                 for o in outs:
                     verdict.violations.extend(validate_wave(cfg, o))
-                key = config_key(nxt)
+                key = config_key(nxt, canon)
                 child = interned.get(key)
                 if child is None:
                     child = interned[key] = _Node(nxt)
@@ -355,7 +393,7 @@ def _explore_dag(start: Config, mode: Exhaustive, verdict: Verdict, finals: set)
             node.children = tuple(children)
         return None
 
-    root = interned[config_key(start)] = _Node(start)
+    root = interned[config_key(start, canon)] = _Node(start)
     # the descent: [node, picks reaching it, next child, schedules counted below it]
     frames: list[list] = []
     total = settle(root, ())
@@ -439,14 +477,27 @@ def replay(scenario: Scenario, trace: dict) -> Verdict:
     return verdict
 
 
+def _at_least_one(text: str) -> int:
+    """An argument that counts runs or steps: checking nothing is no verdict."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="meerkat-sim", description="explore stepper schedules for a scenario file"
     )
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", type=int, metavar="DEPTH", help="enumerate all schedules to DEPTH")
-    group.add_argument("--runs", type=int, default=100, help="number of seeded random runs")
+    group.add_argument(
+        "--exhaustive", type=_at_least_one, metavar="DEPTH", help="enumerate all schedules to DEPTH"
+    )
+    group.add_argument("--runs", type=_at_least_one, default=100, help="number of seeded random runs")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace-out", help="write the verdict (with any counterexample trace) as JSON")
     args = parser.parse_args(argv)

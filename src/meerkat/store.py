@@ -12,7 +12,9 @@ A propagation wave recomputes each affected definition exactly once, in
 dependency order, so no definition ever observes a mix of pre- and
 post-transaction inputs.  The wave writes only the cells it recomputes.
 A wave reads the dependency edges from the `TypeEnv` it is given; the
-store holds only cells.
+store holds only cells.  A wave's order is derived once per env and write
+set (`wave_order`) and kept on the env with its other derived facts, so a
+wave that repeats costs only the cells it rewrites.
 """
 
 from __future__ import annotations
@@ -349,17 +351,31 @@ def _affected_defs(env: TypeEnv, seeds: Iterable[str]) -> set[str]:
     return out
 
 
-def _run_wave(store: Store, env: TypeEnv, affected: set[str]) -> list[str]:
-    """Recompute `affected` definitions in dependency order, writing each
+def wave_order(env: TypeEnv, written: Iterable[str]) -> tuple[str, ...]:
+    """The definitions a wave writing the names `written` recomputes, in
+    dependency order.  Derived once per env and write set and kept in the
+    env's `wave_orders`, which is cleared when it holds `len(env)` entries:
+    the env is immutable, so an entry is never stale, and a long-lived env
+    does not grow with its clients' distinct write sets.  Callers on two
+    threads at worst derive one order twice."""
+    key = frozenset(written)
+    memo = env.wave_orders
+    order = memo.get(key)
+    if order is None:
+        if len(memo) >= len(env):
+            memo.clear()
+        order = memo[key] = tuple(topo_order(env, _affected_defs(env, key)))
+    return order
+
+
+def _run_wave(store: Store, order: Iterable[str]) -> None:
+    """Recompute the definitions of `order`, in that order, writing each
     new cell into `store`, which is still private to the caller and serves
-    as the wave's one scratch view.  Every other cell is left as it was.
-    Returns the recomputation order."""
-    order = topo_order(env, affected)
+    as the wave's one scratch view.  Every other cell is left as it was."""
     defs = store.defs
     for name in order:
         e = defs[name].e
         defs[name] = DefCell(eval_expr(store, {}, e), e)
-    return order
 
 
 def _diff(before: Mapping[str, Value | None], store: Store) -> tuple[Change, ...]:
@@ -385,14 +401,14 @@ def propagate(
     for name in changed_vars:
         if name not in store.vars:
             raise EvalError("NotAStateVariable", f"'{name}' is not a state variable")
-    affected = _affected_defs(env, changed_vars)
+    order = wave_order(env, changed_vars)
     before: dict[str, Value | None] = {n: store.vars[n].c for n in changed_vars}
-    before.update({n: store.defs[n].c for n in affected})
+    before.update({n: store.defs[n].c for n in order})
     new = Store(store.vars, store.defs, txn)
     for name, v in changed_vars.items():
         new.vars[name] = VarCell(v)
-    order = _run_wave(new, env, affected)
-    return new, PropagationResult(txn, _diff(before, new), tuple(order))
+    _run_wave(new, order)
+    return new, PropagationResult(txn, _diff(before, new), order)
 
 
 def init_cells(
@@ -424,7 +440,8 @@ def init_cells(
     # declarations from this very program that read a name redeclared later
     affected = _affected_defs(env, before)
     before.update({n: new.defs[n].c for n in affected if n not in before})
-    order = _run_wave(new, env, affected)
+    order = topo_order(env, affected)
+    _run_wave(new, order)
     return new, PropagationResult(txn, _diff(before, new), tuple(order))
 
 
@@ -433,20 +450,23 @@ def merge_defs(
     d2: Mapping[str, DefCell],
     merged_vars: Mapping[str, VarCell],
     env: TypeEnv,
+    written: Iterable[str],
 ) -> dict[str, DefCell]:
     """Merge the definition maps of two transactions run from the same base
-    store with disjoint state-variable write sets.
+    store with disjoint state-variable write sets, which together are
+    `written`.
 
-    A cell both maps share is one neither transaction recomputed, so no
-    input of it changed and it stands.  Every other definition is
-    recomputed against the merged variable state, in dependency order.
-    Symmetric in its arguments.
+    The cells either transaction rewrote are exactly the definitions
+    downstream of `written`: they are recomputed against the merged
+    variable state in `wave_order(env, written)`.  Every other cell is the
+    one both maps share, since no input of it changed, and it stands.
+    Symmetric in `d1` and `d2`.  Maps over different names, or with
+    diverging expressions for a recomputed name, raise ValueError.
     """
-    if set(d1) != set(d2):
+    if d1.keys() != d2.keys():
         raise ValueError("definition maps must cover the same names")
     merged = Store(merged_vars, d1)
-    stale = {n for n, c1 in d1.items() if c1 is not d2[n]}
-    for name in topo_order(env, stale):
+    for name in wave_order(env, written):
         e = d1[name].e
         if e != d2[name].e:
             raise ValueError(f"'{name}' has diverging expressions; merge needs a common base")

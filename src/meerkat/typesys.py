@@ -184,19 +184,22 @@ class Binding:
 class TypeEnv:
     """Ordered, immutable map of top-level names to bindings: the one dependency graph.
 
-    Besides its bindings an env keeps two derived facts: its reverse
-    edges (`readers()`) and a mark that it is known to be well-formed.
-    Only the merged env of a passing `compatible` carries the mark;
+    Besides its bindings an env keeps three derived facts: its reverse
+    edges (`readers()`), a mark that it is known to be well-formed, and
+    `wave_orders`, the store's memo of each write set's wave order (see
+    `store.wave_order`), which holds at most `len(env)` entries.  Only
+    the merged env of a passing `compatible` carries the mark;
     `TypeEnv()`, `bind`, `without` and `env_merge` never set it, so any
     other env takes `compatible`'s whole-env check.
     """
 
-    __slots__ = ("_bindings", "_readers", "_well_formed")
+    __slots__ = ("_bindings", "_readers", "_well_formed", "wave_orders")
 
     def __init__(self, bindings: Mapping[str, Binding] | Iterable[tuple[str, Binding]] = ()):
         self._bindings = dict(bindings.items() if isinstance(bindings, abc.Mapping) else bindings)
         self._readers: dict[str, frozenset[str]] | None = None
         self._well_formed = False
+        self.wave_orders: dict[frozenset[str], tuple[str, ...]] = {}
 
     def get(self, name: str) -> Binding | None:
         return self._bindings.get(name)

@@ -8,7 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meerkat.runtime
@@ -23,7 +23,10 @@ from meerkat.runtime import (
     Rejected,
     Step,
     Submission,
+    _do_plan,
     _evolution_delta,
+    _remove,
+    _run_action,
     apply_step,
     check_config,
     do_pair_viable,
@@ -39,9 +42,9 @@ from meerkat.runtime import (
     submit_evolution,
 )
 from meerkat.simharness import build_config, load_scenario, validate_wave
-from meerkat.store import IntV, StringV
+from meerkat.store import Change, DefCell, EvalError, IntV, Store, StringV, eval_expr, propagate
 from meerkat.syntax import parse_do, parse_program
-from meerkat.typesys import TypeCheckError, TypeEnv, check_do
+from meerkat.typesys import TypeCheckError, TypeEnv, check_do, topo_order
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -735,3 +738,130 @@ def test_accepted_evolutions_check_only_what_their_delta_touches(monkeypatch):
     report = _evolution_delta(cfg.env, [parse_program("var d_7 = 0;")])
     assert calls == ["well_formed"]
     assert str(report) == "kind_flip(d_7): 'd_7' changed from def to var"
+
+
+# ---------------------------------------------------------------------------
+# Several picks in one step against the merge that scanned for stale cells
+# ---------------------------------------------------------------------------
+
+def reference_merge_defs(d1, d2, merged_vars, env):
+    """`merge_defs` as it was before wave orders: the stale cells are every
+    definition the two maps hold as different objects, sorted afresh."""
+    if set(d1) != set(d2):
+        raise ValueError("definition maps must cover the same names")
+    merged = Store(merged_vars, d1)
+    stale = {n for n, c1 in d1.items() if c1 is not d2[n]}
+    for name in topo_order(env, stale):
+        e = d1[name].e
+        if e != d2[name].e:
+            raise ValueError(f"'{name}' has diverging expressions; merge needs a common base")
+        merged.defs[name] = DefCell(eval_expr(merged, {}, e), e)
+    return merged.defs
+
+
+def reference_step_do_many(cfg: Config, picks):
+    """`step_do_many` as it was before wave orders, with the merge above and
+    `recomputed` sorted afresh from the survivors' waves."""
+    remaining = cfg.q_do
+    for p in picks:
+        remaining = _remove(remaining, (p,))
+    if not all(do_pair_viable(cfg, p, q) for k, p in enumerate(picks) for q in picks[k + 1 :]):
+        conflict = TypeCheckError("LockConflict", "actions overlap on reads or writes")
+        return cfg, (Rejected(conflict, tuple(p.who for p in picks), final=False),)
+    base = store = cfg.store
+    outcomes: list = []
+    runs = []
+    for k, pick in enumerate(picks):
+        planned = _do_plan(cfg.env, pick)
+        if isinstance(planned, TypeCheckError):
+            outcomes.append(ActionFailed(planned, (pick.who,)))
+            continue
+        try:
+            pending = _run_action(base, pick.item)
+            alone, prop = propagate(base, cfg.env, pending, cfg.next_txn + k)
+            if runs:
+                merged_vars = {**store.vars, **{n: alone.vars[n] for n in pending}}
+                defs = reference_merge_defs(store.defs, alone.defs, merged_vars, cfg.env)
+                alone = Store(merged_vars, defs, prop.txn)
+        except EvalError as err:
+            outcomes.append(ActionFailed(err, (pick.who,)))
+            continue
+        if not runs:
+            place = len(outcomes)
+            outcomes.append(None)
+        runs.append((pick.who, pending, prop))
+        store = alone
+    if not runs:
+        return replace(cfg, q_do=remaining), tuple(outcomes)
+    _, _, prop = runs[0]
+    changes, recomputed = prop.changes, prop.recomputed
+    if len(runs) > 1:
+        recomputed = tuple(topo_order(cfg.env, {n for *_, wave in runs for n in wave.recomputed}))
+        names = {n for _, pending, _ in runs for n in pending} | set(recomputed)
+        changes = tuple(
+            Change(n, base.value_of(n), store.value_of(n))
+            for n in sorted(names)
+            if base.value_of(n) != store.value_of(n)
+        )
+    outcomes[place] = Executed(changes, store.txn, tuple(who for who, *_ in runs), recomputed)
+    return replace(cfg, store=store, q_do=remaining), tuple(outcomes)
+
+
+@st.composite
+def merge_cases(draw):
+    """A program over 3-5 positive variables and 2-5 definitions, each over
+    two earlier names (so some share a variable downstream and some do not,
+    and a division can fault), and 2-3 actions on disjoint variables.
+
+    An action writes 1-2 variables a constant from -3 to 3 or an update of
+    its own variable, so a division faults alone or only once another
+    pick's write lands; some actions write nothing or do not type."""
+    n = draw(st.integers(3, 5))
+    names = [f"v_{k}" for k in range(n)]
+    decls = [f"var v_{k} = {draw(st.integers(1, 3))};" for k in range(n)]
+    # labels out of declaration order, so dependency order is not name order
+    labels = draw(st.permutations("pqrst"))
+    for k in range(draw(st.integers(2, 5))):
+        form = draw(st.sampled_from(["{x} + {y}", "{x} * 2", "60 / ({x} + {y})", "if {x} < 3 then {y} else {x} + 1"]))
+        # a division reads variables only, so a write or two can zero it
+        pool = st.sampled_from(names[:n] if "/" in form else names)
+        x, y = draw(pool), draw(pool)
+        decls.append(f"def {labels[k]} = {form.format(x=x, y=y)};")
+        names.append(labels[k])
+    free = draw(st.permutations(range(n)))
+    actions = []
+    for _ in range(draw(st.integers(2, 3))):
+        if not free:
+            break
+        m = draw(st.integers(1, min(2, len(free))))
+        targets, free = free[:m], free[m:]
+        c = draw(st.integers(-3, 3))
+        rhs = draw(st.sampled_from(["{c}", "{c}", "{t} + {c}", "{t} * {c}"]))
+        writes = "; ".join(f"v_{t} := {rhs.format(t=f'v_{t}', c=c)}" for t in targets)
+        actions.append(draw(st.sampled_from([f"action {{ {writes} }}"] * 8 + ["action { }", "action { v_0 := true }"])))
+    return " ".join(decls), tuple(actions)
+
+
+class TestMultiPickMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases())
+    # shared downstream `s`: alone each write is fine, together they
+    # divide by zero; `b := -1` faults `s` alone
+    @example(("var a = 1; var b = 1; var c = 1; def s = 12 / (a + b); def t = c + 1;",
+              ("action { a := 2 }", "action { b := -2 }", "action { c := 5 }")))
+    @example(("var a = 1; var b = 1; var c = 1; def s = 12 / (a + b); def t = c + 1;",
+              ("action { b := -1 }", "action { a := 2 }", "action { c := 5 }")))
+    # disjoint downstream defs, a diamond over both
+    @example(("var a = 1; var b = 1; def r = a + 1; def q = b * 2; def p = r + q;",
+              ("action { a := 3 }", "action { b := 4 }")))
+    def test_several_picks_equal_the_reference(self, case):
+        program, actions = case
+        cfg = quiesced(program)
+        for k, body in enumerate(actions):
+            cfg = submit_do(cfg, parse_do(f"do ({body})"), f"u{k}")
+        for picks in (cfg.q_do, cfg.q_do[::-1], cfg.q_do[:2]):
+            got_cfg, got = step_do_many(cfg, picks)
+            want_cfg, want = reference_step_do_many(cfg, picks)
+            assert [comparable(o) for o in got] == [comparable(o) for o in want]
+            assert got_cfg.store == want_cfg.store
+            assert got_cfg.q_do == want_cfg.q_do

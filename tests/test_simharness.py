@@ -277,8 +277,21 @@ class TestScenarioFiles:
             ({"submissions": [{"kind": "evolve", "code": "def a = ;"}]}, "1:9: unexpected ';'"),
             # the planner's reason, not the queue death that ends a refusal
             ({"initial": "def a = b;"}, "initial program was not accepted: UnboundName: 'b' is not bound"),
+            (
+                {"submissions": [{"kind": "evolve", "code": "def a = 1;"}, {"kind": "do", "who": "u"}]},
+                "cannot load scenario: submission 1 has no 'expr'",
+            ),
+            ({"submissions": [{"code": "def a = 1;"}]}, "cannot load scenario: submission 0 has no 'kind'"),
         ],
-        ids=["array", "non-object-submission", "unparsable-do", "unparsable-code", "refused-initial"],
+        ids=[
+            "array",
+            "non-object-submission",
+            "unparsable-do",
+            "unparsable-code",
+            "refused-initial",
+            "do-without-expr",
+            "submission-without-kind",
+        ],
     )
     def test_cli_refuses_a_malformed_scenario(self, tmp_path, capsys, doc, why):
         path = tmp_path / "s.json"
@@ -289,6 +302,18 @@ class TestScenarioFiles:
         assert why in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--runs", "0"), ("--runs", "-3"), ("--exhaustive", "0"), ("--exhaustive", "-1")]
+    )
+    def test_cli_refuses_to_check_nothing(self, capsys, flag, value):
+        path = sorted(SAMPLES.glob("scenario_*.json"))[0]
+        with pytest.raises(SystemExit) as raised:
+            main(["--scenario", str(path), flag, value])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be at least 1, not {value}" in captured.err
+        assert "result=" not in captured.out
 
     def test_cli_exit_code_on_violation(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -504,10 +529,11 @@ class TestMemoisedExplorer:
 # The order-insensitive config key against an insertion-order key
 # ---------------------------------------------------------------------------
 
-def insertion_order_key(cfg) -> tuple:
+def insertion_order_key(cfg, canon=None) -> tuple:
     """`config_key` without sorting: configs that bind the same names in
     other orders, say after two evolutions accepted in either order, get
-    distinct keys and are walked and audited apart."""
+    distinct keys and are walked and audited apart.  It takes the walk's
+    `canon` as `config_key` does, and keys by plain values."""
     store = cfg.store
     return (
         cfg.env.items(),
@@ -604,3 +630,43 @@ class TestOrderInsensitiveKey:
         assert calls["check_config"] == verdict.configs - 1
         assert len(outcomes_per_step) == verdict.states
         assert calls["validate_wave"] == sum(outcomes_per_step)
+        # the walk keys every config through `sim.config_key`: with the
+        # insertion-order key in its place the two orders stay apart
+        monkeypatch.setattr(sim, "config_key", insertion_order_key)
+        apart = explore(scenario, Exhaustive())
+        assert apart.ok, apart.violations
+        assert (apart.runs, apart.states, apart.configs) == (8, 16, 12)
+
+    def test_equal_actions_from_one_submitter_meet(self, monkeypatch):
+        # either copy of the action leads to one config, under either key
+        scenario = Scenario(
+            initial="var x = 0;",
+            submissions=(ScenarioItem("do", "do (action { x := x + 1 })", "u"),) * 2,
+        )
+        for key in (sim.config_key, insertion_order_key):
+            monkeypatch.setattr(sim, "config_key", key)
+            verdict = explore(scenario, Exhaustive())
+            assert verdict.ok, verdict.violations
+            assert (verdict.runs, verdict.states, verdict.configs) == (2, 3, 3)
+
+    def test_the_benchmark_scenario_keeps_its_graph(self):
+        # `perfbench`'s `explore_verdict` scenario at seed 301, written out
+        scenario = Scenario(
+            initial=(
+                "var a0 = 2; var a1 = 4; var a2 = 4; var a3 = 4; var a4 = 7; var a5 = 7;"
+                " def s = a0 + a1 + a2; def t = s * 2;"
+            ),
+            submissions=(
+                ScenarioItem("do", "do (action { a1 := 21 })", "u1"),
+                ScenarioItem("evolve", "def e_2 = t + 2;", "p2"),
+                ScenarioItem("do", "do (action { a3 := 19 })", "u4"),
+                ScenarioItem("evolve", "def e_1 = t + 1;", "p1"),
+                ScenarioItem("do", "do (action { a5 := 48 })", "u0"),
+                ScenarioItem("do", "do (action { a4 := 83 })", "u3"),
+                ScenarioItem("do", "do (action { a0 := 34 })", "u2"),
+            ),
+            independent=True,
+        )
+        verdict = explore(scenario, Exhaustive())
+        assert verdict.ok and verdict.schedules_complete, verdict.violations
+        assert (verdict.states, verdict.configs, verdict.runs) == (960, 160, 16_320)

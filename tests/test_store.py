@@ -23,9 +23,10 @@ from meerkat.store import (
     propagate,
     store_to_json,
     value_to_json,
+    wave_order,
 )
 from meerkat.syntax import parse_expr, parse_program
-from meerkat.typesys import TypeEnv, env_merge, infer_program
+from meerkat.typesys import TypeEnv, env_merge, infer_program, topo_order
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
 
@@ -286,14 +287,14 @@ class TestMergeDefs:
         merged_vars = dict(store.vars)
         merged_vars["a"] = st1.vars["a"]
         merged_vars["b"] = st2.vars["b"]
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, env)
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a", "b"})
         assert merged["s"].c == IntV(3)
         # serial oracle, both orders
         serial_ab, _ = propagate(st1, env, {"b": IntV(2)}, 3)
         serial_ba, _ = propagate(st2, env, {"a": IntV(1)}, 4)
         assert merged["s"].c == serial_ab.defs["s"].c == serial_ba.defs["s"].c
         # and the merge is symmetric
-        swapped = merge_defs(st2.defs, st1.defs, merged_vars, env)
+        swapped = merge_defs(st2.defs, st1.defs, merged_vars, env, {"b", "a"})
         assert swapped == merged
 
     def test_merge_matches_serial_bookkeeping(self):
@@ -301,14 +302,14 @@ class TestMergeDefs:
         st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
         st2, _ = propagate(store, env, {"b": IntV(2)}, 3)
         merged_vars = {"a": st1.vars["a"], "b": st2.vars["b"]}
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, env)
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a", "b"})
         serial, _ = propagate(st1, env, {"b": IntV(2)}, 3)
         assert merged == serial.defs
 
     def test_merge_is_idempotent(self):
         env, store, _ = self.base()
         st1, _ = propagate(store, env, {"a": IntV(7)}, 2)
-        merged = merge_defs(st1.defs, st1.defs, dict(st1.vars), env)
+        merged = merge_defs(st1.defs, st1.defs, dict(st1.vars), env, {"a"})
         assert merged == st1.defs
 
     def test_disjoint_affected_sets_union_pointwise(self):
@@ -316,7 +317,7 @@ class TestMergeDefs:
         st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
         st2, _ = propagate(store, env, {"z": IntV(2)}, 3)
         merged_vars = {"a": st1.vars["a"], "z": st2.vars["z"]}
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, env)
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a", "z"})
         assert merged["p"].c == IntV(2)
         assert merged["q"].c == IntV(3)
 
@@ -325,7 +326,51 @@ class TestMergeDefs:
         st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
         _, st2, _ = build("def s = a * b;", env, store, txn=2)  # not a common base
         with pytest.raises(ValueError):
-            merge_defs(st1.defs, st2.defs, dict(store.vars), env)
+            merge_defs(st1.defs, st2.defs, dict(store.vars), env, {"a"})
+
+    def test_maps_over_different_names_are_rejected(self):
+        env, store, _ = self.base()
+        st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
+        _, st2, _ = build("def extra = a;", env, store, txn=2)
+        with pytest.raises(ValueError, match="same names"):
+            merge_defs(st1.defs, st2.defs, dict(store.vars), env, {"a"})
+
+    def test_only_the_cells_downstream_of_the_writes_are_rewritten(self):
+        env, store, _ = build("var a = 0; var b = 0; var z = 0; def p = a + b; def q = z + 1;")
+        st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
+        st2, _ = propagate(store, env, {"b": IntV(2)}, 3)
+        merged_vars = {**store.vars, "a": st1.vars["a"], "b": st2.vars["b"]}
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a", "b"})
+        assert merged["p"].c == IntV(3)
+        assert merged["q"] is store.defs["q"]
+
+
+class TestWaveOrder:
+    def test_an_order_is_derived_once_per_env_and_write_set(self):
+        env, store, _ = build("var a = 0; var b = 0; def p = a + 1; def q = p + b; def r = b * 2;")
+        order = wave_order(env, {"a", "b"})
+        assert order == ("p", "q", "r")
+        assert wave_order(env, ["b", "a", "b"]) is order
+        _, result = propagate(store, env, {"b": IntV(1), "a": IntV(1)}, 2)
+        assert result.recomputed is order
+        assert wave_order(env, {"b"}) == ("q", "r")
+        assert wave_order(env, ()) == ()
+        # an equal env derives its own
+        assert wave_order(TypeEnv(env.items()), {"a", "b"}) is not order
+
+    def test_the_memo_holds_at_most_one_entry_per_binding(self):
+        n = 13
+        source = " ".join(f"var v_{k} = {k};" for k in range(n))
+        source += " " + " ".join(f"def d_{k} = v_{k} + v_{(k + 1) % n};" for k in range(n))
+        env, _, _ = build(source)
+        names = [f"v_{k}" for k in range(n)]
+        for mask in range(1, 5_001):
+            written = {v for k, v in enumerate(names) if mask >> k & 1}
+            order = wave_order(env, written)
+            assert len(env.wave_orders) <= len(env)
+            if mask % 97 == 0:
+                readers = {f"d_{k}" for k in range(n) if {f"v_{k}", f"v_{(k + 1) % n}"} & written}
+                assert order == tuple(topo_order(env, readers))
 
 
 class TestDependencySoundness:
