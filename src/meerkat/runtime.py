@@ -6,11 +6,12 @@ submitted by users.  Step functions consume queue entries and return a new
 config plus an outcome describing what happened; nothing here blocks, so a
 scheduler (the network server, the REPL, or the exploration harness) owns
 all sequencing decisions.  Nothing here shares mutable state either, with
-one exception: each `Submission` caches its static plans (a `do`'s lock
-plan, an evolution's delta alone or with partners).  They are pure
-functions of the environment and the item, kept against the one `TypeEnv`
-object they were computed from, so only an accepted evolution, which
-builds a new environment, makes the next lookup plan afresh.
+one exception: each `Submission` caches pure functions of its item and
+the config it steps from.  An evolution's delta, alone or with partners,
+is kept against the one `TypeEnv` object it was planned against; a
+`do`'s lock plan, with the bindings its typing looked up, outlives an
+evolution that leaves them all as they were; and a `do`'s solo wave is
+kept against the store and env it ran from, for the pairs fired there.
 
 Evolution approval follows a lock discipline: two evolutions may commit in
 one step only when they rebind disjoint names and neither reads a name the
@@ -35,6 +36,7 @@ from .store import (
     ActionV,
     Change,
     EvalError,
+    PropagationResult,
     Store,
     ClosureV,
     BoolV,
@@ -71,12 +73,12 @@ from .typesys import (
 class Submission:
     """One queued item together with who submitted it.
 
-    `plans` caches what `_planned` computes for this item under the one
-    environment held at `plans["env"]`: the entry `()` holds the `do`'s
-    lock plan or the lone evolution's delta, and an entry keyed by later
-    partners' ids holds the delta they form together.  It takes no part in
-    equality or hashing, and it dies with the submission when that leaves
-    the queue.
+    `plans` caches what this item's steps derive under the environment
+    held at `plans["env"]`: at `()` the `do`'s lock plan (see `_do_plan`)
+    or the lone evolution's delta, under later partners' ids the delta
+    they form together, and at `"wave"` the `do`'s latest `_solo_wave`.
+    It takes no part in equality or hashing, and it dies with the
+    submission when that leaves the queue.
     """
 
     item: Program | DoStmt
@@ -97,33 +99,6 @@ class Config:
     def next_txn(self) -> int:
         """The id the next committed transaction gets."""
         return self.store.txn + 1
-
-
-def _planned(env: TypeEnv, subs: Sequence[Submission], plan):
-    """`plan()` for the submissions `subs` under `env`, computed once.
-
-    The result is cached on the first submission, keyed by the partners
-    that follow it and valid while `env` is the very object it was planned
-    against: a `TypeEnv` is immutable, and only an accepted evolution makes
-    a new one, so the first lookup under another env drops every entry.
-    Partners are held in their entry and matched with `is`, so a reused
-    `id` never matches.  A cached error keeps no traceback, and so no
-    frames or stores.
-    """
-    first, partners = subs[0], tuple(subs[1:])
-    cache = first.plans
-    if cache.get("env") is not env:
-        cache.clear()
-        cache["env"] = env
-    key = tuple(map(id, partners))
-    hit = cache.get(key)
-    if hit is not None and all(a is b for a, b in zip(hit[0], partners)):
-        return hit[1]
-    result = plan()
-    if isinstance(result, Exception):
-        result = result.with_traceback(None)
-    cache[key] = (partners, result)
-    return result
 
 
 def _remove(queue: tuple[Submission, ...], subs: Sequence[Submission]) -> tuple[Submission, ...]:
@@ -257,8 +232,30 @@ def _evolution_delta(
 def _evolution_plan(
     env: TypeEnv, subs: Sequence[Submission]
 ) -> tuple[TypeEnv, TypeEnv] | TypeCheckError | CompatReport:
-    """`_evolution_delta` of the queued evolutions `subs`, once per env."""
-    return _planned(env, subs, lambda: _evolution_delta(env, [s.item for s in subs]))
+    """`_evolution_delta` of the queued evolutions `subs` under `env`, computed once.
+
+    The result is cached on the first submission, keyed by the partners
+    that follow it and valid while `env` is the very object it was planned
+    against: a `TypeEnv` is immutable, and only an accepted evolution makes
+    a new one, so the first lookup under another env drops every entry.
+    Partners are held in their entry and matched with `is`, so a reused
+    `id` never matches.  A cached error keeps no traceback, and so no
+    frames or stores.
+    """
+    first, partners = subs[0], tuple(subs[1:])
+    cache = first.plans
+    if cache.get("env") is not env:
+        cache.clear()
+        cache["env"] = env
+    key = tuple(map(id, partners))
+    hit = cache.get(key)
+    if hit is not None and all(a is b for a, b in zip(hit[0], partners)):
+        return hit[1]
+    result = _evolution_delta(env, [s.item for s in subs])
+    if isinstance(result, Exception):
+        result = result.with_traceback(None)
+    cache[key] = (partners, result)
+    return result
 
 
 def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, StepOutcome]:
@@ -326,22 +323,64 @@ def _run_action(store: Store, d: DoStmt) -> dict[str, Value]:
     return pending
 
 
+class _Lookups:
+    """An env for `check_do`, which reads an env only through `get`, that
+    keeps in `seen` each name looked up and the binding found (None if
+    unbound).  Any other use of it as an env fails loudly."""
+
+    __slots__ = ("env", "seen")
+
+    def __init__(self, env: TypeEnv):
+        self.env, self.seen = env, {}
+
+    def get(self, name: str):
+        self.seen[name] = binding = self.env.get(name)
+        return binding
+
+
 def _do_plan(env: TypeEnv, sub: Submission) -> DoPlan | TypeCheckError:
     """The lock plan of the queued `do` in `sub` under `env`, or the type
-    error that refuses it.  It is typed once per env: the scheduling step
-    and the step that fires it read the same plan, and a lookup that finds
-    it cached allocates nothing."""
-    hit = sub.plans.get(()) if sub.plans.get("env") is env else None
+    error that refuses it.  It is typed once: the scheduling step and the
+    step that fires it read the same plan, and a lookup that finds it
+    cached under `env` allocates nothing.  It stands under another env
+    whose bindings equal those of every name its typing looked up, bound
+    or not.  A cached error keeps no traceback."""
+    cache = sub.plans
+    hit = cache.get(())
+    if hit is not None and cache["env"] is not env:
+        if not all(env.get(n) == b for n, b in hit[0].items()):
+            hit = None
+        cache["env"] = env
     if hit is not None:
         return hit[1]
+    lookups = _Lookups(env)
+    try:
+        plan: DoPlan | TypeCheckError = check_do(lookups, sub.item)
+    except TypeCheckError as err:
+        plan = err.with_traceback(None)
+    cache["env"], cache[()] = env, (lookups.seen, plan)
+    return plan
 
-    def plan() -> DoPlan | TypeCheckError:
-        try:
-            return check_do(env, sub.item)
-        except TypeCheckError as err:
-            return err
 
-    return _planned(env, (sub,), plan)
+def _solo_wave(
+    env: TypeEnv, base: Store, sub: Submission
+) -> tuple[dict[str, Value], Store, PropagationResult] | EvalError:
+    """The queued `do` in `sub` run alone from `base` under `env`: its
+    variable writes with the store and result of their wave, stamped
+    transaction `base.txn + 1`, or the EvalError either raised.  The
+    latest result is kept against the very `base` and `env` it ran from,
+    so the steps fired from one config run each action once however many
+    pairs it joins; a kept error has no traceback and is not raised."""
+    hit = sub.plans.get("wave")
+    if hit is not None and hit[0] is base and hit[1] is env:
+        return hit[2]
+    try:
+        pending = _run_action(base, sub.item)
+        result = (pending, *propagate(base, env, pending, base.txn + 1))
+    except EvalError as err:
+        result = err.with_traceback(None)
+    sub.plans["wave"] = (base, env, result)
+    return result
 
 
 def _locks_compatible(p1: DoPlan | TypeCheckError, p2: DoPlan | TypeCheckError) -> bool:
@@ -377,17 +416,18 @@ def step_do_many(
     rejection, and every pick stays queued.  Otherwise every pick leaves
     the queue.  Pick k is transaction `next_txn + k`: it is typed by
     `_do_plan`, evaluated against the pre-step store and propagated alone
-    from that store, so a type error or runtime fault fails that pick
-    alone and aborts all of its writes.  The survivors' disjoint variable
-    writes and their definition updates then merge in pick order through
-    `merge_defs`, which recomputes the definitions downstream of every
-    write so far once, in their `wave_order`; a survivor whose writes
-    fault a definition only in combination with the earlier survivors
-    fails, and the earlier ones stand.  One `Executed` covers every
-    survivor: it sits at the first survivor's place among the outcomes
-    and carries the last survivor's transaction.  Its `recomputed` is the
-    `wave_order` of all the survivors' writes; like every wave order, it is
-    derived once per env and write set.
+    from that store (`_solo_wave`, which a pair finds kept from its picks'
+    `do_one` steps fired from the same config), so a type error or runtime
+    fault fails that pick alone and aborts all of its writes.  The
+    survivors' disjoint variable writes and their definition updates then
+    merge in pick order through `merge_defs`, which recomputes only the
+    definitions downstream of both the earlier survivors' writes and pick
+    k's, once, in their `wave_order`; a survivor whose writes fault such a
+    definition fails, and the earlier ones stand.  One `Executed` covers
+    every survivor: it sits at the first survivor's place among the
+    outcomes and carries the last survivor's transaction.  Its
+    `recomputed` is the `wave_order` of all the survivors' writes; like
+    every wave order, it is derived once per env and write set.
     """
     remaining = cfg.q_do
     for p in picks:
@@ -398,44 +438,45 @@ def step_do_many(
         return cfg, (Rejected(conflict, tuple(p.who for p in picks), final=False),)
     base = store = cfg.store
     outcomes: list = []
-    runs = []  # (who, wave) of each survivor
+    whos: list = []  # each survivor's submitter
     written: set[str] = set()  # every survivor's variable writes
     for k, pick in enumerate(picks):
-        planned = _do_plan(cfg.env, pick)
-        if isinstance(planned, TypeCheckError):
-            outcomes.append(ActionFailed(planned, (pick.who,)))
+        solo = _do_plan(cfg.env, pick)
+        if isinstance(solo, DoPlan):
+            solo = _solo_wave(cfg.env, base, pick)
+        if isinstance(solo, Exception):
+            outcomes.append(ActionFailed(solo, (pick.who,)))
             continue
-        try:
-            pending = _run_action(base, pick.item)
-            alone, prop = propagate(base, cfg.env, pending, cfg.next_txn + k)
-            if runs:
-                # the combined writes may fault a definition each pick computed fine
-                merged_vars = {**store.vars, **{n: alone.vars[n] for n in pending}}
-                defs = merge_defs(store.defs, alone.defs, merged_vars, cfg.env, written | pending.keys())
-                alone = Store(merged_vars, defs, prop.txn)
-        except EvalError as err:
-            outcomes.append(ActionFailed(err, (pick.who,)))
-            continue
-        if not runs:
-            place = len(outcomes)
+        pending, alone, prop = solo
+        txn = cfg.next_txn + k
+        if whos:
+            # the combined writes may fault a definition each pick computed fine
+            merged_vars = {**store.vars, **{n: alone.vars[n] for n in pending}}
+            try:
+                defs = merge_defs(store.defs, alone.defs, merged_vars, cfg.env, written, pending.keys())
+            except EvalError as err:
+                outcomes.append(ActionFailed(err, (pick.who,)))
+                continue
+            store = Store(merged_vars, defs, txn)
+        else:
+            place, first = len(outcomes), prop
             outcomes.append(None)
-        runs.append((pick.who, prop))
+            store = alone if alone.txn == txn else Store(alone.vars, alone.defs, txn)
+        whos.append(pick.who)
         written |= pending.keys()
-        store = alone
-    if not runs:
+    if not whos:
         return replace(cfg, q_do=remaining), tuple(outcomes)
-    _, prop = runs[0]
-    changes, recomputed = prop.changes, prop.recomputed
-    if len(runs) > 1:
+    changes, recomputed = first.changes, first.recomputed
+    if len(whos) > 1:
         recomputed = wave_order(cfg.env, written)
         # a definition may change only once several writes land, so diff
         # every written or recomputed name against the base
         changes = tuple(
-            Change(n, base.value_of(n), store.value_of(n))
+            Change(n, old, new)
             for n in sorted(written.union(recomputed))
-            if base.value_of(n) != store.value_of(n)
+            if (old := base.value_of(n)) != (new := store.value_of(n))
         )
-    outcomes[place] = Executed(changes, store.txn, tuple(who for who, _ in runs), recomputed)
+    outcomes[place] = Executed(changes, store.txn, tuple(whos), recomputed)
     return replace(cfg, store=store, q_do=remaining), tuple(outcomes)
 
 

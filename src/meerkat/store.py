@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .syntax import (
     ActionBody,
@@ -354,16 +354,16 @@ def _affected_defs(env: TypeEnv, seeds: Iterable[str]) -> set[str]:
 def wave_order(env: TypeEnv, written: Iterable[str]) -> tuple[str, ...]:
     """The definitions a wave writing the names `written` recomputes, in
     dependency order.  Derived once per env and write set and kept in the
-    env's `wave_orders`, which is cleared when it holds `len(env)` entries:
-    the env is immutable, so an entry is never stale, and a long-lived env
-    does not grow with its clients' distinct write sets.  Callers on two
-    threads at worst derive one order twice."""
+    env's `wave_orders`, which holds at most `len(env)` entries and drops
+    its oldest to make room: the env is immutable, so an entry is never
+    stale, and a long-lived env does not grow with its clients' distinct
+    write sets.  Callers on two threads at worst derive one order twice."""
     key = frozenset(written)
     memo = env.wave_orders
     order = memo.get(key)
     if order is None:
-        if len(memo) >= len(env):
-            memo.clear()
+        if memo and len(memo) >= len(env):
+            del memo[next(iter(memo))]
         order = memo[key] = tuple(topo_order(env, _affected_defs(env, key)))
     return order
 
@@ -450,25 +450,31 @@ def merge_defs(
     d2: Mapping[str, DefCell],
     merged_vars: Mapping[str, VarCell],
     env: TypeEnv,
-    written: Iterable[str],
+    w1: Collection[str],
+    w2: Collection[str],
 ) -> dict[str, DefCell]:
     """Merge the definition maps of two transactions run from the same base
-    store with disjoint state-variable write sets, which together are
-    `written`.
+    store with the disjoint state-variable write sets `w1` and `w2`.
 
-    The cells either transaction rewrote are exactly the definitions
-    downstream of `written`: they are recomputed against the merged
-    variable state in `wave_order(env, written)`.  Every other cell is the
-    one both maps share, since no input of it changed, and it stands.
-    Symmetric in `d1` and `d2`.  Maps over different names, or with
-    diverging expressions for a recomputed name, raise ValueError.
+    A definition downstream of one side's writes only cannot see the other
+    side's, so its cell is taken from that side's map as it is.  Only the
+    definitions downstream of both sides are recomputed, against the
+    merged variable state, in `wave_order(env, w1 | w2)`.  Every other
+    cell is the one both maps share, since no input of it changed, and it
+    stands.  Symmetric in the two sides.  Maps over different names, or
+    with diverging expressions for a name downstream of either side,
+    raise ValueError.
     """
     if d1.keys() != d2.keys():
         raise ValueError("definition maps must cover the same names")
+    down1, down2 = set(wave_order(env, w1)), set(wave_order(env, w2))
     merged = Store(merged_vars, d1)
-    for name in wave_order(env, written):
+    for name in wave_order(env, {*w1, *w2}):
         e = d1[name].e
         if e != d2[name].e:
             raise ValueError(f"'{name}' has diverging expressions; merge needs a common base")
-        merged.defs[name] = DefCell(eval_expr(merged, {}, e), e)
+        if name not in down1:
+            merged.defs[name] = d2[name]
+        elif name in down2:
+            merged.defs[name] = DefCell(eval_expr(merged, {}, e), e)
     return merged.defs

@@ -599,6 +599,26 @@ class TestPlanCache:
         assert outcomes[1].error.reason == "TypeMismatch"
         assert values(cfg) == {"u": 1, "v": 0}
 
+    def test_a_plan_outlives_an_evolution_of_names_it_never_looked_up(self, monkeypatch):
+        cfg = quiesced("var x = 0; var z = 0;")
+        cfg = submit_do(cfg, parse_do("do (action { x := x + 1 })"), "u")
+        cfg = submit_do(cfg, parse_do("do (action { z := y })"), "v")
+        enabled_steps(cfg)
+        kept = cfg.q_do[0].plans[()][1]
+        assert isinstance(cfg.q_do[1].plans[()][1], TypeCheckError)
+        cfg = submit_evolution(cfg, parse_program("var y = 5; def d = z * 2;"), "p")
+        cfg, _ = apply_step(cfg, Step("evolve_one", 0))
+        calls = counting_calls(monkeypatch, "check_do")
+        steps = enabled_steps(cfg)
+        # `u` looked up `x` alone, which kept its binding; `v` looked up
+        # `y`, unbound then and bound now, so only `v` types again
+        assert calls["check_do"] == 1
+        assert _do_plan(cfg.env, cfg.q_do[0]) is kept and cfg.q_do[0].plans["env"] is cfg.env
+        assert Step("do_two", 0, 1) in steps
+        cfg, outcomes = run_until_quiescent(cfg)
+        assert [type(o) for o in outcomes] == [Executed, Executed]
+        assert values(cfg) == {"x": 1, "z": 5, "y": 5, "d": 10}
+
     def test_a_step_reads_each_queued_plan_once(self, monkeypatch):
         # a step reads each queued plan once: q plan lookups, not two per
         # pair, and no typing with a lone action
@@ -859,7 +879,10 @@ class TestMultiPickMerge:
         cfg = quiesced(program)
         for k, body in enumerate(actions):
             cfg = submit_do(cfg, parse_do(f"do ({body})"), f"u{k}")
-        for picks in (cfg.q_do, cfg.q_do[::-1], cfg.q_do[:2]):
+        # the single picks first, as the explorer fires them: every step
+        # after them reads its picks' solo waves from the cache
+        singles = [(p,) for p in cfg.q_do]
+        for picks in (*singles, cfg.q_do, cfg.q_do[::-1], cfg.q_do[:2]):
             got_cfg, got = step_do_many(cfg, picks)
             want_cfg, want = reference_step_do_many(cfg, picks)
             assert [comparable(o) for o in got] == [comparable(o) for o in want]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import meerkat.runtime
 import meerkat.simharness as sim
 from meerkat.runtime import (
     RandomSchedule,
@@ -648,6 +649,34 @@ class TestOrderInsensitiveKey:
             verdict = explore(scenario, Exhaustive())
             assert verdict.ok, verdict.violations
             assert (verdict.runs, verdict.states, verdict.configs) == (2, 3, 3)
+
+    def test_a_pair_reuses_the_solo_waves_of_its_picks(self, monkeypatch):
+        # a node fires its `do_one` steps before its `do_two` steps, from one
+        # store, so every pair reads both picks' waves from the cache
+        scenario = Scenario(
+            initial="var a = 1; var b = 1; var c = 1; var d = 1; var e = 1; def s = a + b; def t = s * c;",
+            submissions=tuple(
+                ScenarioItem("do", f"do (action {{ {v} := {k + 5} }})", f"u{k}") for k, v in enumerate("abcde")
+            ),
+            independent=True,
+        )
+        fired = dict.fromkeys(("do_one", "do_two"), 0)
+        waves = 0
+
+        def counting_apply(cfg, step):
+            fired[step.kind] += 1
+            return apply_step(cfg, step)
+
+        def counting_propagate(*args):
+            nonlocal waves
+            waves += 1
+            return propagate(*args)
+
+        monkeypatch.setattr(sim, "apply_step", counting_apply)
+        monkeypatch.setattr(meerkat.runtime, "propagate", counting_propagate)
+        verdict = explore(scenario, Exhaustive())
+        assert verdict.ok and verdict.schedules_complete, verdict.violations
+        assert fired["do_two"] > 0 and waves == fired["do_one"]
 
     def test_the_benchmark_scenario_keeps_its_graph(self):
         # `perfbench`'s `explore_verdict` scenario at seed 301, written out

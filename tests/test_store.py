@@ -287,14 +287,14 @@ class TestMergeDefs:
         merged_vars = dict(store.vars)
         merged_vars["a"] = st1.vars["a"]
         merged_vars["b"] = st2.vars["b"]
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a", "b"})
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a"}, {"b"})
         assert merged["s"].c == IntV(3)
         # serial oracle, both orders
         serial_ab, _ = propagate(st1, env, {"b": IntV(2)}, 3)
         serial_ba, _ = propagate(st2, env, {"a": IntV(1)}, 4)
         assert merged["s"].c == serial_ab.defs["s"].c == serial_ba.defs["s"].c
         # and the merge is symmetric
-        swapped = merge_defs(st2.defs, st1.defs, merged_vars, env, {"b", "a"})
+        swapped = merge_defs(st2.defs, st1.defs, merged_vars, env, {"b"}, {"a"})
         assert swapped == merged
 
     def test_merge_matches_serial_bookkeeping(self):
@@ -302,14 +302,14 @@ class TestMergeDefs:
         st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
         st2, _ = propagate(store, env, {"b": IntV(2)}, 3)
         merged_vars = {"a": st1.vars["a"], "b": st2.vars["b"]}
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a", "b"})
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a"}, {"b"})
         serial, _ = propagate(st1, env, {"b": IntV(2)}, 3)
         assert merged == serial.defs
 
     def test_merge_is_idempotent(self):
         env, store, _ = self.base()
         st1, _ = propagate(store, env, {"a": IntV(7)}, 2)
-        merged = merge_defs(st1.defs, st1.defs, dict(st1.vars), env, {"a"})
+        merged = merge_defs(st1.defs, st1.defs, dict(st1.vars), env, {"a"}, {"a"})
         assert merged == st1.defs
 
     def test_disjoint_affected_sets_union_pointwise(self):
@@ -317,7 +317,7 @@ class TestMergeDefs:
         st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
         st2, _ = propagate(store, env, {"z": IntV(2)}, 3)
         merged_vars = {"a": st1.vars["a"], "z": st2.vars["z"]}
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a", "z"})
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a"}, {"z"})
         assert merged["p"].c == IntV(2)
         assert merged["q"].c == IntV(3)
 
@@ -326,23 +326,37 @@ class TestMergeDefs:
         st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
         _, st2, _ = build("def s = a * b;", env, store, txn=2)  # not a common base
         with pytest.raises(ValueError):
-            merge_defs(st1.defs, st2.defs, dict(store.vars), env, {"a"})
+            merge_defs(st1.defs, st2.defs, dict(store.vars), env, {"a"}, ())
 
     def test_maps_over_different_names_are_rejected(self):
         env, store, _ = self.base()
         st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
         _, st2, _ = build("def extra = a;", env, store, txn=2)
         with pytest.raises(ValueError, match="same names"):
-            merge_defs(st1.defs, st2.defs, dict(store.vars), env, {"a"})
+            merge_defs(st1.defs, st2.defs, dict(store.vars), env, {"a"}, ())
 
     def test_only_the_cells_downstream_of_the_writes_are_rewritten(self):
         env, store, _ = build("var a = 0; var b = 0; var z = 0; def p = a + b; def q = z + 1;")
         st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
         st2, _ = propagate(store, env, {"b": IntV(2)}, 3)
         merged_vars = {**store.vars, "a": st1.vars["a"], "b": st2.vars["b"]}
-        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a", "b"})
+        merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a"}, {"b"})
         assert merged["p"].c == IntV(3)
         assert merged["q"] is store.defs["q"]
+
+    def test_a_cell_downstream_of_one_side_only_is_that_sides_cell(self):
+        env, store, _ = build(
+            "var a = 0; var b = 0; def p = a + 1; def q = b * 2; def r = p + q; def s = q + 1;"
+        )
+        st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
+        st2, _ = propagate(store, env, {"b": IntV(2)}, 3)
+        merged_vars = {"a": st1.vars["a"], "b": st2.vars["b"]}
+        for d1, d2, w1, w2 in ((st1.defs, st2.defs, {"a"}, {"b"}), (st2.defs, st1.defs, {"b"}, {"a"})):
+            merged = merge_defs(d1, d2, merged_vars, env, w1, w2)
+            assert merged["p"] is st1.defs["p"]
+            assert merged["q"] is st2.defs["q"] and merged["s"] is st2.defs["s"]
+            # downstream of both: recomputed over both writes
+            assert merged["r"].c == IntV(2 + 4)
 
 
 class TestWaveOrder:
@@ -371,6 +385,15 @@ class TestWaveOrder:
             if mask % 97 == 0:
                 readers = {f"d_{k}" for k in range(n) if {f"v_{k}", f"v_{(k + 1) % n}"} & written}
                 assert order == tuple(topo_order(env, readers))
+
+    def test_a_full_memo_drops_its_oldest_entry(self):
+        env, _, _ = build("var a = 0; var b = 0; def p = a + 1; def q = b + 1;")
+        kept = [wave_order(env, w) for w in ({"a"}, {"b"}, {"p"}, {"q"})]
+        assert len(env.wave_orders) == len(env) == 4
+        assert wave_order(env, {"a", "b"}) == ("p", "q")
+        assert list(env.wave_orders) == [frozenset(w) for w in ({"b"}, {"p"}, {"q"}, {"a", "b"})]
+        # the newest entries survive the eviction and are not derived again
+        assert all(wave_order(env, w) is order for w, order in zip(({"b"}, {"p"}, {"q"}), kept[1:]))
 
 
 class TestDependencySoundness:
