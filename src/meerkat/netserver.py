@@ -27,10 +27,12 @@ Responses and pushed events:
     {"type": "queue_died", "req": s}
     {"type": "error", "reason": str, ...}
 
-One thread runs one ``selectors`` loop.  Each turn it accepts connections,
-reads every ready session, handles the batch of lines in arrival order,
-steps the runtime to quiescence with a seeded random schedule, and then
-writes the replies with non-blocking sends; what a socket cannot take yet
+One thread runs one ``selectors`` loop.  Each pass accepts connections,
+reads every ready session and hands the batch of lines, in arrival order, to
+`ServerState.turn`, the engine's one turn, which holds no socket (the
+embedded REPL runs it too).  The turn handles each line, steps the runtime
+to quiescence with a seeded random schedule and queues every reply; the loop
+then writes them with non-blocking sends, and what a socket cannot take yet
 waits until it is writable.  So clients observe only committed transactions,
 in commit order.  Session sockets set ``TCP_NODELAY``: a small reply is not
 held back behind an unacknowledged one.
@@ -48,10 +50,11 @@ A session whose unfinished line grows past ``LINE_LIMIT`` bytes is sent
 ``{"type": "error", "reason": "line_too_long"}`` the same way, so no client
 can make the server buffer more than that.
 
-A fault inside a step (a bug, not bad input) is written to stderr; every
-submission still queued gets one ``failed`` or final ``rejected`` reply
-with reason ``internal``, and the loop keeps serving the last committed
-state.
+A fault inside a step or while building its replies (a bug, not bad input)
+is written to stderr; every submission still queued gets one ``failed`` or
+final ``rejected`` reply with reason ``internal``, and the loop keeps serving
+the last committed state.  ``meerkat-server --init FILE`` refuses to start,
+and says why, when FILE's program is not accepted.
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ from .runtime import (
     initial_config,
     outcome_to_json,
     run_steps,
-    run_until_quiescent,
     submit_do,
     submit_evolution,
 )
@@ -114,10 +116,11 @@ class Session:
 
 @dataclass
 class ServerState:
-    """Everything the engine owns."""
+    """Everything the engine owns, and the one turn that advances it."""
 
     cfg: Config
     open_mode: bool = False
+    schedule: RandomSchedule = field(default_factory=RandomSchedule)
     sessions: dict[int, Session] = field(default_factory=dict)
     subscribers: dict[str, set[int]] = field(default_factory=dict)  # no empty sets
 
@@ -126,6 +129,43 @@ class ServerState:
         subs.discard(sid)
         if not subs:
             self.subscribers.pop(name, None)
+
+    def turn(self, batch, send, trace=None):
+        """Handle each `(session, message)` of `batch` in order, skipping
+        sessions no longer registered (an `Exception` stands for a line that
+        was not JSON), then step to quiescence.  Every reply and event goes
+        to `send(sid, payload)` in order; each step's records go to the file
+        `trace`.  A step's replies are built before it commits, so a fault
+        there or in a step takes the fault path described above."""
+
+        def commit(cfg: Config, record: dict, outcomes):
+            replies = [m for outcome in outcomes for m in outcome_messages(self, outcome)]
+            self.cfg = cfg
+            for sid, payload in replies:
+                send(sid, payload)
+            if trace:
+                for outcome in outcomes:
+                    trace.write(json.dumps(dict(record, **outcome_to_json(outcome))) + "\n")
+                trace.flush()
+
+        for session, msg in batch:
+            if self.sessions.get(session.id) is not session:
+                continue  # dropped earlier in this batch
+            if isinstance(msg, Exception):
+                send(session.id, {"type": "error", "reason": "parse"})
+                continue
+            for sid, payload in handle_message(self, session, msg):
+                send(sid, payload)
+        try:
+            for _, step, cfg, outcomes in run_steps(self.cfg, self.schedule):
+                commit(cfg, step.to_json(), outcomes)
+        except Exception:
+            sys.excepthook(*sys.exc_info())
+            cfg = self.cfg
+            fault = EvalError("internal", "the server failed while stepping")
+            outcomes = [Rejected(fault, tuple(s.who for s in cfg.q_r))] if cfg.q_r else []
+            outcomes += [ActionFailed(fault, (s.who,)) for s in cfg.q_do]
+            commit(replace(cfg, q_r=(), q_do=()), {"kind": "internal"}, outcomes)
 
 
 def _rejection_payload(report: TypeCheckError | EvalError | CompatReport) -> dict:
@@ -137,9 +177,9 @@ def _rejection_payload(report: TypeCheckError | EvalError | CompatReport) -> dic
 def handle_message(state: ServerState, session: Session, msg: dict) -> list[tuple[int, dict]]:
     """Dispatch one request; returns (session-id, payload) replies.
 
-    Submissions only enqueue; the caller is responsible for stepping the
-    runtime afterwards.  Never raises on bad input — schema problems
-    produce error replies for the offending session alone.
+    Submissions only enqueue; `ServerState.turn` steps them after its
+    batch.  Never raises on bad input — schema problems produce error
+    replies for the offending session alone.
     """
     if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
         return [(session.id, {"type": "error", "reason": "schema"})]
@@ -230,14 +270,8 @@ class MeerkatServer:
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
-        cfg = initial_config()
-        if self.config.initial is not None:
-            cfg = submit_evolution(cfg, self.config.initial, ("__init__", None))
-            cfg, outcomes = run_until_quiescent(cfg, RandomSchedule(self.config.seed))
-            if not any(isinstance(o, Accepted) for o in outcomes):
-                raise ValueError(f"initial program rejected: {outcomes}")
-        self.state = ServerState(cfg=cfg, open_mode=self.config.open_mode)
-        self.schedule = RandomSchedule(self.config.seed)
+        cfg = initial_config(self.config.initial)  # a refused program raises ValueError
+        self.state = ServerState(cfg, self.config.open_mode, RandomSchedule(self.config.seed))
         self.listener: socket.socket | None = None
         self.selector = selectors.DefaultSelector()
         self.thread: threading.Thread | None = None
@@ -289,17 +323,8 @@ class MeerkatServer:
                         self._unsent[key.data] = None
                     if events & selectors.EVENT_READ:
                         batch += self._receive(key.data)
-                for session, msg in batch:
-                    if self.state.sessions.get(session.id) is not session:
-                        continue  # dropped earlier in this batch
-                    if isinstance(msg, Exception):
-                        replies = [(session.id, {"type": "error", "reason": "parse"})]
-                    else:
-                        replies = handle_message(self.state, session, msg)
-                    for sid, payload in replies:
-                        self._send(sid, payload)
                 if batch:
-                    self._step_to_quiescence()
+                    self._step_to_quiescence(batch)
                 for session in list(self._unsent):
                     self._flush(session)
         finally:
@@ -309,6 +334,10 @@ class MeerkatServer:
             self._wake_w.close()
             if self.trace_fh:
                 self.trace_fh.close()
+
+    def _step_to_quiescence(self, batch=()):
+        """One engine turn over `batch`, its replies queued on the sockets."""
+        self.state.turn(batch, self._send, self.trace_fh)
 
     # -- sockets
 
@@ -430,42 +459,9 @@ class MeerkatServer:
         self.selector.unregister(session.sock)
         session.sock.close()
 
-    # -- the engine
 
-    def _step_to_quiescence(self):
-        try:
-            for _, step, cfg, outcomes in run_steps(self.state.cfg, self.schedule):
-                self._commit(cfg, step.to_json(), outcomes)
-        except Exception:
-            # a fault in the engine, not in any input: report it as an
-            # uncaught exception would be (its traceback on stderr), end
-            # every submission still queued with one reply, and keep
-            # serving the last committed env and store
-            sys.excepthook(*sys.exc_info())
-            cfg = self.state.cfg
-            fault = EvalError("internal", "the server failed while stepping")
-            outcomes = [Rejected(fault, tuple(s.who for s in cfg.q_r))] if cfg.q_r else []
-            outcomes += [ActionFailed(fault, (s.who,)) for s in cfg.q_do]
-            self._commit(replace(cfg, q_r=(), q_do=()), {"kind": "internal"}, outcomes)
-
-    def _commit(self, cfg: Config, record: dict, outcomes):
-        """Make `cfg` the served config, then send the replies and events of
-        the step's outcomes and trace them.  The replies are built first: a
-        fault there leaves the step uncommitted and its submitters queued,
-        so the fault path still answers each of them."""
-        replies = [m for outcome in outcomes for m in outcome_messages(self.state, outcome)]
-        self.state.cfg = cfg
-        for sid, payload in replies:
-            self._send(sid, payload)
-        if self.trace_fh:
-            for outcome in outcomes:
-                self.trace_fh.write(json.dumps(dict(record, **outcome_to_json(outcome))) + "\n")
-            self.trace_fh.flush()
-
-
-def serve(config: ServerConfig) -> None:
-    """Run a server on this thread until interrupted."""
-    server = MeerkatServer(config)
+def serve(server: MeerkatServer) -> None:
+    """Run `server` on this thread until interrupted."""
     server.listen()
     host, port = server.address
     print(f"listening on {host}:{port}", flush=True)
@@ -501,7 +497,12 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
     )
     try:
-        serve(config)
+        server = MeerkatServer(config)
+    except ValueError as err:  # the --init program was refused
+        print(f"error: cannot load {args.init}: {err}", file=sys.stderr)
+        return 1
+    try:
+        serve(server)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,12 +1,12 @@
 """Interactive client for the Meerkat runtime.
 
 One protocol client with two transports.  ``--connect host:port`` talks to
-a live server.  ``--embedded`` runs the server's own request handling
-in-process for one programmer session: each request goes through
-`netserver.handle_message`, the runtime steps to quiescence under a seeded
-schedule, and `netserver.outcome_messages` produces the replies and change
-events.  Both modes render the same protocol messages with one renderer,
-so they print the same lines.  The embedded mode is the zero-setup way to
+a live server.  ``--embedded`` runs the server's engine in-process for one
+programmer session: each request is one `netserver.ServerState.turn`, the
+same turn the server runs on each batch, under a seeded schedule, so a
+fault inside a step is answered as the server answers it.  Both modes
+render the same protocol messages with one renderer, so they print the
+same lines.  The embedded mode is the zero-setup way to
 try the language and the backbone of the deterministic golden tests.
 
 Commands:
@@ -38,8 +38,8 @@ import socket
 import sys
 import threading
 
-from .netserver import PROTOCOL_VERSION, ServerState, Session, handle_message, outcome_messages
-from .runtime import RandomSchedule, initial_config, run_until_quiescent
+from .netserver import PROTOCOL_VERSION, ServerState, Session
+from .runtime import RandomSchedule, initial_config
 
 
 class ConnectionLost(Exception):
@@ -172,22 +172,16 @@ class Client:
 
 
 class EmbeddedBackend(Client):
-    """The server's request handling in-process, for one programmer
-    session, stepped to quiescence with a seeded schedule after each
-    payload."""
+    """The server's engine in-process, for one programmer session: each
+    payload is one `ServerState.turn` under a seeded schedule."""
 
     def __init__(self, seed: int = 0):
         super().__init__()
-        self.state = ServerState(cfg=initial_config())
         self.session = Session(id=1)
-        self.schedule = RandomSchedule(seed)
+        self.state = ServerState(cfg=initial_config(), schedule=RandomSchedule(seed), sessions={1: self.session})
 
     def send(self, payload: dict):
-        replies = handle_message(self.state, self.session, payload)
-        self.state.cfg, outcomes = run_until_quiescent(self.state.cfg, self.schedule)
-        replies += [m for outcome in outcomes for m in outcome_messages(self.state, outcome)]
-        for _, msg in replies:
-            self._receive(msg)
+        self.state.turn([(self.session, payload)], lambda _sid, msg: self._receive(msg))
 
 
 class RemoteBackend(Client):

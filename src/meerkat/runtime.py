@@ -108,8 +108,18 @@ def _remove(queue: tuple[Submission, ...], subs: Sequence[Submission]) -> tuple[
     return tuple(out)
 
 
-def initial_config() -> Config:
-    return Config()
+def initial_config(program: Program | None = None) -> Config:
+    """The empty config, or `program` installed in it.  The program is
+    fired directly: a refused evolution is never offered as a step, and the
+    queue death that ends it would not say why, so this raises a
+    `ValueError` with the planner's reason."""
+    if program is None:
+        return Config()
+    cfg = submit_evolution(Config(), program, "__init__")
+    cfg, outcome = step_evolve_many(cfg, cfg.q_r)
+    if not isinstance(outcome, Accepted):
+        raise ValueError(f"initial program was not accepted: {outcome.report}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ from .runtime import (
     enabled_steps,
     initial_config,
     run_steps,
-    step_evolve_many,
     submit_do,
     submit_evolution,
 )
@@ -241,14 +240,7 @@ def observable(cfg: Config) -> tuple:
 # ---------------------------------------------------------------------------
 
 def build_config(scenario: Scenario) -> Config:
-    cfg = initial_config()
-    if scenario.initial:
-        cfg = submit_evolution(cfg, parse_program(scenario.initial), "__init__")
-        # fired directly: a refused evolution is never offered, and the
-        # queue death that ends it would not say why
-        cfg, outcome = step_evolve_many(cfg, cfg.q_r)
-        if not isinstance(outcome, Accepted):
-            raise ValueError(f"initial program was not accepted: {outcome.report}")
+    cfg = initial_config(parse_program(scenario.initial) if scenario.initial else None)
     for item in scenario.submissions:
         if item.kind == "evolve":
             cfg = submit_evolution(cfg, parse_program(item.source), item.who)

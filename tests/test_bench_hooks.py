@@ -98,4 +98,13 @@ def test_a_short_traced_pass_of_every_workload_checks_out(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-4000:]
-    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    if workload == "live_mix":
+        # the tracer reaches the server's engine only through
+        # `_step_to_quiescence` and the module-level `handle_message` and
+        # `outcome_messages`; a refactor that bypasses one zeroes a layer
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        assert metrics["netserver.engine_batch.mean"] >= 1
+        assert metrics["netserver.do.engine_ms_p50"] > 0
+        assert metrics["runtime.apply_step.calls"] > 0

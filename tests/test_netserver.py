@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from meerkat.netserver import (
     Session,
     handle_message,
 )
-from meerkat.runtime import initial_config, run_until_quiescent, submit_do, submit_evolution
+from meerkat.runtime import RandomSchedule, initial_config, run_until_quiescent, submit_do, submit_evolution
 from meerkat.syntax import parse_do, parse_program
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
@@ -177,6 +178,17 @@ def test_main_rejects_bad_flags(capsys):
 
     assert main(["--bind", "nonsense"]) == 1
     assert main(["--init", "/no/such/file.mk"]) == 1
+
+
+def test_main_says_why_it_refuses_an_initial_program(tmp_path, capsys):
+    from meerkat.netserver import main
+
+    path = tmp_path / "bad.mk"
+    path.write_text("def a = b;\n")
+    assert main(["--bind", "127.0.0.1:0", "--init", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot load {path}: initial program was not accepted: UnboundName: 'b' is not bound at 1:9\n"
+    )
 
 
 def test_handshake_and_read(server):
@@ -756,3 +768,118 @@ def test_cli_serves_on_its_main_thread_and_exits_on_sigint():
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+
+# --- the engine turn across sessions, without sockets ---
+
+TURN_EVOLVES = [
+    "var y = 2;", "def inc3 = inc2 + 1;", "def inc1 = x * 2;",  # accepted
+    "def a = b;", "def t = x + true;", "def (;",  # ill-typed or unparsable
+    "var x = true;", "def inc1 = x < 0;", "var y = true;",  # change a type
+]
+TURN_DOS = [
+    "do (action { x := x + 1 })", "do (action { y := y + 1 })",  # y may be unbound or a Bool
+    "do (action { x := 1 / 0 })",  # faults
+    "do (action { x := true })", "do 1",  # ill-typed
+]
+TURN_NAMES = ["x", "inc1", "inc2", "y", "nosuch"]
+turn_messages = st.one_of(
+    st.sampled_from(TURN_EVOLVES).map(lambda code: {"type": "evolve", "code": code}),
+    st.sampled_from(TURN_DOS).map(lambda expr: {"type": "do", "expr": expr}),
+    st.sampled_from(TURN_NAMES).map(lambda name: {"type": "read", "name": name}),
+    st.sampled_from([{"type": "env"}, {"type": "dump"}]),
+    st.tuples(st.sampled_from(["subscribe", "unsubscribe"]), st.sampled_from(TURN_NAMES)).map(
+        lambda t: {"type": t[0], "name": t[1]}
+    ),
+    st.sampled_from([{"type": "do", "expr": 5}, {"type": "read"}, {"type": "bogus"}]),  # answered with req
+    st.sampled_from([[1, 2], {"type": 7}, None, ValueError("not JSON")]),  # an error without req
+)
+
+
+def dump_and_read_all(state: ServerState) -> tuple[dict, dict]:
+    """The store as one `dump` reports it, and as a `read` of each of its
+    names reports it, both through turns of a probe session."""
+    probe = state.sessions[0] = Session(id=0)
+    out = []
+    state.turn([(probe, {"type": "dump", "req": "dump"})], lambda sid, payload: out.append(payload))
+    dump = out.pop()["value"]
+    values = {**dump["vars"], **{name: cell["c"] for name, cell in dump["defs"].items()}}
+    reads = [(probe, {"type": "read", "req": name, "name": name}) for name in values]
+    state.turn(reads, lambda sid, payload: out.append(payload))
+    del state.sessions[0]
+    return values, {payload["req"]: payload["value"] for payload in out}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(min_value=2, max_value=3),
+    seed=st.integers(min_value=0, max_value=1 << 16),
+    turns=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=2)),  # a session to close first
+            st.lists(st.tuples(st.integers(min_value=0, max_value=2), turn_messages), max_size=8),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, seed, turns):
+    sessions = [Session(id=k + 1, role=("programmer", "user", "programmer")[k]) for k in range(n)]
+    state = ServerState(
+        cfg=initial_config(parse_program(LISTING)),
+        schedule=RandomSchedule(seed),
+        sessions={s.id: s for s in sessions},
+    )
+    subs: dict[str, set[int]] = {}  # the subscriptions the batches asked for
+    last_txn: dict[int, int] = {}
+    pushed = set()
+    req = 0
+    # each session starts subscribed to one name; a batch may change that
+    turns = [(None, [(k, {"type": "subscribe", "name": TURN_NAMES[k]}) for k in range(n)] + turns[0][1])] + turns[1:]
+    for close, entries in turns:
+        if close is not None and close < n:  # as the socket layer unregisters a session
+            state.sessions.pop(sessions[close].id, None)
+            for name in list(state.subscribers):
+                state.unsubscribe(name, sessions[close].id)
+            for who in subs.values():
+                who.discard(sessions[close].id)
+        batch, expected, untagged = [], {}, Counter()
+        for k, msg in entries:
+            session = sessions[k % n]
+            live = session.id in state.sessions
+            if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
+                untagged[session.id] += live
+            elif msg["type"] == "subscribe" and live:
+                subs.setdefault(msg["name"], set()).add(session.id)
+            elif msg["type"] == "unsubscribe" and live:
+                subs.get(msg["name"], set()).discard(session.id)
+            elif msg["type"] not in ("subscribe", "unsubscribe"):
+                req += 1
+                msg = dict(msg, req=req)
+                if live:
+                    expected[req] = session.id
+            batch.append((session, msg))
+        sent = []
+
+        def send(sid, payload):
+            assert sid in state.sessions
+            sent.append((sid, payload))
+
+        state.turn(batch, send)
+        assert not state.cfg.q_r and not state.cfg.q_do
+        replies = [(sid, p) for sid, p in sent if p["type"] != "changed"]
+        assert sorted((p["req"], sid) for sid, p in replies if "req" in p) == sorted(
+            (r, sid) for r, sid in expected.items()
+        )
+        assert Counter(sid for sid, p in replies if "req" not in p) == +untagged
+        assert all(p.get("reason") != "internal" for _, p in replies)
+        assert state.subscribers == {name: who for name, who in subs.items() if who}
+        for sid, p in sent:
+            if p["type"] == "changed":
+                assert sid in subs.get(p["name"], ())
+                assert p["txn"] >= last_txn.get(sid, 0)
+                assert (sid, p["name"], p["txn"]) not in pushed
+                last_txn[sid] = p["txn"]
+                pushed.add((sid, p["name"], p["txn"]))
+        dumped, read = dump_and_read_all(state)
+        assert read == dumped

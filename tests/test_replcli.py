@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import meerkat.runtime
 from meerkat.netserver import MeerkatServer, ServerConfig
-from meerkat.replcli import RemoteBackend, main
+from meerkat.replcli import EmbeddedBackend, RemoteBackend, Repl, main
 from meerkat.syntax import parse_program
 
 LISTING_PATH = "samples/listing1.mk"
@@ -121,6 +122,34 @@ def test_tour_script_runs_clean(capsys):
     assert code == 0
     with open("samples/tour.out", encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_an_embedded_step_fault_is_answered_and_the_session_goes_on(monkeypatch, capsys):
+    real, armed = meerkat.runtime.apply_step, [True]
+
+    def faulty(cfg, step):  # the next step raises, as a bug inside it would
+        if armed:
+            armed.clear()
+            raise RuntimeError("a bug inside a step")
+        return real(cfg, step)
+
+    monkeypatch.setattr(meerkat.runtime, "apply_step", faulty)
+    repl = Repl(EmbeddedBackend(3))
+    assert repl.run_line(":evolve var x = 1;")
+    assert repl.run_line(":evolve var x = 1;")
+    armed.append(True)
+    assert repl.run_line("do (action { x := 2 })")
+    assert repl.run_line("do (action { x := 2 })")
+    assert repl.run_line(":read x")
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        'rejected: internal {"message": "the server failed while stepping", "reason": "internal"}',
+        "accepted",
+        "failed: internal",
+        "executed: x: 1 -> 2",
+        "x = 2",
+    ]
+    assert err.count("RuntimeError: a bug inside a step") == 2
 
 
 def test_usage_error_exit_code():
