@@ -181,11 +181,13 @@ def handle_message(state: ServerState, session: Session, msg: dict) -> list[tupl
     batch.  Never raises on bad input — schema problems produce error
     replies for the offending session alone.
     """
-    if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
+    if not isinstance(msg, dict):
         return [(session.id, {"type": "error", "reason": "schema"})]
-    kind = msg["type"]
+    kind = msg.get("type")
     req = msg.get("req")
     sid = session.id
+    if not isinstance(kind, str):
+        return [(sid, {"type": "error", "reason": "schema", "req": req})]
     if kind in ("evolve", "do"):
         evolve = kind == "evolve"
         source = msg.get("code" if evolve else "expr")

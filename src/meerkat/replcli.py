@@ -2,15 +2,18 @@
 
 One protocol client with two transports.  ``--connect host:port`` talks to
 a live server.  ``--embedded`` runs the server's engine in-process for one
-programmer session: each request is one `netserver.ServerState.turn`, the
-same turn the server runs on each batch, under a seeded schedule, so a
-fault inside a step is answered as the server answers it.  Both modes
-render the same protocol messages with one renderer, so they print the
-same lines.  The embedded mode is the zero-setup way to
-try the language and the backbone of the deterministic golden tests.
+programmer session: each message it sends is one
+`netserver.ServerState.turn`, the same turn the server runs on each batch,
+under a seeded schedule, so a fault inside a step is answered as the
+server answers it.  A command sends one request and prints its reply, or
+for ``:watch`` and ``:unwatch`` one message that has no reply; `describe`
+renders every reply and pushed event in both modes, so they print the
+same lines.  The embedded mode is the zero-setup way to try the language
+and the backbone of the deterministic golden tests.
 
 Commands:
 
+    :evolve <decls>        submit the rest of the line as an evolution
     :evolve <<EOF          submit the lines up to EOF as an evolution
     :load file.mk          submit a source file as an evolution
     do <expr>              submit an action
@@ -50,34 +53,77 @@ def _json_value_text(v) -> str:
     return json.dumps(v, sort_keys=True)
 
 
+def _change_text(c: dict) -> str:
+    """`name: old -> new` for one change of an ``executed`` reply or a
+    ``changed`` event."""
+    return f"{c['name']}: {_json_value_text(c.get('old'))} -> {_json_value_text(c.get('new'))}"
+
+
+def _env_text(value: dict) -> str:
+    bindings = value["bindings"]
+    if not bindings:
+        return "(empty environment)"
+    return "\n".join(
+        f"{b['kind']} {name} : {b['type']}"
+        + (f" reads [{', '.join(b['deps'])}]" if b["deps"] else "")
+        for name, b in bindings.items()
+    )
+
+
+def _graph_text(value: dict) -> str:
+    edges = [
+        f"{name} -> {dep}"
+        for name, b in sorted(value["bindings"].items())
+        for dep in b["deps"]
+    ]
+    return "\n".join(edges) or "(no edges)"
+
+
+def describe(msg: dict, value_text=None) -> str:
+    """The text printed for a reply or a pushed event; `value_text` renders
+    the payload of a ``value`` reply."""
+    kind = msg.get("type")
+    if kind == "value" and value_text is not None:
+        return value_text(msg.get("value"))
+    if kind == "changed":
+        return f"! {_change_text(msg)}"
+    if kind == "accepted":
+        return "accepted"
+    if kind == "rejected":
+        return f"rejected: {msg.get('reason')} {json.dumps(msg.get('detail', {}), sort_keys=True)}"
+    if kind == "executed":
+        shown = ", ".join(_change_text(c) for c in msg.get("changes", ()))
+        return f"executed: {shown}" if shown else "executed: no changes"
+    if kind == "failed":
+        return f"failed: {msg.get('reason')}"
+    if kind == "queue_died":
+        return "queue died: evolution could not be approved"
+    if kind == "error":
+        if msg.get("reason") == "unbound":
+            return f"error: '{msg.get('name')}' is not bound"
+        return f"error: {msg.get('reason')}"
+    return json.dumps(msg, sort_keys=True)
+
+
 class Client:
-    """Requests and their rendering, whatever the transport.
+    """Requests and their replies, whatever the transport.
 
     A transport supplies `send`, which delivers one payload, and feeds
     every message the other side produces to `_receive`: a ``changed``
-    event is rendered into `events`, anything else is a reply.
+    event goes to `events`, anything else is a reply.
     """
 
     def __init__(self, timeout: float = 10.0):
         self.timeout = timeout
         self.replies: queue.Queue = queue.Queue()  # None marks the end of the stream
-        self.events: list[str] = []
-        self._events_lock = threading.Lock()
+        self.events: queue.SimpleQueue = queue.SimpleQueue()
         self._req = 0
 
     def send(self, payload: dict):
         raise NotImplementedError
 
     def _receive(self, msg: dict):
-        if msg.get("type") == "changed":
-            text = (
-                f"! {msg['name']}: {_json_value_text(msg.get('old'))}"
-                f" -> {_json_value_text(msg.get('new'))}"
-            )
-            with self._events_lock:
-                self.events.append(text)
-        else:
-            self.replies.put(msg)
+        (self.events if msg.get("type") == "changed" else self.replies).put(msg)
 
     def request(self, payload: dict) -> dict:
         self._req += 1
@@ -94,81 +140,8 @@ class Client:
                 return msg
             # stale or unsolicited reply; keep waiting
 
-    def evolve(self, source: str) -> list[str]:
-        msg = self.request({"type": "evolve", "code": source})
-        return [self._describe(msg)]
-
-    def do(self, source: str) -> list[str]:
-        msg = self.request({"type": "do", "expr": source})
-        return [self._describe(msg)]
-
-    def read(self, name: str) -> list[str]:
-        msg = self.request({"type": "read", "name": name})
-        if msg.get("type") == "value":
-            return [f"{name} = {_json_value_text(msg.get('value'))}"]
-        return [self._describe(msg)]
-
-    def env(self) -> list[str]:
-        msg = self.request({"type": "env"})
-        bindings = msg.get("value", {}).get("bindings", {})
-        if not bindings:
-            return ["(empty environment)"]
-        return [
-            f"{b['kind']} {name} : {b['type']}"
-            + (f" reads [{', '.join(b['deps'])}]" if b["deps"] else "")
-            for name, b in bindings.items()
-        ]
-
-    def graph(self) -> list[str]:
-        msg = self.request({"type": "env"})
-        bindings = msg.get("value", {}).get("bindings", {})
-        edges = [
-            f"{name} -> {dep}"
-            for name, b in sorted(bindings.items())
-            for dep in b.get("deps", ())
-        ]
-        return edges or ["(no edges)"]
-
-    def dump(self) -> dict:
-        msg = self.request({"type": "dump"})
-        return msg.get("value", {})
-
-    def watch(self, name: str):
-        self.send({"type": "subscribe", "name": name})
-
-    def unwatch(self, name: str):
-        self.send({"type": "unsubscribe", "name": name})
-
-    def drain_events(self) -> list[str]:
-        with self._events_lock:
-            out, self.events = self.events, []
-        return out
-
     def close(self):
         pass
-
-    @staticmethod
-    def _describe(msg: dict) -> str:
-        kind = msg.get("type")
-        if kind == "accepted":
-            return "accepted"
-        if kind == "rejected":
-            return f"rejected: {msg.get('reason')} {json.dumps(msg.get('detail', {}), sort_keys=True)}"
-        if kind == "executed":
-            shown = ", ".join(
-                f"{c['name']}: {_json_value_text(c['old'])} -> {_json_value_text(c['new'])}"
-                for c in msg.get("changes", ())
-            )
-            return f"executed: {shown}" if shown else "executed: no changes"
-        if kind == "failed":
-            return f"failed: {msg.get('reason')}"
-        if kind == "queue_died":
-            return "queue died: evolution could not be approved"
-        if kind == "error":
-            if msg.get("reason") == "unbound":
-                return f"error: '{msg.get('name')}' is not bound"
-            return f"error: {msg.get('reason')}"
-        return json.dumps(msg, sort_keys=True)
 
 
 class EmbeddedBackend(Client):
@@ -251,8 +224,8 @@ class Repl:
             print(line, file=self.out or sys.stdout, flush=True)
 
     def flush_events(self):
-        for line in self.backend.drain_events():
-            self.emit(line)
+        while not self.backend.events.empty():
+            self.emit(describe(self.backend.events.get()))
 
     def run_line(self, line: str, read_more=None) -> bool:
         """Execute one command line; returns False when the session ends."""
@@ -263,6 +236,7 @@ class Repl:
             return True
         if line == ":quit":
             return False
+        payload, value_text = None, None
         if line.startswith(":evolve"):
             rest = line[len(":evolve"):].strip()
             if rest.startswith("<<"):
@@ -273,52 +247,53 @@ class Repl:
                     if nxt is None or nxt.strip() == marker:
                         break
                     body_lines.append(nxt)
-                source = "\n".join(body_lines)
-            else:
-                source = rest
-            for msg in self.backend.evolve(source):
-                self.emit(msg)
+                rest = "\n".join(body_lines)
+            payload = {"type": "evolve", "code": rest}
         elif line.startswith(":load "):
             path = line[len(":load "):].strip()
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    source = fh.read()
+                    payload = {"type": "evolve", "code": fh.read()}
             except OSError as err:
                 self.emit(f"error: {err}")
                 return True
-            for msg in self.backend.evolve(source):
-                self.emit(msg)
         elif line.startswith("do ") or line == "do":
-            for msg in self.backend.do(line):
-                self.emit(msg)
+            payload = {"type": "do", "expr": line}
         elif line.startswith(":read "):
-            for msg in self.backend.read(line[len(":read "):].strip()):
-                self.emit(msg)
+            name = line[len(":read "):].strip()
+            payload = {"type": "read", "name": name}
+            value_text = lambda value: f"{name} = {_json_value_text(value)}"  # noqa: E731
         elif line.startswith(":watch "):
-            self.backend.watch(line[len(":watch "):].strip())
+            self.backend.send({"type": "subscribe", "name": line[len(":watch "):].strip()})
         elif line.startswith(":unwatch "):
-            self.backend.unwatch(line[len(":unwatch "):].strip())
-        elif line == ":env":
-            for msg in self.backend.env():
-                self.emit(msg)
-        elif line == ":graph":
-            for msg in self.backend.graph():
-                self.emit(msg)
+            self.backend.send({"type": "unsubscribe", "name": line[len(":unwatch "):].strip()})
+        elif line in (":env", ":graph"):
+            payload = {"type": "env"}
+            value_text = _env_text if line == ":env" else _graph_text
         elif line.startswith(":dump "):
             path = line[len(":dump "):].strip()
             try:
                 with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(self.backend.dump(), fh, indent=2, sort_keys=True)
+                    snapshot = self.backend.request({"type": "dump"}).get("value", {})
+                    json.dump(snapshot, fh, indent=2, sort_keys=True)
                 self.emit(f"wrote {path}")
             except OSError as err:
                 self.emit(f"error: {err}")
         else:
             self.emit(f"error: unknown command {line.split()[0]!r}")
+        if payload is not None:
+            self.emit(describe(self.backend.request(payload), value_text))
         self.flush_events()
         return True
 
 
-def repl_main(args: argparse.Namespace) -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="meerkat-repl", description="Meerkat interactive client")
+    parser.add_argument("--connect", metavar="HOST:PORT", help="attach to a running server")
+    parser.add_argument("--embedded", action="store_true", help="run an in-process stepper")
+    parser.add_argument("--script", metavar="FILE", help="read commands from FILE")
+    parser.add_argument("--seed", type=int, default=0, help="schedule seed for --embedded")
+    args = parser.parse_args(argv)
     if bool(args.connect) == bool(args.embedded):
         print("error: exactly one of --connect or --embedded is required", file=sys.stderr)
         return 1
@@ -375,16 +350,6 @@ def repl_main(args: argparse.Namespace) -> int:
         if script_fh and script_fh is not sys.stdin:
             script_fh.close()
     return code
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="meerkat-repl", description="Meerkat interactive client")
-    parser.add_argument("--connect", metavar="HOST:PORT", help="attach to a running server")
-    parser.add_argument("--embedded", action="store_true", help="run an in-process stepper")
-    parser.add_argument("--script", metavar="FILE", help="read commands from FILE")
-    parser.add_argument("--seed", type=int, default=0, help="schedule seed for --embedded")
-    args = parser.parse_args(argv)
-    return repl_main(args)
 
 
 if __name__ == "__main__":

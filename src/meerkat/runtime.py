@@ -45,6 +45,7 @@ from .store import (
     UnitV,
     Value,
     change_to_json,
+    diff,
     empty_store,
     eval_expr,
     init_cells,
@@ -481,11 +482,7 @@ def step_do_many(
         recomputed = wave_order(cfg.env, written)
         # a definition may change only once several writes land, so diff
         # every written or recomputed name against the base
-        changes = tuple(
-            Change(n, old, new)
-            for n in sorted(written.union(recomputed))
-            if (old := base.value_of(n)) != (new := store.value_of(n))
-        )
+        changes = diff({n: base.value_of(n) for n in written.union(recomputed)}, store)
     outcomes[place] = Executed(changes, store.txn, tuple(whos), recomputed)
     return replace(cfg, store=store, q_do=remaining), tuple(outcomes)
 

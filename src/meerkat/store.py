@@ -338,33 +338,29 @@ def eval_expr(
 # Wave propagation
 # ---------------------------------------------------------------------------
 
-def _affected_defs(env: TypeEnv, seeds: Iterable[str]) -> set[str]:
-    """Definitions transitively downstream of any seed name."""
-    readers = env.readers()
-    out: set[str] = set()
-    pending = list(seeds)
-    while pending:
-        for dep in readers.get(pending.pop(), ()):
-            if dep not in out:
-                out.add(dep)
-                pending.append(dep)
-    return out
-
-
 def wave_order(env: TypeEnv, written: Iterable[str]) -> tuple[str, ...]:
-    """The definitions a wave writing the names `written` recomputes, in
-    dependency order.  Derived once per env and write set and kept in the
-    env's `wave_orders`, which holds at most `len(env)` entries and drops
-    its oldest to make room: the env is immutable, so an entry is never
-    stale, and a long-lived env does not grow with its clients' distinct
-    write sets.  Callers on two threads at worst derive one order twice."""
+    """The definitions a wave writing the names `written` recomputes: all
+    those transitively downstream of a written name, in dependency order.
+    Derived once per env and write set and kept in the env's `wave_orders`,
+    which holds at most `len(env)` entries and drops its oldest to make
+    room: the env is immutable, so an entry is never stale, and a
+    long-lived env does not grow with its clients' distinct write sets.
+    Callers on two threads at worst derive one order twice."""
     key = frozenset(written)
     memo = env.wave_orders
     order = memo.get(key)
     if order is None:
         if memo and len(memo) >= len(env):
             del memo[next(iter(memo))]
-        order = memo[key] = tuple(topo_order(env, _affected_defs(env, key)))
+        readers = env.readers()
+        affected: set[str] = set()
+        pending = list(key)
+        while pending:
+            for dep in readers.get(pending.pop(), ()):
+                if dep not in affected:
+                    affected.add(dep)
+                    pending.append(dep)
+        order = memo[key] = tuple(topo_order(env, affected))
     return order
 
 
@@ -378,7 +374,9 @@ def _run_wave(store: Store, order: Iterable[str]) -> None:
         defs[name] = DefCell(eval_expr(store, {}, e), e)
 
 
-def _diff(before: Mapping[str, Value | None], store: Store) -> tuple[Change, ...]:
+def diff(before: Mapping[str, Value | None], store: Store) -> tuple[Change, ...]:
+    """The changes from the values in `before` (None for a name that did
+    not exist) to those of the same names in `store`, by name."""
     changes = []
     for name in sorted(before):
         old = before[name]
@@ -408,7 +406,7 @@ def propagate(
     for name, v in changed_vars.items():
         new.vars[name] = VarCell(v)
     _run_wave(new, order)
-    return new, PropagationResult(txn, _diff(before, new), order)
+    return new, PropagationResult(txn, diff(before, new), order)
 
 
 def init_cells(
@@ -418,10 +416,11 @@ def init_cells(
 
     `env` is the environment with the evolution's bindings merged in.
     Installs each declaration left to right (so later declarations can
-    read earlier ones), then runs one propagation wave over everything
-    downstream of a declared name — all under a single transaction.  An
-    empty program returns the store unchanged and consumes no transaction.
-    Any fault leaves the caller's store untouched.
+    read earlier ones), then recomputes `wave_order(env, <declared names>)`
+    once — all under a single transaction, whose changes cover the declared
+    and the recomputed names.  An empty program returns the store unchanged
+    and consumes no transaction.  Any fault leaves the caller's store
+    untouched.
     """
     if not r.decls:
         return store, PropagationResult(None)
@@ -438,11 +437,10 @@ def init_cells(
             new.defs[name] = DefCell(v, d.init)
     # the wave covers everything downstream of a declared name, including
     # declarations from this very program that read a name redeclared later
-    affected = _affected_defs(env, before)
-    before.update({n: new.defs[n].c for n in affected if n not in before})
-    order = topo_order(env, affected)
+    order = wave_order(env, before)
+    before.update({n: new.defs[n].c for n in order if n not in before})
     _run_wave(new, order)
-    return new, PropagationResult(txn, _diff(before, new), tuple(order))
+    return new, PropagationResult(txn, diff(before, new), order)
 
 
 def merge_defs(

@@ -31,9 +31,9 @@ from typing import Iterator, Union
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
-# Parser recursion guard so arbitrary input cannot crash.  One syntactic
-# nesting level costs several Python frames (one per precedence tier), so
-# this must stay well under the interpreter's recursion limit.
+# Parser recursion guard so arbitrary input cannot crash.  One nesting level
+# costs up to ten Python frames (`expr`, `unary`, `app`, `atom` and one `binary`
+# per operator level climbed), so this must stay well under the recursion limit.
 _MAX_NESTING = 80
 # A chain `x + x + ... + x` parses in a loop into a tree as deep as it is long;
 # the checker, evaluator and printer recurse over trees, so bound depth too.
@@ -396,32 +396,19 @@ class _Parser:
                 self.expect("else")
                 orelse = self.expr()
                 return If(cond, then, orelse, Span(tok.line, tok.col))
-            return self.or_expr()
+            return self.binary(1)
         finally:
             self.depth -= 1
 
-    def _binop_chain(self, sub, ops: tuple[str, ...]) -> Expr:
-        e = sub()
-        while self.at(*ops):
+    def binary(self, level: int) -> Expr:
+        """A left-associative chain of operators binding at `level` or
+        tighter, climbing the printer's `_LEVELS` table."""
+        e = self.unary()
+        while (op_level := _LEVELS.get(self.peek().kind, 0)) >= level:
             tok = self.next()
-            rhs = sub()
+            rhs = self.binary(op_level + 1)
             e = BinOp(tok.kind, e, rhs, Span(tok.line, tok.col))
         return e
-
-    def or_expr(self) -> Expr:
-        return self._binop_chain(self.and_expr, ("||",))
-
-    def and_expr(self) -> Expr:
-        return self._binop_chain(self.cmp_expr, ("&&",))
-
-    def cmp_expr(self) -> Expr:
-        return self._binop_chain(self.add_expr, ("==", "<"))
-
-    def add_expr(self) -> Expr:
-        return self._binop_chain(self.mul_expr, ("+", "-"))
-
-    def mul_expr(self) -> Expr:
-        return self._binop_chain(self.unary, ("*", "/"))
 
     def unary(self) -> Expr:
         tok = self.peek()
@@ -540,7 +527,7 @@ def parse_expr(source: str) -> Expr:
 # Pretty-printer
 # ---------------------------------------------------------------------------
 
-# Precedence levels used when deciding whether a subexpression needs parens.
+# Precedence levels: the parser climbs `_LEVELS`, and the printer adds parens by all.
 _LEVEL_LOW = 0      # fn / if
 _LEVELS = {"||": 1, "&&": 2, "==": 3, "<": 3, "+": 4, "-": 4, "*": 5, "/": 5}
 _LEVEL_UNARY = 6    # a negative literal reparses like a unary minus

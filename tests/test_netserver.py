@@ -96,6 +96,8 @@ class TestHandleMessage:
         assert reply["type"] == "error" and reply["reason"] == "schema"
         ((_, reply),) = handle_message(state, session, {"nonsense": True})
         assert reply["type"] == "error"
+        ((_, reply),) = handle_message(state, session, {"type": 7, "req": "q"})
+        assert reply == {"type": "error", "reason": "schema", "req": "q"}
 
     def test_parse_errors_reject_without_state_change(self):
         state = make_state()
@@ -791,8 +793,10 @@ turn_messages = st.one_of(
     st.tuples(st.sampled_from(["subscribe", "unsubscribe"]), st.sampled_from(TURN_NAMES)).map(
         lambda t: {"type": t[0], "name": t[1]}
     ),
-    st.sampled_from([{"type": "do", "expr": 5}, {"type": "read"}, {"type": "bogus"}]),  # answered with req
-    st.sampled_from([[1, 2], {"type": 7}, None, ValueError("not JSON")]),  # an error without req
+    st.sampled_from(  # answered with req
+        [{"type": "do", "expr": 5}, {"type": "read"}, {"type": "bogus"}, {"type": 7}, {"name": "x"}]
+    ),
+    st.sampled_from([[1, 2], None, ValueError("not JSON")]),  # an error without req
 )
 
 
@@ -847,13 +851,13 @@ def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, seed, t
         for k, msg in entries:
             session = sessions[k % n]
             live = session.id in state.sessions
-            if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
+            if not isinstance(msg, dict):
                 untagged[session.id] += live
-            elif msg["type"] == "subscribe" and live:
+            elif msg.get("type") == "subscribe" and live:
                 subs.setdefault(msg["name"], set()).add(session.id)
-            elif msg["type"] == "unsubscribe" and live:
+            elif msg.get("type") == "unsubscribe" and live:
                 subs.get(msg["name"], set()).discard(session.id)
-            elif msg["type"] not in ("subscribe", "unsubscribe"):
+            elif msg.get("type") not in ("subscribe", "unsubscribe"):
                 req += 1
                 msg = dict(msg, req=req)
                 if live:

@@ -202,7 +202,7 @@ def test_remote_backend_survives_idling_past_its_timeout(server):
     backend = RemoteBackend(host, port, timeout=1.0)
     try:
         time.sleep(1.5)
-        assert backend.read("inc2") == ["inc2 = 3"]
+        assert backend.request({"type": "read", "name": "inc2"})["value"] == 3
     finally:
         backend.close()
 

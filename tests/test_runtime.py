@@ -197,6 +197,18 @@ class TestEvolveTwo:
         _, o2 = step_evolve_many(cfg, (cfg.q_r[1],))
         assert isinstance(o1, Accepted) and isinstance(o2, Accepted)
 
+    def test_a_cycle_through_base_definitions_blocks_the_pair(self):
+        # the pair passes the lock rule: neither rebinds a name the other
+        # reads, but the cycle closes through the base's b and e
+        cfg = quiesced("var x = 0; def c = x + 2; def b = c + 1; def a = x; def e = a + 1;")
+        cfg = submit_evolution(cfg, parse_program("def a = b + 1;"), "p1")
+        cfg = submit_evolution(cfg, parse_program("def c = e + 1;"), "p2")
+        assert list(enabled_steps(cfg)) == [Step("evolve_one", 0), Step("evolve_one", 1)]
+        cfg2, outcome = step_evolve_many(cfg, cfg.q_r)
+        assert isinstance(outcome, Rejected) and not outcome.final
+        assert str(outcome.report) == "cycle(a): a -> b -> c -> e -> a"
+        assert cfg2.q_r == cfg.q_r
+
 
 class TestQueueDie:
     def blocked_pair(self) -> Config:

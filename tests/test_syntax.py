@@ -22,6 +22,7 @@ from meerkat.syntax import (
     Program,
     Ref,
     Write,
+    _LEVELS,
     _walk,
     parse_do,
     parse_expr,
@@ -104,6 +105,20 @@ class TestPrecedence:
         assert parse_expr("-a") == BinOp("-", Lit(0), Ref("a"))
         assert parse_expr("-5") == Lit(-5)
         assert parse_expr("1 - -5") == BinOp("-", Lit(1), Lit(-5))
+
+    @pytest.mark.parametrize("op1", list(_LEVELS))
+    @pytest.mark.parametrize("op2", list(_LEVELS))
+    def test_every_operator_pair_groups_by_the_level_table(self, op1, op2):
+        # every operator is left-associative: the right one groups first
+        # only when it binds strictly tighter
+        source = f"a {op1} b {op2} c"
+        a, b, c = Ref("a"), Ref("b"), Ref("c")
+        if _LEVELS[op2] > _LEVELS[op1]:
+            want = BinOp(op1, a, BinOp(op2, b, c))
+        else:
+            want = BinOp(op2, BinOp(op1, a, b), c)
+        assert parse_expr(source) == want
+        assert render(want) == source
 
 
 class TestLexing:
