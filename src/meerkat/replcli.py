@@ -237,7 +237,7 @@ class Repl:
         if line == ":quit":
             return False
         payload, value_text = None, None
-        if line.startswith(":evolve"):
+        if line.split(maxsplit=1)[0] == ":evolve":
             rest = line[len(":evolve"):].strip()
             if rest.startswith("<<"):
                 marker = rest[2:].strip() or "EOF"

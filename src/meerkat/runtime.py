@@ -103,9 +103,16 @@ class Config:
 
 
 def _remove(queue: tuple[Submission, ...], subs: Sequence[Submission]) -> tuple[Submission, ...]:
+    """`queue` without the queued objects `subs`, matched by identity (`==`
+    compares whole syntax trees); one that is not queued raises `AssertionError`."""
     out = list(queue)
     for s in subs:
-        out.remove(s)  # first occurrence; queues are multisets
+        for k, q in enumerate(out):
+            if q is s:
+                del out[k]
+                break
+        else:
+            raise AssertionError("picks must be distinct queued submissions")
     return tuple(out)
 
 
@@ -280,27 +287,25 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
     under a single transaction; on any failure the store stays untouched.
     A failed premise finally rejects a single pick, which leaves the queue;
     with several picks every entry stays queued and the rejection is
-    non-final.  A runtime fault finally rejects every pick.
+    non-final.  A runtime fault finally rejects every pick.  The picks are
+    the queued objects themselves, matched by identity (see `_remove`).
     """
-    remaining = cfg.q_r
-    for p in picks:
-        assert p in remaining, "picks must be distinct queued evolutions"
-        remaining = _remove(remaining, (p,))
+    remaining = _remove(cfg.q_r, picks)
     programs = [p.item for p in picks]
     assert all(isinstance(r, Program) for r in programs)
     whos = tuple(p.who for p in picks)
     planned = _evolution_plan(cfg.env, picks)
     if not isinstance(planned, tuple):
         if len(picks) == 1:
-            return replace(cfg, q_r=remaining), Rejected(planned, whos)
+            return Config(cfg.env, cfg.store, remaining, cfg.q_do), Rejected(planned, whos)
         return cfg, Rejected(planned, whos, final=False)
     delta, new_env = planned
     try:
         union_prog = Program(tuple(d for r in programs for d in r.decls))
         new_store, prop = init_cells(cfg.store, new_env, union_prog, cfg.next_txn)
     except EvalError as err:
-        return replace(cfg, q_r=remaining), Rejected(err, whos)
-    new_cfg = replace(cfg, env=new_env, store=new_store, q_r=remaining)
+        return Config(cfg.env, cfg.store, remaining, cfg.q_do), Rejected(err, whos)
+    new_cfg = Config(new_env, new_store, remaining, cfg.q_do)
     return new_cfg, Accepted(delta, prop.changes, prop.txn, whos, prop.recomputed)
 
 
@@ -312,7 +317,7 @@ def step_queue_die(cfg: Config) -> tuple[Config, StepOutcome]:
     if not cfg.q_r:
         raise ValueError("queue death needs a nonempty evolution queue")
     notified = tuple(s.who for s in cfg.q_r)
-    return replace(cfg, q_r=()), QueueDied(notified)
+    return Config(cfg.env, cfg.store, (), cfg.q_do), QueueDied(notified)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +443,11 @@ def step_do_many(
     every survivor: it sits at the first survivor's place among the
     outcomes and carries the last survivor's transaction.  Its
     `recomputed` is the `wave_order` of all the survivors' writes; like
-    every wave order, it is derived once per env and write set.
+    every wave order, it is derived once per env and write set.  The picks
+    are the queued objects themselves, matched by identity (see `_remove`).
     """
-    remaining = cfg.q_do
-    for p in picks:
-        assert p in remaining and isinstance(p.item, DoStmt), "picks must be distinct queued actions"
-        remaining = _remove(remaining, (p,))
+    remaining = _remove(cfg.q_do, picks)
+    assert all(isinstance(p.item, DoStmt) for p in picks), "picks must be queued actions"
     if not all(do_pair_viable(cfg, p, q) for k, p in enumerate(picks) for q in picks[k + 1 :]):
         conflict = TypeCheckError("LockConflict", "actions overlap on reads or writes")
         return cfg, (Rejected(conflict, tuple(p.who for p in picks), final=False),)
@@ -459,7 +463,7 @@ def step_do_many(
             outcomes.append(ActionFailed(solo, (pick.who,)))
             continue
         pending, alone, prop = solo
-        txn = cfg.next_txn + k
+        txn = base.txn + 1 + k  # cfg.next_txn + k
         if whos:
             # the combined writes may fault a definition each pick computed fine
             merged_vars = {**store.vars, **{n: alone.vars[n] for n in pending}}
@@ -476,7 +480,7 @@ def step_do_many(
         whos.append(pick.who)
         written |= pending.keys()
     if not whos:
-        return replace(cfg, q_do=remaining), tuple(outcomes)
+        return Config(cfg.env, cfg.store, cfg.q_r, remaining), tuple(outcomes)
     changes, recomputed = first.changes, first.recomputed
     if len(whos) > 1:
         recomputed = wave_order(cfg.env, written)
@@ -484,7 +488,7 @@ def step_do_many(
         # every written or recomputed name against the base
         changes = diff({n: base.value_of(n) for n in written.union(recomputed)}, store)
     outcomes[place] = Executed(changes, store.txn, tuple(whos), recomputed)
-    return replace(cfg, store=store, q_do=remaining), tuple(outcomes)
+    return Config(cfg.env, store, cfg.q_r, remaining), tuple(outcomes)
 
 
 # ---------------------------------------------------------------------------

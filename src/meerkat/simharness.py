@@ -24,13 +24,14 @@ counts are:
   * `configs`: distinct configs the exhaustive walk visited (0 when seeded).
 
 Exhaustive mode walks the DAG of distinct configs rather than the tree of
-schedules.  `config_key` holds everything a later step reads, by name and
-not in the order names were bound, so two schedules that reach equal keys
+schedules.  `config_key` holds everything the audits read, by name and
+not in the order names were bound: bindings, cells and queues, but not
+the transaction numbering.  So two schedules that reach equal keys
 continue identically, even when they accepted two evolutions in opposite
-orders: each config is audited once, when the first step reaches it, its
-steps are fired once, each distinct final store is compared with the
-oracle once, and `runs` counts the schedules as paths through the DAG.
-Seeded mode and `replay` audit the config after every step.
+orders or in one `evolve_two`: each config is audited once, when the
+first step reaches it, its steps are fired once, each distinct final
+store is compared with the oracle once, and `runs` counts the schedules
+as paths through the DAG.  Seeded mode and `replay` audit every step.
 
 Scenario files are JSON::
 
@@ -190,14 +191,16 @@ def validate_wave(cfg_before: Config, outcome: StepOutcome) -> list[str]:
 
     Checks that the engine's reported recomputation order names each
     definition once, after every recomputed definition its binding reads
-    in the env the wave ran under.
+    in the env the wave ran under.  A message names no transaction: under
+    a merged node of the exhaustive walk its number would depend on the
+    path, and the counterexample's picks locate the step anyway.
     """
     if not isinstance(outcome, (Accepted, Executed)) or outcome.txn is None:
         return []
     recomputed = outcome.recomputed
     problems = []
     if len(set(recomputed)) != len(recomputed):
-        problems.append(f"txn {outcome.txn}: a definition was recomputed more than once")
+        problems.append("a definition was recomputed more than once")
     seen: set[str] = set()
     affected = set(recomputed)
     env = env_merge(cfg_before.env, outcome.delta) if isinstance(outcome, Accepted) else cfg_before.env
@@ -205,9 +208,7 @@ def validate_wave(cfg_before: Config, outcome: StepOutcome) -> list[str]:
         b = env.get(name)
         for dep, _ in (b.deps or ()) if b is not None else ():
             if dep in affected and dep not in seen:
-                problems.append(
-                    f"txn {outcome.txn}: '{name}' recomputed before its dependency '{dep}'"
-                )
+                problems.append(f"'{name}' recomputed before its dependency '{dep}'")
         seen.add(name)
     return problems
 
@@ -284,14 +285,18 @@ def _classes() -> Callable[[object], int]:
 
 
 def config_key(cfg: Config, canon: Callable[[object], object] = _value) -> tuple:
-    """Everything a later step reads from `cfg`, hashable and blind to the
-    order names were bound in: configs with equal keys enable the same
-    steps, fire them to configs with equal keys and pass or fail the same
-    audits.  The env's bindings and the store's cells are keyed by name,
-    since every reader of their order only lists the same facts in another
-    order (`topo_order` breaks ties by name).  The env's bindings are the
-    dependency graph; its derived `readers()`, well-formed mark and wave
-    orders, and the submissions' `plans`, are only caches and take no part.
+    """Everything the audits of `cfg` and of the steps below it read,
+    hashable and blind to the order names were bound in and to the
+    transaction numbering: configs with equal keys enable the same steps,
+    fire them to configs with equal keys and pass or fail the same audits.
+    The env's bindings and the store's cells are keyed by name, since
+    every reader of their order only lists the same facts in another order
+    (`topo_order` breaks ties by name).  `store.txn` takes no part: a later
+    step reads it only to number its own outcomes, which no audit reads,
+    so an `evolve_two` meets the config its two `evolve_one`s reach.  The
+    env's bindings are the dependency graph; its derived `readers()`,
+    well-formedness facts and wave orders, and the submissions' `plans`,
+    are only caches and take no part.
 
     `canon` stands for the env, each definition's expression and each
     queued submission in the key.  By default it is their value; the
@@ -302,7 +307,6 @@ def config_key(cfg: Config, canon: Callable[[object], object] = _value) -> tuple
         canon(cfg.env),
         tuple(sorted((n, c.c) for n, c in store.vars.items())),
         tuple(sorted((n, c.c, canon(c.e)) for n, c in store.defs.items())),
-        store.txn,
         tuple(map(canon, cfg.q_r)),
         tuple(map(canon, cfg.q_do)),
     )
@@ -328,7 +332,8 @@ def _explore_dag(start: Config, mode: Exhaustive, verdict: Verdict, finals: set)
 
     Each config is interned once by its key and audited then, by the first
     step that reaches it; its steps are fired once however many schedules
-    reach it, and later visits follow the stored child nodes.  Keys go
+    reach it, and later visits follow the stored child nodes; below a node
+    transactions are numbered as on the path that made it.  Keys go
     through one `_classes()` per walk, so the env, expressions and
     submissions a child shares with its parent are not hashed again.  A
     fired step's waves are audited on every edge, since a wave depends on

@@ -184,20 +184,21 @@ class Binding:
 class TypeEnv:
     """Ordered, immutable map of top-level names to bindings: the one dependency graph.
 
-    Besides its bindings an env keeps three derived facts: its reverse
-    edges (`readers()`), a mark that it is known to be well-formed, and
-    `wave_orders`, the store's memo of each write set's wave order (see
-    `store.wave_order`), which holds at most `len(env)` entries.  Only
-    the merged env of a passing `compatible` carries the mark;
-    `TypeEnv()`, `bind`, `without` and `env_merge` never set it, so any
-    other env takes `compatible`'s whole-env check.
+    Besides its bindings an env keeps four derived facts: its reverse
+    edges (`readers()`), its `well_formed` report, a mark that it is known
+    to be well-formed, and `wave_orders`, the store's memo of each write
+    set's wave order (see `store.wave_order`), which holds at most
+    `len(env)` entries.  Only the merged env of a passing `compatible`
+    carries the mark; `TypeEnv()`, `bind`, `without` and `env_merge` never
+    set it, so any other env takes `compatible`'s whole-env check.
     """
 
-    __slots__ = ("_bindings", "_readers", "_well_formed", "wave_orders")
+    __slots__ = ("_bindings", "_readers", "_scan", "_well_formed", "wave_orders")
 
     def __init__(self, bindings: Mapping[str, Binding] | Iterable[tuple[str, Binding]] = ()):
         self._bindings = dict(bindings.items() if isinstance(bindings, abc.Mapping) else bindings)
         self._readers: dict[str, frozenset[str]] | None = None
+        self._scan: CompatReport | None = None
         self._well_formed = False
         self.wave_orders: dict[frozenset[str], tuple[str, ...]] = {}
 
@@ -315,8 +316,11 @@ def _reverse_edges(env: TypeEnv) -> dict[str, frozenset[str]]:
 
 
 def well_formed(env: TypeEnv) -> CompatReport:
-    """Check the two environment invariants: consistency and acyclicity."""
-    return CompatReport(tuple(_violations(env, env.names())))
+    """Check the two environment invariants, consistency and acyclicity,
+    once per env: the report is kept on the immutable env."""
+    if env._scan is None:
+        env._scan = CompatReport(tuple(_violations(env, env.names())))
+    return env._scan
 
 
 def _violations(env: TypeEnv, names: Sequence[str]) -> list[Violation]:

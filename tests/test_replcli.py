@@ -253,3 +253,42 @@ def test_embedded_and_connected_print_the_same_lines(tmp_path, capsys, script):
 
     assert split(connected) == split(embedded)
     assert split(embedded)[1], "the script watches no change"
+
+
+@pytest.mark.parametrize("mode", ["embedded", "connected"])
+def test_evolve_is_matched_as_a_whole_command_word(tmp_path, capsys, mode):
+    # `:evolvevar` is not `:evolve var`: it is refused, and nothing is bound
+    script = tmp_path / "script.txt"
+    script.write_text(
+        "\n".join(
+            [
+                ":evolvevar z = 1;",
+                ":read z",
+                ":evolve var z = 1;",
+                ":evolve <<EOF",
+                "def w = z + 1;",
+                "EOF",
+                ":read w",
+                ":quit",
+            ]
+        )
+        + "\n"
+    )
+    if mode == "embedded":
+        assert main(["--embedded", "--script", str(script)]) == 0
+    else:
+        srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0)))
+        srv.start()
+        try:
+            host, port = srv.address
+            assert main(["--connect", f"{host}:{port}", "--script", str(script)]) == 0
+        finally:
+            srv.stop()
+    replies = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("mk> ")]
+    assert replies == [
+        "error: unknown command ':evolvevar'",
+        "error: 'z' is not bound",
+        "accepted",
+        "accepted",
+        "w = 2",
+    ]

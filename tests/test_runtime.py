@@ -44,7 +44,7 @@ from meerkat.runtime import (
 from meerkat.simharness import build_config, load_scenario, validate_wave
 from meerkat.store import Change, DefCell, EvalError, IntV, Store, StringV, eval_expr, propagate
 from meerkat.syntax import parse_do, parse_program
-from meerkat.typesys import TypeCheckError, TypeEnv, check_do, topo_order
+from meerkat.typesys import TypeCheckError, TypeEnv, check_do, topo_order, well_formed
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -81,6 +81,28 @@ class TestSubmit:
         cfg = submit_do(cfg, d, "u")
         cfg = submit_do(cfg, d, "u")
         assert len(cfg.q_do) == 2
+
+    def test_a_pick_leaves_the_queue_by_identity(self):
+        # two equal submissions: the one fired leaves, the other stays
+        d = parse_do("do (action { x := 2 })")
+        cfg = submit_do(submit_do(quiesced(), d, "u"), d, "u")
+        first, second = cfg.q_do
+        assert first == second and first is not second
+        cfg2, (outcome,) = apply_step(cfg, Step("do_one", 1))
+        assert isinstance(outcome, Executed)
+        assert len(cfg2.q_do) == 1 and cfg2.q_do[0] is first
+
+    def test_a_pick_that_is_not_queued_is_refused(self):
+        cfg = submit_do(quiesced(), parse_do("do (action { x := 2 })"), "u")
+        cfg = submit_evolution(cfg, parse_program("def y = x + 1;"), "p")
+        (action,), (evolution,) = cfg.q_do, cfg.q_r
+        for step, queued in ((step_do_many, action), (step_evolve_many, evolution)):
+            copy = Submission(queued.item, queued.who)
+            assert copy == queued
+            with pytest.raises(AssertionError):
+                step(cfg, (copy,))
+            with pytest.raises(AssertionError):
+                step(cfg, (queued, queued))
 
 
 class TestEvolveOne:
@@ -740,6 +762,21 @@ def test_a_run_of_dos_derives_the_reverse_edges_once(monkeypatch):
         assert outcome.recomputed == ("a", "b", "c")
     assert len(derived) == 1 and derived[0] is cfg.env
     assert values(cfg) == {"x": 49, "y": 0, "a": 50, "b": 100, "c": 100}
+
+
+def test_an_env_is_scanned_for_well_formedness_once(monkeypatch):
+    # the report is kept on the immutable env, so the audit of every config
+    # that shares it (each `do` step's successor does) reads it again
+    cfg = quiesced()
+    cfg = replace(cfg, env=TypeEnv(cfg.env.items()))  # an equal env, nothing derived yet
+    scanned = []
+    original = meerkat.typesys._violations
+    monkeypatch.setattr(
+        meerkat.typesys, "_violations", lambda env, names: scanned.append(env) or original(env, names)
+    )
+    assert well_formed(cfg.env).ok and well_formed(cfg.env).ok
+    assert check_config(cfg) == []
+    assert len(scanned) == 1 and scanned[0] is cfg.env
 
 
 def test_accepted_evolutions_check_only_what_their_delta_touches(monkeypatch):

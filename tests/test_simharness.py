@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import meerkat.runtime
 import meerkat.simharness as sim
+import meerkat.store
 from meerkat.runtime import (
     RandomSchedule,
     apply_step,
@@ -519,6 +520,43 @@ class TestMemoisedExplorer:
         # the last pick is the violating step
         assert replay(scenario, {"kind": "picks", "picks": picks[:-1]}).ok
 
+    def test_agrees_with_the_tree_on_a_broken_wave_order(self, monkeypatch):
+        # every wave over two or more definitions runs reversed, so `d` is
+        # recomputed before `b` and `c`, and from their stale values.  The
+        # first such step lies below the node that `evolve_two` made and the
+        # one-at-a-time schedule reaches under other transaction numbers; its
+        # replay must print the same violations.
+        def reversed_wave(env, written, wave_order=meerkat.store.wave_order):
+            order = wave_order(env, written)
+            return order[::-1] if len(order) >= 2 else order
+
+        monkeypatch.setattr(meerkat.store, "wave_order", reversed_wave)
+        monkeypatch.setattr(meerkat.runtime, "wave_order", reversed_wave)
+        scenario = Scenario(
+            initial="var x = 0;",
+            submissions=(
+                ScenarioItem("evolve", "def b = x + 1;", "p1"),
+                ScenarioItem("evolve", "def c = x + 2;", "p2"),
+                ScenarioItem("evolve", "def d = b + c;", "p3"),
+                ScenarioItem("do", "do (action { x := 1 })", "u1"),
+            ),
+            independent=True,
+        )
+        mode = Exhaustive()
+        old, old_finals = tree_explore(scenario, mode)
+        new, new_finals = memo_explore(scenario, mode, monkeypatch)
+        assert not new.ok and not old.ok
+        assert set(new.violations) == set(old.violations)
+        assert "'d' recomputed before its dependency 'c'" in new.violations
+        assert any(v.startswith("'d' is ") for v in new.violations)
+        assert new_finals == old_finals
+        assert new.runs == old.runs
+        assert new.states < old.states
+        picks = new.counterexample["picks"]
+        assert picks[:2] == [0, 0]  # `b`, then `c`: the pair's node
+        replayed = replay(scenario, new.counterexample)
+        assert replayed.violations == new.violations[: len(replayed.violations)]
+
     def test_a_step_budget_stops_the_walk(self):
         verdict = explore(MIXED, Exhaustive(depth_cap=8, max_states=3))
         assert not verdict.schedules_complete
@@ -589,9 +627,10 @@ class TestOrderInsensitiveKey:
         assert_keys_agree(scenario, depth_cap, monkeypatch, flag)
 
     def test_evolutions_accepted_in_either_order_meet(self, monkeypatch):
-        # `y` then `z` and `z` then `y` bind the same names in other orders:
-        # one config, where the insertion-order key keeps two (and so two
-        # more after the action), and 16 fired steps become 15
+        # `y` then `z`, `z` then `y` and both at once bind the same names in
+        # other orders or under other transaction numbers: one config, where
+        # the insertion-order key, which keeps `store.txn`, keeps three (and
+        # so three more after the action), and 16 fired steps become 14
         scenario = Scenario(
             initial="var x = 1;",
             submissions=(
@@ -625,7 +664,7 @@ class TestOrderInsensitiveKey:
         monkeypatch.setattr(sim, "apply_step", recording_apply_step)
         verdict = explore(scenario, Exhaustive())
         assert verdict.ok, verdict.violations
-        assert (verdict.runs, verdict.states, verdict.configs) == (8, 15, 10)
+        assert (verdict.runs, verdict.states, verdict.configs) == (8, 14, 8)
         # every config but the start is audited once; every fired step's
         # outcomes are audited, one wave check each
         assert calls["check_config"] == verdict.configs - 1
@@ -637,6 +676,37 @@ class TestOrderInsensitiveKey:
         apart = explore(scenario, Exhaustive())
         assert apart.ok, apart.violations
         assert (apart.runs, apart.states, apart.configs) == (8, 16, 12)
+
+    def test_a_pair_of_evolutions_meets_its_sequential_schedules(self, monkeypatch):
+        # `evolve_two` is one transaction and two `evolve_one`s are two, but
+        # they bind the same names to the same cells: one node
+        nodes = []
+
+        class Recorded(sim._Node):
+            __slots__ = ()
+
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                nodes.append(self)
+
+        monkeypatch.setattr(sim, "_Node", Recorded)
+        scenario = Scenario(
+            initial="var x = 1;",
+            submissions=(
+                ScenarioItem("evolve", "def y = x + 1;", "p1"),
+                ScenarioItem("evolve", "def z = x + 2;", "p2"),
+            ),
+        )
+        verdict = explore(scenario, Exhaustive())
+        assert verdict.ok, verdict.violations
+        root = nodes[0]
+        kinds = [step.kind for step in root.options]
+        assert kinds == ["evolve_one", "evolve_one", "evolve_two"]
+        y_first, z_first, both = root.children
+        assert both is y_first.children[0] is z_first.children[0]
+        assert both.cfg.store.txn == 2
+        assert apply_step(y_first.cfg, y_first.options[0])[0].store.txn == 3
+        assert (verdict.runs, verdict.states, verdict.configs) == (3, 5, 4)
 
     def test_equal_actions_from_one_submitter_meet(self, monkeypatch):
         # either copy of the action leads to one config, under either key
@@ -698,4 +768,4 @@ class TestOrderInsensitiveKey:
         )
         verdict = explore(scenario, Exhaustive())
         assert verdict.ok and verdict.schedules_complete, verdict.violations
-        assert (verdict.states, verdict.configs, verdict.runs) == (960, 160, 16_320)
+        assert (verdict.states, verdict.configs, verdict.runs) == (800, 128, 16_320)
