@@ -32,7 +32,6 @@ from .typesys import (
     Func,
     TypeCheckError,
     TypeEnv,
-    WriteSet,
     check_do,
     compatible,
     env_merge,
@@ -49,7 +48,6 @@ from .store import (
     Store,
     Value,
     VarCell,
-    empty_store,
     eval_expr,
     init_cells,
     merge_defs,

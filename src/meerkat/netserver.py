@@ -73,6 +73,7 @@ from dataclasses import dataclass, field, replace
 from .runtime import (
     Accepted,
     ActionFailed,
+    Committed,
     Config,
     Executed,
     QueueDied,
@@ -95,15 +96,6 @@ LINE_LIMIT = 1 << 20  # bytes of one session's unfinished line
 BUFFER_LIMIT = 256  # unsent outbound messages per session
 
 
-@dataclass
-class ServerConfig:
-    bind: tuple[str, int] = DEFAULT_BIND
-    initial: Program | None = None
-    open_mode: bool = False  # let user-role sessions evolve code
-    trace_path: str | None = None
-    seed: int = 0
-
-
 @dataclass(eq=False)
 class Session:
     id: int | None  # None while the hello is awaited
@@ -119,7 +111,7 @@ class ServerState:
     """Everything the engine owns, and the one turn that advances it."""
 
     cfg: Config
-    open_mode: bool = False
+    open_mode: bool = False  # let user-role sessions evolve code
     schedule: RandomSchedule = field(default_factory=RandomSchedule)
     sessions: dict[int, Session] = field(default_factory=dict)
     subscribers: dict[str, set[int]] = field(default_factory=dict)  # no empty sets
@@ -157,7 +149,7 @@ class ServerState:
             for sid, payload in handle_message(self, session, msg):
                 send(sid, payload)
         try:
-            for _, step, cfg, outcomes in run_steps(self.cfg, self.schedule):
+            for step, cfg, outcomes in run_steps(self.cfg, self.schedule):
                 commit(cfg, step.to_json(), outcomes)
         except Exception:
             sys.excepthook(*sys.exc_info())
@@ -260,7 +252,7 @@ def outcome_messages(state: ServerState, outcome: StepOutcome) -> list[tuple[int
         for who in outcome.notified:
             terminal(who, {"type": "queue_died"})
     # push committed changes to subscribers
-    if isinstance(outcome, (Accepted, Executed)) and outcome.txn is not None:
+    if isinstance(outcome, Committed) and outcome.txn is not None:
         for c in outcome.changes:
             for sid in sorted(state.subscribers.get(c.name, ())):
                 out.append((sid, {"type": "changed", **change_to_json(c), "txn": outcome.txn}))
@@ -270,10 +262,18 @@ def outcome_messages(state: ServerState, outcome: StepOutcome) -> list[tuple[int
 class MeerkatServer:
     """TCP server around one runtime configuration, served by one loop."""
 
-    def __init__(self, config: ServerConfig | None = None):
-        self.config = config or ServerConfig()
-        cfg = initial_config(self.config.initial)  # a refused program raises ValueError
-        self.state = ServerState(cfg, self.config.open_mode, RandomSchedule(self.config.seed))
+    def __init__(
+        self,
+        *,
+        bind: tuple[str, int] = DEFAULT_BIND,
+        initial: Program | None = None,
+        open_mode: bool = False,
+        trace_path: str | None = None,
+        seed: int = 0,
+    ):
+        self.bind, self.trace_path = bind, trace_path
+        cfg = initial_config(initial)  # a refused program raises ValueError
+        self.state = ServerState(cfg, open_mode, RandomSchedule(seed))
         self.listener: socket.socket | None = None
         self.selector = selectors.DefaultSelector()
         self.thread: threading.Thread | None = None
@@ -285,13 +285,13 @@ class MeerkatServer:
     # -- lifecycle
 
     def listen(self):
-        self.listener = socket.create_server(self.config.bind)
+        self.listener = socket.create_server(self.bind)
         self.listener.setblocking(False)
         self._wake_r, self._wake_w = socket.socketpair()
         self.selector.register(self.listener, selectors.EVENT_READ)
         self.selector.register(self._wake_r, selectors.EVENT_READ)
-        if self.config.trace_path:
-            self.trace_fh = open(self.config.trace_path, "a", encoding="utf-8")
+        if self.trace_path:
+            self.trace_fh = open(self.trace_path, "a", encoding="utf-8")
 
     def start(self):
         """Listen, and run the loop on a background thread."""
@@ -471,16 +471,24 @@ def serve(server: MeerkatServer) -> None:
         server.run()
 
 
+def parse_address(text: str) -> tuple[str, int] | None:
+    """`HOST:PORT` as `(host, port)`, or None unless PORT is 0 to 65535."""
+    host, _, port = text.rpartition(":")
+    if host and port.isdecimal() and len(port) <= 5 and int(port) <= 65535:
+        return host, int(port)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="meerkat-server", description="Meerkat coordinator service")
-    parser.add_argument("--bind", default="127.0.0.1:7788", metavar="HOST:PORT")
+    parser.add_argument("--bind", default="%s:%d" % DEFAULT_BIND, metavar="HOST:PORT")
     parser.add_argument("--init", metavar="FILE.mk", help="program to evolve before accepting clients")
     parser.add_argument("--open", action="store_true", help="let user-role sessions evolve code")
     parser.add_argument("--trace", metavar="FILE", help="append step outcomes as JSON lines")
     parser.add_argument("--seed", type=int, default=0, help="schedule seed")
     args = parser.parse_args(argv)
-    host, _, port_text = args.bind.rpartition(":")
-    if not host or not port_text.isdigit():
+    bind = parse_address(args.bind)
+    if bind is None:
         print(f"error: --bind wants HOST:PORT, got {args.bind!r}", file=sys.stderr)
         return 1
     initial = None
@@ -491,15 +499,10 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ParseError) as err:
             print(f"error: cannot load {args.init}: {err}", file=sys.stderr)
             return 1
-    config = ServerConfig(
-        bind=(host, int(port_text)),
-        initial=initial,
-        open_mode=args.open,
-        trace_path=args.trace,
-        seed=args.seed,
-    )
     try:
-        server = MeerkatServer(config)
+        server = MeerkatServer(
+            bind=bind, initial=initial, open_mode=args.open, trace_path=args.trace, seed=args.seed
+        )
     except ValueError as err:  # the --init program was refused
         print(f"error: cannot load {args.init}: {err}", file=sys.stderr)
         return 1

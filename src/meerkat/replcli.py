@@ -41,7 +41,7 @@ import socket
 import sys
 import threading
 
-from .netserver import PROTOCOL_VERSION, ServerState, Session
+from .netserver import PROTOCOL_VERSION, ServerState, Session, parse_address
 from .runtime import RandomSchedule, initial_config
 
 
@@ -298,12 +298,12 @@ def main(argv: list[str] | None = None) -> int:
         print("error: exactly one of --connect or --embedded is required", file=sys.stderr)
         return 1
     if args.connect:
-        host, _, port_text = args.connect.rpartition(":")
-        if not host or not port_text.isdigit():
+        address = parse_address(args.connect)
+        if address is None:
             print(f"error: --connect wants HOST:PORT, got {args.connect!r}", file=sys.stderr)
             return 1
         try:
-            backend = RemoteBackend(host, int(port_text))
+            backend = RemoteBackend(*address)
         except ConnectionLost as err:
             print(f"connection lost: {err}", file=sys.stderr)
             return 2

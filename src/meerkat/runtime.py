@@ -7,11 +7,12 @@ config plus an outcome describing what happened; nothing here blocks, so a
 scheduler (the network server, the REPL, or the exploration harness) owns
 all sequencing decisions.  Nothing here shares mutable state either, with
 one exception: each `Submission` caches pure functions of its item and
-the config it steps from.  An evolution's delta, alone or with partners,
-is kept against the one `TypeEnv` object it was planned against; a
-`do`'s lock plan, with the bindings its typing looked up, outlives an
-evolution that leaves them all as they were; and a `do`'s solo wave is
-kept against the store and env it ran from, for the pairs fired there.
+the config it steps from.  An evolution's plan, alone or with partners,
+is the env it would commit or the report that refuses it, kept against
+the one `TypeEnv` object it was planned against; a `do`'s lock plan,
+with the bindings its typing looked up, outlives an evolution that
+leaves them all as they were; and a `do`'s solo wave is kept against the
+store and env it ran from, for the pairs fired there.
 
 Evolution approval follows a lock discipline: two evolutions may commit in
 one step only when they rebind disjoint names and neither reads a name the
@@ -46,7 +47,6 @@ from .store import (
     Value,
     change_to_json,
     diff,
-    empty_store,
     eval_expr,
     init_cells,
     merge_defs,
@@ -76,8 +76,8 @@ class Submission:
 
     `plans` caches what this item's steps derive under the environment
     held at `plans["env"]`: at `()` the `do`'s lock plan (see `_do_plan`)
-    or the lone evolution's delta, under later partners' ids the delta
-    they form together, and at `"wave"` the `do`'s latest `_solo_wave`.
+    or the lone evolution's plan, under later partners' ids the plan they
+    form together, and at `"wave"` the `do`'s latest `_solo_wave`.
     It takes no part in equality or hashing, and it dies with the
     submission when that leaves the queue.
     """
@@ -92,7 +92,7 @@ class Config:
     """The runtime configuration: environment, store, and pending queues."""
 
     env: TypeEnv = field(default_factory=TypeEnv)
-    store: Store = field(default_factory=empty_store)
+    store: Store = field(default_factory=Store)
     q_r: tuple[Submission, ...] = ()
     q_do: tuple[Submission, ...] = ()
 
@@ -139,14 +139,17 @@ class StepOutcome:
 
 
 @dataclass(frozen=True)
-class Accepted(StepOutcome):
-    """An evolution (or a pair of them) merged into the environment."""
+class Committed(StepOutcome):
+    """A committed transaction: its changes, number, submitters and wave order."""
 
-    delta: TypeEnv
     changes: tuple[Change, ...]
     txn: int | None
     who: tuple = ()
     recomputed: tuple[str, ...] = ()
+
+
+class Accepted(Committed):
+    """An evolution (or a pair) merged into the env of the config its step returns."""
 
 
 @dataclass(frozen=True)
@@ -160,14 +163,8 @@ class Rejected(StepOutcome):
     final: bool = True
 
 
-@dataclass(frozen=True)
-class Executed(StepOutcome):
+class Executed(Committed):
     """An action (or merged pair) committed."""
-
-    changes: tuple[Change, ...]
-    txn: int | None
-    who: tuple = ()
-    recomputed: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -184,12 +181,11 @@ class QueueDied(StepOutcome):
 
 
 def outcome_to_json(o: StepOutcome) -> dict:
-    if isinstance(o, Accepted):
-        return {"outcome": "accepted", "txn": o.txn, "changes": [change_to_json(c) for c in o.changes]}
+    if isinstance(o, Committed):
+        kind = "accepted" if isinstance(o, Accepted) else "executed"
+        return {"outcome": kind, "txn": o.txn, "changes": [change_to_json(c) for c in o.changes]}
     if isinstance(o, Rejected):
         return {"outcome": "rejected", "final": o.final, "detail": o.report.to_json()}
-    if isinstance(o, Executed):
-        return {"outcome": "executed", "txn": o.txn, "changes": [change_to_json(c) for c in o.changes]}
     if isinstance(o, ActionFailed):
         return {"outcome": "failed", "detail": o.error.to_json()}
     if isinstance(o, QueueDied):
@@ -215,14 +211,14 @@ def submit_do(cfg: Config, d: DoStmt, who: object = "anon") -> Config:
 # Evolution steps
 # ---------------------------------------------------------------------------
 
-def _evolution_delta(
+def _merge_evolutions(
     env: TypeEnv, programs: Sequence[Program]
-) -> tuple[TypeEnv, TypeEnv] | TypeCheckError | CompatReport:
+) -> TypeEnv | TypeCheckError | CompatReport:
     """Plan evolutions that commit together under the lock discipline.
 
-    Returns their combined delta with the env that `compatible` merged and
-    accepted, which is the env to commit, or the report that refuses them: a
-    write conflict when two programs rebind the same name, the type
+    Returns the env that `compatible` merged from their combined delta and
+    accepted, which is the env to commit, or the report that refuses them:
+    a write conflict when two programs rebind the same name, the type
     error, or the compatibility report of the combined delta.  Each
     program is typed with every other program's rebound names hidden (a
     write lock admits only its owner, for reading too); a single program
@@ -244,13 +240,14 @@ def _evolution_delta(
     for delta in deltas[1:]:
         combined = env_merge(combined, delta)
     report = compatible(env, combined)
-    return (combined, report.merged) if report.ok else report
+    return report.merged if report.ok else report
 
 
 def _evolution_plan(
     env: TypeEnv, subs: Sequence[Submission]
-) -> tuple[TypeEnv, TypeEnv] | TypeCheckError | CompatReport:
-    """`_evolution_delta` of the queued evolutions `subs` under `env`, computed once.
+) -> TypeEnv | TypeCheckError | CompatReport:
+    """`_merge_evolutions` of the queued evolutions `subs` under `env`, computed
+    once: the env they would commit together, or the report that refuses them.
 
     The result is cached on the first submission, keyed by the partners
     that follow it and valid while `env` is the very object it was planned
@@ -269,7 +266,7 @@ def _evolution_plan(
     hit = cache.get(key)
     if hit is not None and all(a is b for a, b in zip(hit[0], partners)):
         return hit[1]
-    result = _evolution_delta(env, [s.item for s in subs])
+    result = _merge_evolutions(env, [s.item for s in subs])
     if isinstance(result, Exception):
         result = result.with_traceback(None)
     cache[key] = (partners, result)
@@ -295,18 +292,17 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
     assert all(isinstance(r, Program) for r in programs)
     whos = tuple(p.who for p in picks)
     planned = _evolution_plan(cfg.env, picks)
-    if not isinstance(planned, tuple):
+    if not isinstance(planned, TypeEnv):
         if len(picks) == 1:
             return Config(cfg.env, cfg.store, remaining, cfg.q_do), Rejected(planned, whos)
         return cfg, Rejected(planned, whos, final=False)
-    delta, new_env = planned
     try:
         union_prog = Program(tuple(d for r in programs for d in r.decls))
-        new_store, prop = init_cells(cfg.store, new_env, union_prog, cfg.next_txn)
+        new_store, prop = init_cells(cfg.store, planned, union_prog, cfg.next_txn)
     except EvalError as err:
         return Config(cfg.env, cfg.store, remaining, cfg.q_do), Rejected(err, whos)
-    new_cfg = Config(new_env, new_store, remaining, cfg.q_do)
-    return new_cfg, Accepted(delta, prop.changes, prop.txn, whos, prop.recomputed)
+    new_cfg = Config(planned, new_store, remaining, cfg.q_do)
+    return new_cfg, Accepted(prop.changes, prop.txn, whos, prop.recomputed)
 
 
 def step_queue_die(cfg: Config) -> tuple[Config, StepOutcome]:
@@ -514,7 +510,7 @@ class Step:
 
 def evolve_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     """Would these two evolutions be accepted together right now (statically)?"""
-    return isinstance(_evolution_plan(cfg.env, (s1, s2)), tuple)
+    return isinstance(_evolution_plan(cfg.env, (s1, s2)), TypeEnv)
 
 
 class _Options(Sequence):
@@ -589,7 +585,7 @@ def enabled_steps(cfg: Config) -> Sequence[Step]:
     """
     head: list[Step] = []
     singles = [
-        i for i, s in enumerate(cfg.q_r) if isinstance(_evolution_plan(cfg.env, (s,)), tuple)
+        i for i, s in enumerate(cfg.q_r) if isinstance(_evolution_plan(cfg.env, (s,)), TypeEnv)
     ]
     head.extend(Step("evolve_one", i) for i in singles)
     pair_found = False
@@ -693,11 +689,9 @@ class FixedSchedule:
         return options[k]
 
 
-def run_steps(
-    cfg: Config, schedule: ScheduleSource
-) -> Iterator[tuple[Config, Step, Config, tuple[StepOutcome, ...]]]:
+def run_steps(cfg: Config, schedule: ScheduleSource) -> Iterator[tuple[Step, Config, tuple[StepOutcome, ...]]]:
     """The one schedule loop: while any step is enabled, let `schedule`
-    choose one, fire it and yield `(before, step, after, outcomes)`.
+    choose one, fire it and yield `(step, after, outcomes)`.
 
     Every scheduler iterates this generator, so each fired step is seen in
     one place.  It stops when no step is enabled, which leaves pending
@@ -706,9 +700,8 @@ def run_steps(
     """
     while options := enabled_steps(cfg):
         step = schedule.choose(cfg, options)
-        after, outcomes = apply_step(cfg, step)
-        yield cfg, step, after, outcomes
-        cfg = after
+        cfg, outcomes = apply_step(cfg, step)
+        yield step, cfg, outcomes
 
 
 def run_until_quiescent(
@@ -720,7 +713,7 @@ def run_until_quiescent(
     queue death, which empties the evolution queue outright.
     """
     outcomes: list[StepOutcome] = []
-    for _, _, cfg, outs in run_steps(cfg, schedule or FirstSchedule()):
+    for _, cfg, outs in run_steps(cfg, schedule or FirstSchedule()):
         outcomes.extend(outs)
     assert not cfg.q_r and not cfg.q_do
     return cfg, outcomes

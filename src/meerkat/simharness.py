@@ -55,13 +55,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .runtime import (
-    Accepted,
+    Committed,
     Config,
-    Executed,
     FixedSchedule,
     PickOutOfRange,
     RandomSchedule,
@@ -77,7 +76,7 @@ from .runtime import (
 )
 from .store import DefCell, Store, Value, VarCell, eval_expr, value_to_json
 from .syntax import Expr, ParseError, parse_do, parse_program
-from .typesys import TypeEnv, env_merge, topo_order
+from .typesys import TypeEnv, topo_order
 
 
 def oracle_recompute(
@@ -103,10 +102,6 @@ class ScenarioItem:
     kind: str  # "evolve" | "do"
     source: str
     who: str
-
-    def to_json(self) -> dict:
-        key = "code" if self.kind == "evolve" else "expr"
-        return {"kind": self.kind, key: self.source, "who": self.who}
 
 
 def _required(entry, index: int, key: str):
@@ -134,13 +129,6 @@ class Scenario:
             source = _required(entry, index, "code" if kind == "evolve" else "expr")
             items.append(ScenarioItem(kind, source, str(entry.get("who", "anon"))))
         return Scenario(doc.get("initial"), tuple(items), bool(doc.get("independent", False)))
-
-    def to_json(self) -> dict:
-        return {
-            "initial": self.initial,
-            "submissions": [s.to_json() for s in self.submissions],
-            "independent": self.independent,
-        }
 
 
 def load_scenario(path: str) -> Scenario:
@@ -171,31 +159,24 @@ class Verdict:
     counterexample: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": self.violations,
-            "runs": self.runs,
-            "states": self.states,
-            "configs": self.configs,
-            "schedules_complete": self.schedules_complete,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # Per-step validation
 # ---------------------------------------------------------------------------
 
-def validate_wave(cfg_before: Config, outcome: StepOutcome) -> list[str]:
+def validate_wave(env: TypeEnv, outcome: StepOutcome) -> list[str]:
     """Glitch-freedom audit of one committed transaction.
 
     Checks that the engine's reported recomputation order names each
     definition once, after every recomputed definition its binding reads
-    in the env the wave ran under.  A message names no transaction: under
-    a merged node of the exhaustive walk its number would depend on the
+    in `env`: the env of the config its step returned, which holds what
+    an accepted evolution bound.  A message names no transaction: under a
+    merged node of the exhaustive walk its number would depend on the
     path, and the counterexample's picks locate the step anyway.
     """
-    if not isinstance(outcome, (Accepted, Executed)) or outcome.txn is None:
+    if not isinstance(outcome, Committed) or outcome.txn is None:
         return []
     recomputed = outcome.recomputed
     problems = []
@@ -203,7 +184,6 @@ def validate_wave(cfg_before: Config, outcome: StepOutcome) -> list[str]:
         problems.append("a definition was recomputed more than once")
     seen: set[str] = set()
     affected = set(recomputed)
-    env = env_merge(cfg_before.env, outcome.delta) if isinstance(outcome, Accepted) else cfg_before.env
     for name in recomputed:
         b = env.get(name)
         for dep, _ in (b.deps or ()) if b is not None else ():
@@ -250,10 +230,10 @@ def build_config(scenario: Scenario) -> Config:
     return cfg
 
 
-def _audit_step(cfg_before: Config, cfg_after: Config, outs, verdict: Verdict):
+def _audit_step(cfg: Config, outs, verdict: Verdict):
     for o in outs:
-        verdict.violations.extend(validate_wave(cfg_before, o))
-    verdict.violations.extend(check_config(cfg_after))
+        verdict.violations.extend(validate_wave(cfg.env, o))
+    verdict.violations.extend(check_config(cfg))
 
 
 def _finish_run(cfg: Config, verdict: Verdict, finals: set):
@@ -378,7 +358,7 @@ def _explore_dag(start: Config, mode: Exhaustive, verdict: Verdict, finals: set)
                 verdict.states += 1
                 before = len(verdict.violations)
                 for o in outs:
-                    verdict.violations.extend(validate_wave(cfg, o))
+                    verdict.violations.extend(validate_wave(nxt.env, o))
                 key = config_key(nxt, canon)
                 child = interned.get(key)
                 if child is None:
@@ -435,9 +415,9 @@ def explore(scenario: Scenario, mode: Seeded | Exhaustive = Seeded()) -> Verdict
         for k in range(mode.runs):
             schedule = RandomSchedule(mode.seed + k)
             cfg = start
-            for before, _, cfg, outs in run_steps(start, schedule):
+            for _, cfg, outs in run_steps(start, schedule):
                 verdict.states += 1
-                _audit_step(before, cfg, outs, verdict)
+                _audit_step(cfg, outs, verdict)
             if cfg.q_r or cfg.q_do:
                 verdict.violations.append("progress violated: pending work but no enabled step")
             _finish_run(cfg, verdict, finals)
@@ -459,9 +439,9 @@ def replay(scenario: Scenario, trace: dict) -> Verdict:
     verdict = Verdict()
     cfg = build_config(scenario)
     try:
-        for before, _, cfg, outs in run_steps(cfg, FixedSchedule(trace["picks"])):
+        for _, cfg, outs in run_steps(cfg, FixedSchedule(trace["picks"])):
             verdict.states += 1
-            _audit_step(before, cfg, outs, verdict)
+            _audit_step(cfg, outs, verdict)
     except IndexError:
         pass  # the recorded schedule ended before quiescence
     except PickOutOfRange as err:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .syntax import (
     ActionBody,
@@ -225,10 +225,6 @@ class Store:
         return f"Store(txn={self.txn}, vars=[{vs}], defs=[{ds}])"
 
 
-def empty_store() -> Store:
-    return Store()
-
-
 def store_to_json(store: Store) -> dict:
     return {
         "txn": store.txn,
@@ -260,15 +256,14 @@ def eval_expr(
     ctx: Mapping[str, Value],
     e: Expr,
     var_overlay: Mapping[str, Value] | None = None,
-    on_ref: Callable[[str], None] | None = None,
 ) -> Value:
     """Call-by-value evaluation against a store snapshot.
 
     Locals in `ctx` shadow top-level names.  Top-level reads go to the
     live cells each time (closures capture locals only).  `var_overlay`
-    supplies not-yet-committed state-variable values for action bodies;
-    `on_ref` observes every top-level read (used by tests to check that
-    inferred dependency sets are sound).  Never mutates the store.
+    supplies not-yet-committed state-variable values for action bodies.
+    A committed cell is read only as `store.vars[name]` or `store.defs[name]`.
+    Never mutates the store.
     """
     if isinstance(e, Lit):
         v = e.value
@@ -283,8 +278,6 @@ def eval_expr(
         name = e.name
         if name in ctx:
             return ctx[name]
-        if on_ref is not None:
-            on_ref(name)
         if var_overlay is not None and name in var_overlay:
             return var_overlay[name]
         if name in store.vars:
@@ -297,16 +290,16 @@ def eval_expr(
     if isinstance(e, ActionLit):
         return ActionV(e.body, _capture(ctx))
     if isinstance(e, App):
-        fn = eval_expr(store, ctx, e.fn, var_overlay, on_ref)
-        arg = eval_expr(store, ctx, e.arg, var_overlay, on_ref)
+        fn = eval_expr(store, ctx, e.fn, var_overlay)
+        arg = eval_expr(store, ctx, e.arg, var_overlay)
         if not isinstance(fn, ClosureV):
             raise EvalError("NotAFunction", f"cannot apply {json.dumps(value_to_json(fn))}")
         call_ctx = dict(fn.env)
         call_ctx[fn.param] = arg
-        return eval_expr(store, call_ctx, fn.body, var_overlay, on_ref)
+        return eval_expr(store, call_ctx, fn.body, var_overlay)
     if isinstance(e, BinOp):
-        lhs = eval_expr(store, ctx, e.lhs, var_overlay, on_ref)
-        rhs = eval_expr(store, ctx, e.rhs, var_overlay, on_ref)
+        lhs = eval_expr(store, ctx, e.lhs, var_overlay)
+        rhs = eval_expr(store, ctx, e.rhs, var_overlay)
         op = e.op
         if op in ("&&", "||"):
             assert isinstance(lhs, BoolV) and isinstance(rhs, BoolV)
@@ -327,10 +320,10 @@ def eval_expr(
             return BoolV(a < b)
         raise EvalError("BadOperator", f"unknown operator {op!r}")
     if isinstance(e, If):
-        cond = eval_expr(store, ctx, e.cond, var_overlay, on_ref)
+        cond = eval_expr(store, ctx, e.cond, var_overlay)
         assert isinstance(cond, BoolV)
         branch = e.then if cond.v else e.orelse
-        return eval_expr(store, ctx, branch, var_overlay, on_ref)
+        return eval_expr(store, ctx, branch, var_overlay)
     raise EvalError("BadExpression", f"not an expression: {e!r}")
 
 

@@ -10,10 +10,10 @@ appears.
 
 The checks in this module are all pure; environments are immutable and
 every operation returns a fresh value or a report.  An env caches only
-what is derived from its bindings: its reverse edges and whether
-`compatible` found it well-formed.  The reverse edges of an env that
-`compatible` accepts are patched from its base's, so accepting an
-evolution costs what its delta touches.
+what is derived from its bindings: its reverse edges, its scanned
+well-formedness report and whether `compatible` accepted it.  The
+reverse edges of an env that `compatible` accepts are patched from its
+base's, so accepting an evolution costs what its delta touches.
 """
 
 from __future__ import annotations
@@ -90,12 +90,6 @@ class DepSet:
     def names(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.items)
 
-    def get(self, name: str) -> "Type | None":
-        for n, t in self.items:
-            if n == name:
-                return t
-        return None
-
     def __contains__(self, name: str) -> bool:
         return any(n == name for n, _ in self.items)
 
@@ -120,8 +114,6 @@ class DepSet:
 
 
 EMPTY_DEPS = DepSet()
-
-WriteSet = frozenset  # state-variable names an action assigns
 
 
 @dataclass(frozen=True)
@@ -185,12 +177,11 @@ class TypeEnv:
     """Ordered, immutable map of top-level names to bindings: the one dependency graph.
 
     Besides its bindings an env keeps four derived facts: its reverse
-    edges (`readers()`), its `well_formed` report, a mark that it is known
-    to be well-formed, and `wave_orders`, the store's memo of each write
-    set's wave order (see `store.wave_order`), which holds at most
-    `len(env)` entries.  Only the merged env of a passing `compatible`
-    carries the mark; `TypeEnv()`, `bind`, `without` and `env_merge` never
-    set it, so any other env takes `compatible`'s whole-env check.
+    edges (`readers()`), its `well_formed` report, a mark that a passing
+    `compatible` merged it, and `wave_orders`, the store's memo of each
+    write set's wave order (see `store.wave_order`), which holds at most
+    `len(env)` entries.  The mark is not a report: `well_formed` never
+    reads it, so auditing an accepted env still scans it.
     """
 
     __slots__ = ("_bindings", "_readers", "_scan", "_well_formed", "wave_orders")
@@ -210,9 +201,6 @@ class TypeEnv:
 
     def __len__(self) -> int:
         return len(self._bindings)
-
-    def __bool__(self) -> bool:
-        return bool(self._bindings)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._bindings)
@@ -303,9 +291,6 @@ class CompatReport:
         return "; ".join(f"{v.kind}({v.name}): {v.detail}" for v in self.violations)
 
 
-OK_REPORT = CompatReport()
-
-
 def _reverse_edges(env: TypeEnv) -> dict[str, frozenset[str]]:
     """name -> the definitions whose binding reads it directly."""
     rev: dict[str, set[str]] = {}
@@ -379,14 +364,14 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
     name's type changes, every definition that reads it must itself be
     rebound in the same delta; `base.readers()` lists those dependents.
 
-    When `base` is marked well-formed, only what the delta touches is
+    When `base` is marked as accepted, only what the delta touches is
     checked: the kind flips and stale dependents above, and the violations
     among the delta's names and reachable from them (a base reader of a
     name rebound at another type is a stale dependent, and a new cycle
     must pass through a delta name).  Any other base, and anything the
     local check finds, takes the whole-env scan, so a rejection lists
     every violation of the merged env in the same order either way.  An
-    ok report carries the merged env, marked well-formed, with its reverse
+    ok report carries the merged env, marked as accepted, with its reverse
     edges patched from `base`'s.
     """
     merged = env_merge(base, delta)

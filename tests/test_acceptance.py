@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from meerkat.netserver import MeerkatServer, ServerConfig
+from meerkat.netserver import MeerkatServer
 from meerkat.runtime import (
     Accepted,
     Executed,
@@ -253,7 +253,7 @@ def explore_exhaustively(stats: ExplorationStats, base, submissions, state_cap=6
             stats.states += 1
             stats.preservation_failures.extend(check_config(nxt))
             for o in outcomes:
-                stats.glitch_failures.extend(validate_wave(cur, o))
+                stats.glitch_failures.extend(validate_wave(nxt.env, o))
             key = config_key(nxt)
             if key not in seen:
                 seen.add(key)
@@ -513,9 +513,7 @@ class _Client:
 
 def test_criterion_9_end_to_end_protocol():
     with criterion(9, "loopback workload equals a single-client serial replay", 30.0):
-        server = MeerkatServer(
-            ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(INIT_PROGRAM), seed=11)
-        )
+        server = MeerkatServer(bind=("127.0.0.1", 0), initial=parse_program(INIT_PROGRAM), seed=11)
         server.start()
         try:
             evolutions = [

@@ -13,6 +13,7 @@ workload runs too.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import json
 import subprocess
@@ -83,6 +84,56 @@ def test_every_library_name_the_benchmark_drives_exists():
         f"{module_name}.{attr}"
         for module_name, attr in sorted(refs)
         if not hasattr(importlib.import_module(module_name), attr)
+    ]
+    assert missing == []
+
+
+def outcome_field_reads(path: Path) -> list[tuple[str, str]]:
+    """`(class, attribute)` for every `o.attribute` read inside the body of
+    an `if isinstance(o, alias.Class)` branch in `path`, where an `import
+    meerkat.runtime as alias` line binds the alias."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "meerkat.runtime"
+    }
+    reads = []
+    for node in ast.walk(tree):
+        test = node.test if isinstance(node, ast.If) else None
+        if not (
+            isinstance(test, ast.Call)
+            and isinstance(test.func, ast.Name)
+            and test.func.id == "isinstance"
+            and len(test.args) == 2
+            and isinstance(test.args[0], ast.Name)
+            and isinstance(test.args[1], ast.Attribute)
+            and isinstance(test.args[1].value, ast.Name)
+            and test.args[1].value.id in aliases
+        ):
+            continue
+        subject, cls = test.args[0].id, test.args[1].attr
+        reads += [
+            (cls, sub.attr)
+            for stmt in node.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == subject
+        ]
+    return reads
+
+
+def test_every_outcome_field_the_benchmark_reads_exists():
+    # a traced pass reads a field only when that outcome kind occurs, so
+    # check every read statically against the outcome's dataclass fields
+    runtime = importlib.import_module("meerkat.runtime")
+    reads = outcome_field_reads(PERFBENCH / "inproc.py")
+    assert {"who", "notified", "final", "error"} <= {attr for _, attr in reads}
+    missing = [
+        f"{cls}.{attr}"
+        for cls, attr in reads
+        if attr not in {f.name for f in dataclasses.fields(getattr(runtime, cls))}
     ]
     assert missing == []
 

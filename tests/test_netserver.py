@@ -22,7 +22,6 @@ import meerkat.netserver
 import meerkat.runtime
 from meerkat.netserver import (
     MeerkatServer,
-    ServerConfig,
     ServerState,
     Session,
     handle_message,
@@ -169,7 +168,7 @@ class Client:
 
 @pytest.fixture
 def server():
-    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(LISTING)))
+    srv = MeerkatServer(bind=("127.0.0.1", 0), initial=parse_program(LISTING))
     srv.start()
     yield srv
     srv.stop()
@@ -178,7 +177,9 @@ def server():
 def test_main_rejects_bad_flags(capsys):
     from meerkat.netserver import main
 
-    assert main(["--bind", "nonsense"]) == 1
+    # past the last port, a digit int() refuses, more digits than int() takes
+    for bind in ("nonsense", "127.0.0.1:99999", "127.0.0.1:\u00b2", "127.0.0.1:" + "9" * 5000):
+        assert main(["--bind", bind]) == 1
     assert main(["--init", "/no/such/file.mk"]) == 1
 
 
@@ -309,7 +310,7 @@ def test_user_role_cannot_evolve_but_can_act(server):
 
 
 def test_open_mode_lets_users_evolve():
-    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0), open_mode=True))
+    srv = MeerkatServer(bind=("127.0.0.1", 0), open_mode=True)
     srv.start()
     try:
         u = Client(srv.address, role="user")
@@ -348,7 +349,7 @@ def test_a_fault_inside_a_step_fails_its_submission_and_the_server_keeps_serving
 
 
 def test_a_fault_inside_a_step_answers_every_queued_submission_once(monkeypatch, capsys):
-    srv = MeerkatServer(ServerConfig(initial=parse_program(LISTING)))
+    srv = MeerkatServer(initial=parse_program(LISTING))
     committed = srv.state.cfg
     cfg = submit_evolution(committed, parse_program("def inc3 = inc2 + 1;"), (1, "e"))
     srv.state.cfg = submit_do(cfg, parse_do("do (action { x := 5 })"), (2, "d"))
@@ -366,7 +367,7 @@ def test_a_fault_inside_a_step_answers_every_queued_submission_once(monkeypatch,
 
 
 def test_a_fault_building_a_steps_replies_leaves_the_step_uncommitted(monkeypatch, capsys):
-    srv = MeerkatServer(ServerConfig(initial=parse_program(LISTING)))
+    srv = MeerkatServer(initial=parse_program(LISTING))
     committed = srv.state.cfg
     srv.state.cfg = submit_do(committed, parse_do("do (action { x := 5 })"), (2, "d"))
     sent = []
@@ -388,11 +389,7 @@ def test_a_fault_building_a_steps_replies_leaves_the_step_uncommitted(monkeypatc
 
 def test_trace_file_records_steps(tmp_path):
     trace = tmp_path / "trace.jsonl"
-    srv = MeerkatServer(
-        ServerConfig(
-            bind=("127.0.0.1", 0), initial=parse_program(LISTING), trace_path=str(trace)
-        )
-    )
+    srv = MeerkatServer(bind=("127.0.0.1", 0), initial=parse_program(LISTING), trace_path=str(trace))
     srv.start()
     try:
         c = Client(srv.address)
@@ -478,7 +475,7 @@ def test_a_closed_sessions_subscriptions_leave_no_entry(server):
 
 
 def test_stop_closes_idle_sessions():
-    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0)))
+    srv = MeerkatServer(bind=("127.0.0.1", 0))
     srv.start()
     silent = socket.create_connection(srv.address, timeout=10)  # never says hello
     idle = Client(srv.address)
@@ -493,7 +490,7 @@ def test_stop_closes_idle_sessions():
 
 def test_overflowing_subscriber_reads_the_notice_before_eof(monkeypatch):
     monkeypatch.setattr(meerkat.netserver, "BUFFER_LIMIT", 1)
-    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(LISTING)))
+    srv = MeerkatServer(bind=("127.0.0.1", 0), initial=parse_program(LISTING))
     srv.start()
     try:
         watcher = Client(srv.address)
@@ -539,7 +536,7 @@ def test_a_session_that_does_not_read_stalls_no_one():
     # each dump is about 70 kB, so 200 of them fill the socket buffers and
     # most of the replies must wait until the hog's socket is writable again
     program = " ".join(f"var a_rather_long_variable_name_{k:04} = 1000000;" for k in range(2000))
-    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(program)))
+    srv = MeerkatServer(bind=("127.0.0.1", 0), initial=parse_program(program))
     srv.start()
     try:
         hog = socket.socket()
@@ -731,7 +728,7 @@ def test_hostile_lines_get_one_reply_each_and_stop_no_one(fuzz_server, lines, cu
 
 @pytest.fixture(scope="module")
 def fuzz_server():
-    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(LISTING)))
+    srv = MeerkatServer(bind=("127.0.0.1", 0), initial=parse_program(LISTING))
     srv.start()
     control = Client(srv.address)
     assert control.recv() == {"type": "hello", "version": 1}

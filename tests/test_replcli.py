@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import meerkat.runtime
-from meerkat.netserver import MeerkatServer, ServerConfig
+from meerkat.netserver import MeerkatServer
 from meerkat.replcli import EmbeddedBackend, RemoteBackend, Repl, main
 from meerkat.syntax import parse_program
 
@@ -155,6 +155,10 @@ def test_an_embedded_step_fault_is_answered_and_the_session_goes_on(monkeypatch,
 def test_usage_error_exit_code():
     assert main([]) == 1
     assert main(["--connect", "nonsense"]) == 1
+    # a port past 65535 is refused, not wrapped onto a listening one
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        _, port = listener.getsockname()
+        assert main(["--connect", f"127.0.0.1:{port + 65536}"]) == 1
 
 
 def test_connection_refused_exit_code():
@@ -167,9 +171,7 @@ def test_connection_refused_exit_code():
 
 @pytest.fixture
 def server():
-    srv = MeerkatServer(
-        ServerConfig(bind=("127.0.0.1", 0), initial=parse_program(Path(LISTING_PATH).read_text()))
-    )
+    srv = MeerkatServer(bind=("127.0.0.1", 0), initial=parse_program(Path(LISTING_PATH).read_text()))
     srv.start()
     yield srv
     srv.stop()
@@ -237,7 +239,7 @@ def test_embedded_and_connected_print_the_same_lines(tmp_path, capsys, script):
         script = str(path)
     assert main(["--embedded", "--seed", "3", "--script", script]) == 0
     embedded = capsys.readouterr().out.splitlines()
-    srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0), seed=3))
+    srv = MeerkatServer(bind=("127.0.0.1", 0), seed=3)
     srv.start()
     try:
         host, port = srv.address
@@ -277,7 +279,7 @@ def test_evolve_is_matched_as_a_whole_command_word(tmp_path, capsys, mode):
     if mode == "embedded":
         assert main(["--embedded", "--script", str(script)]) == 0
     else:
-        srv = MeerkatServer(ServerConfig(bind=("127.0.0.1", 0)))
+        srv = MeerkatServer(bind=("127.0.0.1", 0))
         srv.start()
         try:
             host, port = srv.address

@@ -24,7 +24,7 @@ from meerkat.runtime import (
     Step,
     Submission,
     _do_plan,
-    _evolution_delta,
+    _merge_evolutions,
     _remove,
     _run_action,
     apply_step,
@@ -344,7 +344,7 @@ class TestDoTwo:
             (outcome,) = outcomes
             assert isinstance(outcome, Executed)
             assert values(cfg2) == want
-            assert validate_wave(cfg, outcome) == []
+            assert validate_wave(cfg2.env, outcome) == []
             pair_changes = {c.name: (c.old, c.new) for c in outcome.changes}
             # equals serial execution in either order: cells and net changes
             for order in ((w1, w2), (w2, w1)):
@@ -459,10 +459,10 @@ class TestQuiescence:
 
 def reference_enabled_steps(cfg: Config) -> tuple[Step, ...]:
     """`enabled_steps` from first principles: every plan is computed afresh
-    from `check_do` and `_evolution_delta`, with no cache."""
+    from `check_do` and `_merge_evolutions`, with no cache."""
 
     def approvable(*subs: Submission) -> bool:
-        return isinstance(_evolution_delta(cfg.env, [s.item for s in subs]), tuple)
+        return isinstance(_merge_evolutions(cfg.env, [s.item for s in subs]), TypeEnv)
 
     def do_plan(sub: Submission):
         try:
@@ -723,7 +723,7 @@ class TestLazyOptions:
             cfg = submit_do(cfg, parse_do(f"do (action {{ v_{k} := v_{k} + 1 }})"), f"u{k}")
         calls.update(dict.fromkeys(calls, 0))
         fired = 0
-        for _, _, cfg, _ in run_steps(cfg, RandomSchedule(1)):
+        for _, cfg, _ in run_steps(cfg, RandomSchedule(1)):
             fired += 1
         assert calls["Step"] == fired and 200 <= fired < 400
         assert values(cfg) == {f"v_{k}": 1 for k in range(400)}
@@ -777,6 +777,13 @@ def test_an_env_is_scanned_for_well_formedness_once(monkeypatch):
     assert well_formed(cfg.env).ok and well_formed(cfg.env).ok
     assert check_config(cfg) == []
     assert len(scanned) == 1 and scanned[0] is cfg.env
+    # `compatible` marks the env it accepts, but the mark is no report:
+    # the audit still scans that env, and so checks the delta-local path
+    cfg, (outcome,) = run_until_quiescent(submit_evolution(quiesced(), parse_program("def a_2 = x + 2;"), "p"))
+    assert isinstance(outcome, Accepted)
+    scanned.clear()
+    assert check_config(cfg) == []
+    assert scanned == [cfg.env]
 
 
 def test_accepted_evolutions_check_only_what_their_delta_touches(monkeypatch):
@@ -804,7 +811,7 @@ def test_accepted_evolutions_check_only_what_their_delta_touches(monkeypatch):
     assert cfg.env.readers() == reverse_edges(cfg.env)
     assert values(cfg)["d_2"] == 3 + 3 and values(cfg)["e_3"] == 7 + 4
     # a kind flip takes the whole-env scan and gets its report
-    report = _evolution_delta(cfg.env, [parse_program("var d_7 = 0;")])
+    report = _merge_evolutions(cfg.env, [parse_program("var d_7 = 0;")])
     assert calls == ["well_formed"]
     assert str(report) == "kind_flip(d_7): 'd_7' changed from def to var"
 

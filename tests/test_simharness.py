@@ -239,7 +239,15 @@ class TestScenarioFiles:
             independent=True,
         )
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(scenario.to_json()))
+        path.write_text(
+            json.dumps(
+                {
+                    "initial": "var x = 1;",
+                    "submissions": [{"kind": "do", "expr": "do (action { x := 2 })", "who": "u"}],
+                    "independent": True,
+                }
+            )
+        )
         assert load_scenario(str(path)) == scenario
 
     def test_cli_reports_ok(self, tmp_path, capsys):
@@ -368,7 +376,7 @@ def tree_explore(scenario: Scenario, mode: Exhaustive) -> tuple[Verdict, set]:
             nxt, outs = apply_step(cfg, options[k])
             verdict.states += 1
             for o in outs:
-                verdict.violations.extend(sim.validate_wave(cfg, o))
+                verdict.violations.extend(sim.validate_wave(nxt.env, o))
             verdict.violations.extend(sim.check_config(nxt))
             stack.append((nxt, picks + (k,)))
     if scenario.independent and len(set(finals)) > 1:

@@ -14,9 +14,9 @@ from meerkat.store import (
     DefCell,
     EvalError,
     IntV,
+    Store,
     UNIT_V,
     VarCell,
-    empty_store,
     eval_expr,
     init_cells,
     merge_defs,
@@ -33,7 +33,7 @@ LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
 
 def build(source: str, base_env=None, base_store=None, txn=1):
     env = base_env or TypeEnv()
-    store = base_store if base_store is not None else empty_store()
+    store = base_store if base_store is not None else Store()
     program = parse_program(source)
     new_env = env_merge(env, infer_program(env, program))
     new_store, result = init_cells(store, new_env, program, txn)
@@ -54,15 +54,15 @@ class TestEval:
 
     def test_division_by_zero(self):
         with pytest.raises(EvalError) as exc:
-            eval_expr(empty_store(), {}, parse_expr("1 / 0"))
+            eval_expr(Store(), {}, parse_expr("1 / 0"))
         assert exc.value.reason == "DivByZero"
 
     def test_division_truncates_toward_zero(self):
-        assert eval_expr(empty_store(), {}, parse_expr("-7 / 2")) == IntV(-3)
-        assert eval_expr(empty_store(), {}, parse_expr("7 / -2")) == IntV(-3)
+        assert eval_expr(Store(), {}, parse_expr("-7 / 2")) == IntV(-3)
+        assert eval_expr(Store(), {}, parse_expr("7 / -2")) == IntV(-3)
 
     def test_arithmetic_wraps_at_64_bits(self):
-        v = eval_expr(empty_store(), {}, parse_expr("9223372036854775807 + 1"))
+        v = eval_expr(Store(), {}, parse_expr("9223372036854775807 + 1"))
         assert v == IntV(-(2**63))
 
     def test_closures_capture_locals_only(self):
@@ -84,7 +84,7 @@ class TestEval:
         assert eval_expr(store2, ctx, f_before.body) == IntV(101)
 
     def test_logic_and_equality(self):
-        st = empty_store()
+        st = Store()
         assert eval_expr(st, {}, parse_expr("true && false")) == BoolV(False)
         assert eval_expr(st, {}, parse_expr("1 == 1 || false")) == BoolV(True)
         assert eval_expr(st, {}, parse_expr('"a" == "b"')) == BoolV(False)
@@ -92,7 +92,7 @@ class TestEval:
 
     def test_if_takes_one_branch_only(self):
         # the untaken branch must not be evaluated
-        assert eval_expr(empty_store(), {}, parse_expr("if true then 1 else 1 / 0")) == IntV(1)
+        assert eval_expr(Store(), {}, parse_expr("if true then 1 else 1 / 0")) == IntV(1)
 
 
 class TestInitCells:
@@ -396,6 +396,26 @@ class TestWaveOrder:
         assert all(wave_order(env, w) is order for w, order in zip(({"b"}, {"p"}, {"q"}), kept[1:]))
 
 
+class _Reads(dict):
+    """A cell map that adds the name of each cell read from it to `seen`."""
+
+    def __init__(self, cells, seen: set[str]):
+        super().__init__(cells)
+        self.seen = seen
+
+    def __getitem__(self, name):
+        self.seen.add(name)
+        return super().__getitem__(name)
+
+
+def recording(store: Store, seen: set[str]) -> Store:
+    """`store` with cell maps that note each top-level read `eval_expr`
+    makes: it reads a bound cell only as `vars[name]` or `defs[name]`."""
+    out = Store(txn=store.txn)
+    out.vars, out.defs = _Reads(store.vars, seen), _Reads(store.defs, seen)
+    return out
+
+
 class TestDependencySoundness:
     def test_evaluation_reads_stay_inside_inferred_closure(self):
         from meerkat.typesys import infer_expr, transitive_reads
@@ -403,14 +423,16 @@ class TestDependencySoundness:
         env, store, _ = build(
             "var x = 2; def twice = x * 2; def quad = twice * 2; def other = x + 100;"
         )
-        for source in ["twice + 1", "quad + x", "if x == 2 then quad else twice"]:
+        # a definition's cell holds its value, so only the direct reads show
+        cases = {"twice + 1": {"twice"}, "quad + x": {"quad", "x"}, "if x == 2 then quad else twice": {"x", "quad"}}
+        for source, reads in cases.items():
             expr = parse_expr(source)
             _, deps = infer_expr(env, {}, expr)
             vs, ds = transitive_reads(env, deps)
             allowed = vs | ds
             seen: set[str] = set()
-            eval_expr(store, {}, expr, on_ref=seen.add)
-            assert seen <= allowed, (source, seen, allowed)
+            eval_expr(recording(store, seen), {}, expr)
+            assert seen == reads and seen <= allowed, (source, seen, allowed)
 
     def test_soundness_on_generated_programs(self):
         # every definition body of a random program must read only names in
@@ -442,8 +464,8 @@ class TestDependencySoundness:
                 _, deps = infer_expr(env, {}, cell.e)
                 vs, ds = transitive_reads(env, deps)
                 seen: set[str] = set()
-                eval_expr(store, {}, cell.e, on_ref=seen.add)
-                assert seen <= vs | ds, (name, seen, vs | ds)
+                eval_expr(recording(store, seen), {}, cell.e)
+                assert seen and seen <= vs | ds, (name, seen, vs | ds)  # every body reads a name
 
 
 class TestSerialization:
@@ -463,6 +485,6 @@ class TestSerialization:
         assert value_to_json(IntV(3)) == 3
         assert value_to_json(BoolV(True)) is True
         assert value_to_json(UNIT_V) is None
-        closure = eval_expr(empty_store(), {"k": IntV(1)}, parse_expr("fn y => y"))
+        closure = eval_expr(Store(), {"k": IntV(1)}, parse_expr("fn y => y"))
         doc = value_to_json(ClosureV("y", parse_expr("y + k"), (("k", IntV(1)),)))
         assert doc == {"fn": "fn y => y + k", "captured": {"k": 1}}
