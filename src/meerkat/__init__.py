@@ -7,7 +7,7 @@ trigger transactional actions, and a type system with explicit dependency
 sets decides what may commit concurrently.
 
 The package splits into surface syntax (`syntax`), the static checks
-(`typesys`), the versioned cell store (`store`), the configuration stepper
+(`typesys`), the versioned value store (`store`), the configuration stepper
 (`runtime`), a line-delimited JSON TCP server (`netserver`), an
 interactive client (`replcli`), and a schedule-exploration harness
 (`simharness`).
@@ -42,12 +42,10 @@ from .typesys import (
 )
 from .store import (
     Change,
-    DefCell,
     EvalError,
     PropagationResult,
     Store,
     Value,
-    VarCell,
     eval_expr,
     init_cells,
     merge_defs,

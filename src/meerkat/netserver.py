@@ -37,9 +37,11 @@ waits until it is writable.  So clients observe only committed transactions,
 in commit order.  Session sockets set ``TCP_NODELAY``: a small reply is not
 held back behind an unacknowledged one.
 
-A session's messages are handled in the order it sent them.  ``subscribe``
-has no reply; it is in effect once a later request on the same session has
-been answered.
+A session's messages are handled in the order it sent them, and it reads
+its own writes: a ``read``, ``env`` or ``dump`` is answered after every
+``evolve`` and ``do`` the same session sent before it has committed or
+been refused, even within one batch.  ``subscribe`` has no reply; it is in
+effect once a later request on the same session has been answered.
 
 A session is closed only at EOF, on a refused hello (a version mismatch),
 when its outbound buffer overflows or when it sends an overlong line, never
@@ -125,10 +127,12 @@ class ServerState:
     def turn(self, batch, send, trace=None):
         """Handle each `(session, message)` of `batch` in order, skipping
         sessions no longer registered (an `Exception` stands for a line that
-        was not JSON), then step to quiescence.  Every reply and event goes
-        to `send(sid, payload)` in order; each step's records go to the file
-        `trace`.  A step's replies are built before it commits, so a fault
-        there or in a step takes the fault path described above."""
+        was not JSON), then step to quiescence.  A `read`, `env` or `dump`
+        from a session that submitted earlier in the batch steps to
+        quiescence first, so it sees its own submissions.  Every reply and
+        event goes to `send(sid, payload)` in order; each step's records go
+        to the file `trace`.  A step's replies are built before it commits,
+        so a fault there or in a step takes the fault path described above."""
 
         def commit(cfg: Config, record: dict, outcomes):
             replies = [m for outcome in outcomes for m in outcome_messages(self, outcome)]
@@ -140,24 +144,35 @@ class ServerState:
                     trace.write(json.dumps(dict(record, **outcome_to_json(outcome))) + "\n")
                 trace.flush()
 
+        submitted: set[int] = set()  # sessions with a submission not yet stepped
+
+        def quiesce():
+            submitted.clear()
+            try:
+                for step, cfg, outcomes in run_steps(self.cfg, self.schedule):
+                    commit(cfg, step.to_json(), outcomes)
+            except Exception:
+                sys.excepthook(*sys.exc_info())
+                cfg = self.cfg
+                fault = EvalError("internal", "the server failed while stepping")
+                outcomes = [Rejected(fault, tuple(s.who for s in cfg.q_r))] if cfg.q_r else []
+                outcomes += [ActionFailed(fault, (s.who,)) for s in cfg.q_do]
+                commit(replace(cfg, q_r=(), q_do=()), {"kind": "internal"}, outcomes)
+
         for session, msg in batch:
             if self.sessions.get(session.id) is not session:
                 continue  # dropped earlier in this batch
             if isinstance(msg, Exception):
                 send(session.id, {"type": "error", "reason": "parse"})
                 continue
+            kind = msg.get("type") if isinstance(msg, dict) else None
+            if kind in ("evolve", "do"):
+                submitted.add(session.id)
+            elif kind in ("read", "env", "dump") and session.id in submitted:
+                quiesce()
             for sid, payload in handle_message(self, session, msg):
                 send(sid, payload)
-        try:
-            for step, cfg, outcomes in run_steps(self.cfg, self.schedule):
-                commit(cfg, step.to_json(), outcomes)
-        except Exception:
-            sys.excepthook(*sys.exc_info())
-            cfg = self.cfg
-            fault = EvalError("internal", "the server failed while stepping")
-            outcomes = [Rejected(fault, tuple(s.who for s in cfg.q_r))] if cfg.q_r else []
-            outcomes += [ActionFailed(fault, (s.who,)) for s in cfg.q_do]
-            commit(replace(cfg, q_r=(), q_do=()), {"kind": "internal"}, outcomes)
+        quiesce()
 
 
 def _rejection_payload(report: TypeCheckError | EvalError | CompatReport) -> dict:
@@ -216,7 +231,7 @@ def handle_message(state: ServerState, session: Session, msg: dict) -> list[tupl
     if kind == "env":
         return [(sid, {"type": "value", "req": req, "value": {"bindings": state.cfg.env.to_json()}})]
     if kind == "dump":
-        return [(sid, {"type": "value", "req": req, "value": store_to_json(state.cfg.store)})]
+        return [(sid, {"type": "value", "req": req, "value": store_to_json(state.cfg.store, state.cfg.env)})]
     return [(sid, {"type": "error", "reason": "unknown_type", "req": req})]
 
 

@@ -2,17 +2,19 @@
 
 A `Config` bundles the typing environment, the store, and the two pending
 queues: code evolutions submitted by programmers and `do` statements
-submitted by users.  Step functions consume queue entries and return a new
-config plus an outcome describing what happened; nothing here blocks, so a
-scheduler (the network server, the REPL, or the exploration harness) owns
-all sequencing decisions.  Nothing here shares mutable state either, with
-one exception: each `Submission` caches pure functions of its item and
-the config it steps from.  An evolution's plan, alone or with partners,
-is the env it would commit or the report that refuses it, kept against
-the one `TypeEnv` object it was planned against; a `do`'s lock plan,
-with the bindings its typing looked up, outlives an evolution that
-leaves them all as they were; and a `do`'s solo wave is kept against the
-store and env it ran from, for the pairs fired there.
+submitted by users.  The env holds each definition's code and the store
+its value: an evolution commits both, an action the store alone.  Step
+functions consume queue entries and return a new config plus an outcome
+describing what happened; nothing here blocks, so a scheduler (the
+network server, the REPL, or the exploration harness) owns all sequencing
+decisions.  Nothing here shares mutable state either, with one exception:
+each `Submission` caches pure functions of its item and the config it
+steps from.  An evolution's plan, alone or with partners, is the env it
+would commit or the report that refuses it, kept against the one
+`TypeEnv` object it was planned against; a `do`'s lock plan, with the
+bindings its typing looked up, outlives an evolution that leaves them all
+as they were; and a `do`'s solo wave is kept against the store and env it
+ran from, for the pairs fired there.
 
 Evolution approval follows a lock discipline: two evolutions may commit in
 one step only when they rebind disjoint names and neither reads a name the
@@ -754,17 +756,10 @@ def check_config(cfg: Config) -> list[str]:
     if env_names != store_names:
         problems.append(f"domain mismatch: env {sorted(env_names)} vs store {sorted(store_names)}")
     for name, binding in cfg.env.items():
-        if binding.is_state:
-            if name not in cfg.store.vars:
-                problems.append(f"'{name}' should be a state-variable cell")
-                continue
-            if not value_conforms(cfg.store.vars[name].c, binding.ty):
-                problems.append(f"'{name}' value does not match its type")
-        else:
-            cell = cfg.store.defs.get(name)
-            if cell is None:
-                problems.append(f"'{name}' should be a definition cell")
-                continue
-            if not value_conforms(cell.c, binding.ty):
-                problems.append(f"'{name}' value does not match its type")
+        value = (cfg.store.vars if binding.is_state else cfg.store.defs).get(name)
+        if value is None:
+            kind = "state-variable" if binding.is_state else "definition"
+            problems.append(f"'{name}' should be a {kind} cell")
+        elif not value_conforms(value, binding.ty):
+            problems.append(f"'{name}' value does not match its type")
     return problems

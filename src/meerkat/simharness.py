@@ -25,13 +25,14 @@ counts are:
 
 Exhaustive mode walks the DAG of distinct configs rather than the tree of
 schedules.  `config_key` holds everything the audits read, by name and
-not in the order names were bound: bindings, cells and queues, but not
-the transaction numbering.  So two schedules that reach equal keys
-continue identically, even when they accepted two evolutions in opposite
-orders or in one `evolve_two`: each config is audited once, when the
-first step reaches it, its steps are fired once, each distinct final
-store is compared with the oracle once, and `runs` counts the schedules
-as paths through the DAG.  Seeded mode and `replay` audit every step.
+not in the order names were bound: bindings, values, each definition's
+code and queues, but not the transaction numbering.  So two schedules
+that reach equal keys continue identically, even when they accepted two
+evolutions in opposite orders or in one `evolve_two`: each config is
+audited once, when the first step reaches it, its steps are fired once,
+each distinct final store is compared with the oracle once, and `runs`
+counts the schedules as paths through the DAG.  Seeded mode and `replay`
+audit every step.
 
 Scenario files are JSON::
 
@@ -74,23 +75,22 @@ from .runtime import (
     submit_do,
     submit_evolution,
 )
-from .store import DefCell, Store, Value, VarCell, eval_expr, value_to_json
-from .syntax import Expr, ParseError, parse_do, parse_program
+from .store import Store, Value, eval_expr, value_to_json
+from .syntax import ParseError, parse_do, parse_program
 from .typesys import TypeEnv, topo_order
 
 
-def oracle_recompute(
-    env: TypeEnv, def_exprs: Mapping[str, Expr], var_values: Mapping[str, Value]
-) -> dict[str, Value]:
-    """Ground truth for the store: evaluate every definition from scratch.
+def oracle_recompute(env: TypeEnv, var_values: Mapping[str, Value]) -> dict[str, Value]:
+    """Ground truth for the store: evaluate every definition of `env` from
+    scratch, by its code there.
 
     Definitions are computed in the bindings' dependency order against the
     given state-variable values, using none of the incremental machinery.
     """
-    scratch = Store({n: VarCell(v) for n, v in var_values.items()})
-    for name in topo_order(env, def_exprs):
-        scratch.defs[name] = DefCell(eval_expr(scratch, {}, def_exprs[name]), def_exprs[name])
-    return {n: c.c for n, c in scratch.defs.items()}
+    scratch = Store(var_values)
+    for name in topo_order(env, [n for n, b in env.items() if not b.is_state]):
+        scratch.defs[name] = eval_expr(scratch, {}, env.get(name).expr)
+    return scratch.defs
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +196,9 @@ def validate_wave(env: TypeEnv, outcome: StepOutcome) -> list[str]:
 def check_oracle(cfg: Config) -> list[str]:
     """Compare every definition's stored value with the from-scratch oracle."""
     store = cfg.store
-    expected = oracle_recompute(cfg.env, store.def_exprs(), {n: c.c for n, c in store.vars.items()})
     problems = []
-    for name, want in expected.items():
-        got = store.defs[name].c
+    for name, want in oracle_recompute(cfg.env, store.vars).items():
+        got = store.defs.get(name, want)  # a missing value is check_config's domain mismatch
         if got != want:
             problems.append(
                 f"'{name}' is {json.dumps(value_to_json(got))} but recomputing from scratch gives "
@@ -209,11 +208,9 @@ def check_oracle(cfg: Config) -> list[str]:
 
 
 def observable(cfg: Config) -> tuple:
-    """The schedule-comparable part of a configuration: every cell's value
-    (and each definition's expression), but no transaction bookkeeping."""
-    vars = tuple(sorted((n, c.c) for n, c in cfg.store.vars.items()))
-    defs = tuple(sorted((n, c.c, c.e) for n, c in cfg.store.defs.items()))
-    return vars, defs
+    """The schedule-comparable part of a configuration: its `config_key`'s
+    store part, every value and each definition's code, but no txn."""
+    return config_key(cfg)[1:3]
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +239,15 @@ def _finish_run(cfg: Config, verdict: Verdict, finals: set):
 
 
 def _value(obj) -> object:
-    """What `config_key` compares of an env (its bindings by name), a
-    definition's expression or a queued submission (the object itself)."""
+    """What `config_key` compares of an env (its bindings by name, which
+    leaves the code out), a definition's code or a queued submission (the
+    object itself)."""
     return tuple(sorted(obj.items())) if isinstance(obj, TypeEnv) else obj
 
 
 def _classes() -> Callable[[object], int]:
-    """Hash-consing for one walk: each env, expression or submission maps
-    to a small int shared by every equal value.  An object's value is
+    """Hash-consing for one walk: each env, definition's code or submission
+    maps to a small int shared by every equal value.  An object's value is
     hashed once, when the walk first meets that object; the map holds the
     object, so its `id` is never reused while the walk runs."""
     by_id: dict[int, tuple[object, int]] = {}
@@ -269,24 +267,27 @@ def config_key(cfg: Config, canon: Callable[[object], object] = _value) -> tuple
     hashable and blind to the order names were bound in and to the
     transaction numbering: configs with equal keys enable the same steps,
     fire them to configs with equal keys and pass or fail the same audits.
-    The env's bindings and the store's cells are keyed by name, since
+    The env's bindings and the store's values are keyed by name, since
     every reader of their order only lists the same facts in another order
-    (`topo_order` breaks ties by name).  `store.txn` takes no part: a later
-    step reads it only to number its own outcomes, which no audit reads,
-    so an `evolve_two` meets the config its two `evolve_one`s reach.  The
-    env's bindings are the dependency graph; its derived `readers()`,
-    well-formedness facts and wave orders, and the submissions' `plans`,
-    are only caches and take no part.
+    (`topo_order` breaks ties by name).  Binding equality leaves out the
+    code, so each definition's value is keyed with its code from the env:
+    definitions that differ only in code step differently.  `store.txn`
+    takes no part: a later step reads it only to number its own outcomes,
+    which no audit reads, so an `evolve_two` meets the config its two
+    `evolve_one`s reach.  The env's bindings are the dependency graph; its
+    derived `readers()`, well-formedness facts and wave orders, and the
+    submissions' `plans`, are only caches and take no part.
 
-    `canon` stands for the env, each definition's expression and each
-    queued submission in the key.  By default it is their value; the
-    exhaustive walk passes a `_classes()`, so equal values still give equal
-    keys but a key hashes only names, cell values and small ints."""
-    store = cfg.store
+    `canon` stands for the env, each definition's code and each queued
+    submission in the key.  By default it is their value; the exhaustive
+    walk passes a `_classes()`, so equal values still give equal keys but
+    a key hashes only names, store values and small ints.  Items 1 and 2
+    of the default key are the store `observable` compares."""
+    env, store = cfg.env, cfg.store
     return (
-        canon(cfg.env),
-        tuple(sorted((n, c.c) for n, c in store.vars.items())),
-        tuple(sorted((n, c.c, canon(c.e)) for n, c in store.defs.items())),
+        canon(env),
+        tuple(sorted(store.vars.items())),
+        tuple(sorted((n, v, canon(env.get(n).expr)) for n, v in store.defs.items())),
         tuple(map(canon, cfg.q_r)),
         tuple(map(canon, cfg.q_do)),
     )
@@ -314,7 +315,7 @@ def _explore_dag(start: Config, mode: Exhaustive, verdict: Verdict, finals: set)
     step that reaches it; its steps are fired once however many schedules
     reach it, and later visits follow the stored child nodes; below a node
     transactions are numbered as on the path that made it.  Keys go
-    through one `_classes()` per walk, so the env, expressions and
+    through one `_classes()` per walk, so the env, code and
     submissions a child shares with its parent are not hashed again.  A
     fired step's waves are audited on every edge, since a wave depends on
     the config it ran from.  The number of complete schedules below a node

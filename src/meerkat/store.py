@@ -1,20 +1,21 @@
-"""Runtime store: value cells for state variables and definitions, plus the
-transactional, glitch-free propagation engine.
+"""Runtime store: the value of every state variable and definition, plus
+the transactional, glitch-free propagation engine.
 
-A cell holds a value, and a definition cell also its expression.  The
-store never mutates in place.  Every operation returns a fresh `Store`
-sharing every cell it did not rewrite, so an exception anywhere leaves the
-caller's store exactly as it was, and any `Store` value is a consistent
-committed snapshot that can be read from other threads without locking.
-Its `txn` is the last transaction it has applied.
+The store holds values only: a definition's code is on its binding in the
+`TypeEnv` each function here is given.  The store never mutates in place.
+Every operation returns a fresh `Store` sharing every value it did not
+rewrite, so an exception anywhere leaves the caller's store exactly as it
+was, and any `Store` value is a consistent committed snapshot that can be
+read from other threads without locking.  Its `txn` is the last
+transaction it has applied.
 
 A propagation wave recomputes each affected definition exactly once, in
 dependency order, so no definition ever observes a mix of pre- and
-post-transaction inputs.  The wave writes only the cells it recomputes.
-A wave reads the dependency edges from the `TypeEnv` it is given; the
-store holds only cells.  A wave's order is derived once per env and write
-set (`wave_order`) and kept on the env with its other derived facts, so a
-wave that repeats costs only the cells it rewrites.
+post-transaction inputs.  The wave writes only the values it recomputes.
+A wave reads the dependency edges and the code from the `TypeEnv` it is
+given.  A wave's order is derived once per env and write set
+(`wave_order`) and kept on the env with its other derived facts, so a
+wave that repeats costs only the values it rewrites.
 """
 
 from __future__ import annotations
@@ -128,25 +129,8 @@ def value_to_json(v: Value):
 
 
 # ---------------------------------------------------------------------------
-# Cells
+# The store
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VarCell:
-    """A state-variable cell: its current value."""
-
-    c: Value
-
-
-@dataclass(frozen=True)
-class DefCell:
-    """A definition cell: its current value and the expression that
-    computes it.  Which transactions have reached a cell is not stored: a
-    committed store has applied every transaction up to `Store.txn`."""
-
-    c: Value
-    e: Expr
-
 
 @dataclass(frozen=True)
 class Change:
@@ -177,18 +161,19 @@ class PropagationResult:
 
 
 class Store:
-    """The full runtime store: V cells and D cells."""
+    """The full runtime store: every state variable's and definition's value
+    by name, as of transaction `txn`, which it has applied with all before."""
 
     __slots__ = ("vars", "defs", "txn")
 
     def __init__(
         self,
-        vars: Mapping[str, VarCell] | None = None,
-        defs: Mapping[str, DefCell] | None = None,
+        vars: Mapping[str, Value] | None = None,
+        defs: Mapping[str, Value] | None = None,
         txn: int = 0,
     ):
-        self.vars: dict[str, VarCell] = dict(vars or {})
-        self.defs: dict[str, DefCell] = dict(defs or {})
+        self.vars: dict[str, Value] = dict(vars or {})
+        self.defs: dict[str, Value] = dict(defs or {})
         self.txn = txn
 
     def names(self) -> frozenset[str]:
@@ -198,18 +183,11 @@ class Store:
         return name in self.vars or name in self.defs
 
     def value_of(self, name: str) -> Value:
-        if name in self.vars:
-            return self.vars[name].c
-        return self.defs[name].c
+        return self.vars[name] if name in self.vars else self.defs[name]
 
     def values(self) -> dict[str, Value]:
         """Current value of every cell; the observable state of the store."""
-        out = {n: c.c for n, c in self.vars.items()}
-        out.update({n: c.c for n, c in self.defs.items()})
-        return out
-
-    def def_exprs(self) -> dict[str, Expr]:
-        return {n: c.e for n, c in self.defs.items()}
+        return {**self.vars, **self.defs}
 
     def __eq__(self, other) -> bool:
         return (
@@ -220,18 +198,19 @@ class Store:
         )
 
     def __repr__(self) -> str:
-        vs = ", ".join(f"{n}={json.dumps(value_to_json(c.c))}" for n, c in self.vars.items())
-        ds = ", ".join(f"{n}={json.dumps(value_to_json(c.c))}" for n, c in self.defs.items())
+        vs = ", ".join(f"{n}={json.dumps(value_to_json(v))}" for n, v in self.vars.items())
+        ds = ", ".join(f"{n}={json.dumps(value_to_json(v))}" for n, v in self.defs.items())
         return f"Store(txn={self.txn}, vars=[{vs}], defs=[{ds}])"
 
 
-def store_to_json(store: Store) -> dict:
+def store_to_json(store: Store, env: TypeEnv) -> dict:
+    """The store's values, each definition's with its code from `env`."""
     return {
         "txn": store.txn,
-        "vars": {n: value_to_json(c.c) for n, c in sorted(store.vars.items())},
+        "vars": {n: value_to_json(v) for n, v in sorted(store.vars.items())},
         "defs": {
-            n: {"c": value_to_json(c.c), "expr": render(c.e)}
-            for n, c in sorted(store.defs.items())
+            n: {"c": value_to_json(v), "expr": render(env.get(n).expr)}
+            for n, v in sorted(store.defs.items())
         },
     }
 
@@ -281,9 +260,9 @@ def eval_expr(
         if var_overlay is not None and name in var_overlay:
             return var_overlay[name]
         if name in store.vars:
-            return store.vars[name].c
+            return store.vars[name]
         if name in store.defs:
-            return store.defs[name].c
+            return store.defs[name]
         raise EvalError("UnboundName", f"'{name}' is not bound")
     if isinstance(e, Lambda):
         return ClosureV(e.param, e.body, _capture(ctx))
@@ -357,14 +336,20 @@ def wave_order(env: TypeEnv, written: Iterable[str]) -> tuple[str, ...]:
     return order
 
 
-def _run_wave(store: Store, order: Iterable[str]) -> None:
-    """Recompute the definitions of `order`, in that order, writing each
-    new cell into `store`, which is still private to the caller and serves
-    as the wave's one scratch view.  Every other cell is left as it was."""
-    defs = store.defs
+def _run_wave(
+    new: Store, env: TypeEnv, before: dict[str, Value | None]
+) -> tuple[Store, PropagationResult]:
+    """The tail of every transaction: `new` holds its writes and `before`
+    each written name's old value (None for a new name).  Recompute each
+    definition downstream of a written name once, in `wave_order`, by its
+    code in `env`, into `new`, which is still private to the caller and
+    serves as the wave's one scratch view, and report the changes."""
+    order = wave_order(env, before)
+    defs = new.defs
     for name in order:
-        e = defs[name].e
-        defs[name] = DefCell(eval_expr(store, {}, e), e)
+        before.setdefault(name, defs[name])
+        defs[name] = eval_expr(new, {}, env.get(name).expr)
+    return new, PropagationResult(new.txn, diff(before, new), order)
 
 
 def diff(before: Mapping[str, Value | None], store: Store) -> tuple[Change, ...]:
@@ -392,14 +377,10 @@ def propagate(
     for name in changed_vars:
         if name not in store.vars:
             raise EvalError("NotAStateVariable", f"'{name}' is not a state variable")
-    order = wave_order(env, changed_vars)
-    before: dict[str, Value | None] = {n: store.vars[n].c for n in changed_vars}
-    before.update({n: store.defs[n].c for n in order})
+    before: dict[str, Value | None] = {n: store.vars[n] for n in changed_vars}
     new = Store(store.vars, store.defs, txn)
-    for name, v in changed_vars.items():
-        new.vars[name] = VarCell(v)
-    _run_wave(new, order)
-    return new, PropagationResult(txn, diff(before, new), order)
+    new.vars.update(changed_vars)
+    return _run_wave(new, env, before)
 
 
 def init_cells(
@@ -423,49 +404,39 @@ def init_cells(
         name = d.name
         if name not in before:
             before[name] = new.value_of(name) if name in new else None
-        v = eval_expr(new, {}, d.init)
-        if d.kind is DeclKind.STATE:
-            new.vars[name] = VarCell(v)
-        else:
-            new.defs[name] = DefCell(v, d.init)
+        (new.vars if d.kind is DeclKind.STATE else new.defs)[name] = eval_expr(new, {}, d.init)
     # the wave covers everything downstream of a declared name, including
     # declarations from this very program that read a name redeclared later
-    order = wave_order(env, before)
-    before.update({n: new.defs[n].c for n in order if n not in before})
-    _run_wave(new, order)
-    return new, PropagationResult(txn, diff(before, new), order)
+    return _run_wave(new, env, before)
 
 
 def merge_defs(
-    d1: Mapping[str, DefCell],
-    d2: Mapping[str, DefCell],
-    merged_vars: Mapping[str, VarCell],
+    d1: Mapping[str, Value],
+    d2: Mapping[str, Value],
+    merged_vars: Mapping[str, Value],
     env: TypeEnv,
     w1: Collection[str],
     w2: Collection[str],
-) -> dict[str, DefCell]:
-    """Merge the definition maps of two transactions run from the same base
-    store with the disjoint state-variable write sets `w1` and `w2`.
+) -> dict[str, Value]:
+    """Merge the definition values of two transactions run from the same
+    base store under `env` with the disjoint state-variable write sets `w1`
+    and `w2`.
 
     A definition downstream of one side's writes only cannot see the other
-    side's, so its cell is taken from that side's map as it is.  Only the
-    definitions downstream of both sides are recomputed, against the
-    merged variable state, in `wave_order(env, w1 | w2)`.  Every other
-    cell is the one both maps share, since no input of it changed, and it
-    stands.  Symmetric in the two sides.  Maps over different names, or
-    with diverging expressions for a name downstream of either side,
-    raise ValueError.
+    side's, so its value is taken from that side's map as it is.  Only the
+    definitions downstream of both sides are recomputed, by their code in
+    `env`, against the merged variable state, in `wave_order(env, w1 | w2)`.
+    Every other value is the one both maps share, since no input of it
+    changed, and it stands.  Symmetric in the two sides.  Maps over
+    different names raise ValueError.
     """
     if d1.keys() != d2.keys():
         raise ValueError("definition maps must cover the same names")
     down1, down2 = set(wave_order(env, w1)), set(wave_order(env, w2))
     merged = Store(merged_vars, d1)
     for name in wave_order(env, {*w1, *w2}):
-        e = d1[name].e
-        if e != d2[name].e:
-            raise ValueError(f"'{name}' has diverging expressions; merge needs a common base")
         if name not in down1:
             merged.defs[name] = d2[name]
         elif name in down2:
-            merged.defs[name] = DefCell(eval_expr(merged, {}, e), e)
+            merged.defs[name] = eval_expr(merged, {}, env.get(name).expr)
     return merged.defs

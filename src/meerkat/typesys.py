@@ -2,11 +2,11 @@
 
 Every top-level name is either a *state variable* (an independent mutable
 cell, marked by a `None` dependency set) or a *definition* whose binding
-records the set of top-level names its body reads, each paired with the
-type it had when the definition was checked.  Function and action types
-carry the same kind of set as a latent annotation: the reads happen when
-the function is applied or the action is executed, not where the literal
-appears.
+records its code, which the store does not keep, and the set of
+top-level names its body reads, each paired with the type it had when the
+definition was checked.  Function and action types carry the same kind of
+set as a latent annotation: the reads happen when the function is applied
+or the action is executed, not where the literal appears.
 
 The checks in this module are all pure; environments are immutable and
 every operation returns a fresh value or a report.  An env caches only
@@ -162,11 +162,14 @@ class Binding:
     """What the environment knows about a top-level name.
 
     `deps is None` marks a state variable; otherwise the binding is a
-    definition and `deps` records its direct reads.
+    definition, `deps` records its direct reads and `expr` is its code,
+    the one copy a store's wave evaluates.  The code takes no part in
+    equality: two bindings are equal when their typing is.
     """
 
     ty: Type
     deps: DepSet | None = None
+    expr: Expr | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_state(self) -> bool:
@@ -656,7 +659,8 @@ def infer_expr(env: TypeEnv, ctx: Mapping[str, Type], e: Expr) -> tuple[Type, De
 
 
 def infer_program(env: TypeEnv, r: Program) -> TypeEnv:
-    """Type a declaration sequence; returns only the bindings it contributes.
+    """Type a declaration sequence; returns only the bindings it contributes,
+    each definition's with its code.
 
     Declarations see the bindings of earlier declarations in the same
     sequence.  A state variable's initializer must read nothing.
@@ -683,7 +687,7 @@ def infer_program(env: TypeEnv, r: Program) -> TypeEnv:
                 )
             binding = Binding(ty, None)
         else:
-            binding = Binding(ty, deps)
+            binding = Binding(ty, deps, d.init)
         delta = delta.bind(d.name, binding)
     return delta
 

@@ -355,9 +355,9 @@ def glitch_runs():
             for dep in edges[n]:
                 if dep in position and position[dep] > position[n]:
                     glitch_failures.append(f"{n} ran before its dependency {dep}")
-        want = oracle_recompute(env, store2.def_exprs(), {n: c.c for n, c in store2.vars.items()})
+        want = oracle_recompute(env, store2.vars)
         for name, v in want.items():
-            if store2.defs[name].c != v:
+            if store2.defs[name] != v:
                 oracle_failures.append(name)
     return runs, glitch_failures, oracle_failures, time.monotonic() - start
 
@@ -576,8 +576,8 @@ def test_criterion_9_end_to_end_protocol():
             cfg, outs = run_until_quiescent(cfg)
             assert isinstance(outs[0], Executed)
 
-        serial_vars = {n: c.c.v for n, c in cfg.store.vars.items()}
-        serial_defs = {n: c.c.v for n, c in cfg.store.defs.items()}
+        serial_vars = {n: v.v for n, v in cfg.store.vars.items()}
+        serial_defs = {n: v.v for n, v in cfg.store.defs.items()}
         assert dump["vars"] == serial_vars
         assert {n: d["c"] for n, d in dump["defs"].items()} == serial_defs
         assert serial_vars == {"a": 17, "b": 17, "c": 16}

@@ -118,6 +118,39 @@ class TestHandleMessage:
         assert handle_message(state, user, {"type": "evolve", "req": 2, "code": "var a = 1;"}) == []
 
 
+def test_a_turn_answers_a_read_after_its_sessions_own_submissions():
+    # a read, env or dump waits for the submissions its own session sent
+    # earlier in the batch; another session's read does not
+    state = make_state(LISTING)
+    me, other = Session(id=1), Session(id=2)
+    state.sessions = {1: me, 2: other}
+    sent = []
+    state.turn(
+        [
+            (me, {"type": "do", "req": "do", "expr": "do (action { x := 5 })"}),
+            (other, {"type": "read", "req": "other", "name": "x"}),
+            (me, {"type": "read", "req": "read", "name": "inc1"}),
+            (me, {"type": "dump", "req": "dump"}),
+            (me, {"type": "evolve", "req": "evolve", "code": "def inc3 = inc2 + 1;"}),
+            (me, {"type": "env", "req": "env"}),
+        ],
+        lambda sid, payload: sent.append((sid, payload)),
+    )
+    replies = {p["req"]: p for _, p in sent}
+    assert [(sid, p["type"], p["req"]) for sid, p in sent] == [
+        (2, "value", "other"),
+        (1, "executed", "do"),
+        (1, "value", "read"),
+        (1, "value", "dump"),
+        (1, "accepted", "evolve"),
+        (1, "value", "env"),
+    ]
+    assert replies["other"]["value"] == 1
+    assert replies["read"]["value"] == 6
+    assert replies["dump"]["value"]["vars"] == {"x": 5}
+    assert "inc3" in replies["env"]["value"]["bindings"]
+
+
 # --- live loopback tests ---
 
 class Client:
@@ -433,6 +466,22 @@ def test_correlation_under_interleaving(server):
         seen.add(msg["req"])
         assert msg["type"] == "executed"
     assert seen == set(range(1, 11))
+    c.close()
+
+
+def test_a_session_reads_its_own_pipelined_write(server):
+    c = Client(server.address)
+    c.recv()
+    lines = [
+        {"type": "do", "req": 1, "expr": "do (action { x := 5 })"},
+        {"type": "read", "req": 2, "name": "inc1"},
+        {"type": "dump", "req": 3},
+    ]
+    c.send_raw(b"".join((json.dumps(m) + "\n").encode("utf-8") for m in lines))
+    replies = [c.recv() for _ in lines]
+    assert [(m["type"], m["req"]) for m in replies] == [("executed", 1), ("value", 2), ("value", 3)]
+    assert replies[1]["value"] == 6
+    assert replies[2]["value"]["vars"] == {"x": 5}
     c.close()
 
 
@@ -845,6 +894,9 @@ def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, seed, t
             for who in subs.values():
                 who.discard(sessions[close].id)
         batch, expected, untagged = [], {}, Counter()
+        # a read, env or dump after its session's own submission steps
+        # first: the req it answers, and the subscriptions in force then
+        submitted, steps = set(), []
         for k, msg in entries:
             session = sessions[k % n]
             live = session.id in state.sessions
@@ -859,6 +911,11 @@ def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, seed, t
                 msg = dict(msg, req=req)
                 if live:
                     expected[req] = session.id
+                    if msg.get("type") in ("evolve", "do"):
+                        submitted.add(session.id)
+                    elif msg.get("type") in ("read", "env", "dump") and session.id in submitted:
+                        steps.append((req, {name: set(who) for name, who in subs.items()}))
+                        submitted.clear()
             batch.append((session, msg))
         sent = []
 
@@ -875,9 +932,13 @@ def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, seed, t
         assert Counter(sid for sid, p in replies if "req" not in p) == +untagged
         assert all(p.get("reason") != "internal" for _, p in replies)
         assert state.subscribers == {name: who for name, who in subs.items() if who}
+        steps.append((None, subs))  # the step that ends the turn
+        k = 0
         for sid, p in sent:
+            if k < len(steps) - 1 and p.get("req") == steps[k][0]:
+                k += 1  # the events before this reply came from step k
             if p["type"] == "changed":
-                assert sid in subs.get(p["name"], ())
+                assert sid in steps[k][1].get(p["name"], ())
                 assert p["txn"] >= last_txn.get(sid, 0)
                 assert (sid, p["name"], p["txn"]) not in pushed
                 last_txn[sid] = p["txn"]

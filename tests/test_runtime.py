@@ -42,7 +42,7 @@ from meerkat.runtime import (
     submit_evolution,
 )
 from meerkat.simharness import build_config, load_scenario, validate_wave
-from meerkat.store import Change, DefCell, EvalError, IntV, Store, StringV, eval_expr, propagate
+from meerkat.store import Change, EvalError, IntV, Store, StringV, eval_expr, propagate
 from meerkat.syntax import parse_do, parse_program
 from meerkat.typesys import TypeCheckError, TypeEnv, check_do, topo_order, well_formed
 
@@ -821,17 +821,15 @@ def test_accepted_evolutions_check_only_what_their_delta_touches(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def reference_merge_defs(d1, d2, merged_vars, env):
-    """`merge_defs` as it was before wave orders: the stale cells are every
-    definition the two maps hold as different objects, sorted afresh."""
+    """`merge_defs` as it was before wave orders: the stale values are every
+    definition the two maps hold as different objects, sorted afresh and
+    recomputed by their code in `env`."""
     if set(d1) != set(d2):
         raise ValueError("definition maps must cover the same names")
     merged = Store(merged_vars, d1)
-    stale = {n for n, c1 in d1.items() if c1 is not d2[n]}
+    stale = {n for n, v1 in d1.items() if v1 is not d2[n]}
     for name in topo_order(env, stale):
-        e = d1[name].e
-        if e != d2[name].e:
-            raise ValueError(f"'{name}' has diverging expressions; merge needs a common base")
-        merged.defs[name] = DefCell(eval_expr(merged, {}, e), e)
+        merged.defs[name] = eval_expr(merged, {}, env.get(name).expr)
     return merged.defs
 
 

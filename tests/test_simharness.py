@@ -14,11 +14,13 @@ import meerkat.runtime
 import meerkat.simharness as sim
 import meerkat.store
 from meerkat.runtime import (
+    Accepted,
     RandomSchedule,
     apply_step,
     enabled_steps,
     initial_config,
     run_until_quiescent,
+    step_evolve_many,
     submit_evolution,
 )
 from meerkat.simharness import (
@@ -28,6 +30,7 @@ from meerkat.simharness import (
     Seeded,
     Verdict,
     build_config,
+    config_key,
     explore,
     load_scenario,
     main,
@@ -47,17 +50,13 @@ class TestOracle:
     def listing_env(self):
         return infer_program(TypeEnv(), parse_program(LISTING))
 
-    def exprs(self):
-        p = parse_program(LISTING)
-        return {d.name: d.init for d in p.decls if d.kind.value == "def"}
-
     def test_listing_with_mutated_variable(self):
-        got = oracle_recompute(self.listing_env(), self.exprs(), {"x": IntV(2)})
+        got = oracle_recompute(self.listing_env(), {"x": IntV(2)})
         assert got == {"inc1": IntV(3), "inc2": IntV(4)}
 
     def test_no_definitions(self):
         env = infer_program(TypeEnv(), parse_program("var a = 1;"))
-        assert oracle_recompute(env, {}, {"a": IntV(9)}) == {}
+        assert oracle_recompute(env, {"a": IntV(9)}) == {}
 
     def test_random_dags_match_propagation(self):
         rng = random.Random(42)
@@ -80,11 +79,7 @@ class TestOracle:
                 continue
             target = rng.choice(var_names)
             store2, _ = propagate(cfg.store, cfg.env, {target: IntV(rng.randrange(100))}, cfg.next_txn)
-            want = oracle_recompute(
-                cfg.env, store2.def_exprs(), {n: c.c for n, c in store2.vars.items()}
-            )
-            got = {n: c.c for n, c in store2.defs.items()}
-            assert got == want
+            assert oracle_recompute(cfg.env, store2.vars) == store2.defs
 
 
 CONFLUENCE = Scenario(
@@ -408,7 +403,7 @@ def flag_x_two(check_config):
     def flagged(cfg):
         found = check_config(cfg)
         x = cfg.store.vars.get("x")
-        if x is not None and x.c == IntV(2):
+        if x == IntV(2):
             found.append("x is 2")
         return found
 
@@ -524,7 +519,7 @@ class TestMemoisedExplorer:
         assert picks
         replayed = replay(scenario, {"kind": "picks", "picks": picks})
         assert "x is 2" in replayed.violations
-        assert build_and_run(scenario, picks).store.vars["x"].c == IntV(2)
+        assert build_and_run(scenario, picks).store.vars["x"] == IntV(2)
         # the last pick is the violating step
         assert replay(scenario, {"kind": "picks", "picks": picks[:-1]}).ok
 
@@ -580,10 +575,13 @@ def insertion_order_key(cfg, canon=None) -> tuple:
     """`config_key` without sorting: configs that bind the same names in
     other orders, say after two evolutions accepted in either order, get
     distinct keys and are walked and audited apart.  It takes the walk's
-    `canon` as `config_key` does, and keys by plain values."""
+    `canon` as `config_key` does, and keys by plain values, each binding
+    with its code, which binding equality leaves out.  Items 1 and 2 are
+    `config_key`'s, the store that `observable` and confluence compare."""
     store = cfg.store
     return (
-        cfg.env.items(),
+        tuple((n, b, b.expr) for n, b in cfg.env.items()),
+        *config_key(cfg)[1:3],
         tuple(store.vars.items()),
         tuple(store.defs.items()),
         store.txn,
@@ -715,6 +713,35 @@ class TestOrderInsensitiveKey:
         assert both.cfg.store.txn == 2
         assert apply_step(y_first.cfg, y_first.options[0])[0].store.txn == 3
         assert (verdict.runs, verdict.states, verdict.configs) == (3, 5, 4)
+
+    def test_the_key_carries_each_definitions_code(self, monkeypatch):
+        # rebinding `d` in either order leaves equal bindings and, while x
+        # is 0, equal values, but other code: the action tells them apart
+        initial = "var x = 0; def d = x;"
+        rebinds = tuple(ScenarioItem("evolve", f"def d = x * {k};", f"p{k}") for k in (2, 3))
+        scenario = Scenario(initial, rebinds + (ScenarioItem("do", "do (action { x := 1 })", "u"),))
+        start = build_config(scenario)
+        ends = []
+        for order in (start.q_r, start.q_r[::-1]):
+            cfg = start
+            for sub in order:
+                cfg, outcome = step_evolve_many(cfg, (sub,))
+                assert isinstance(outcome, Accepted)
+            ends.append(cfg)
+        three_last, two_last = ends
+        assert three_last.env == two_last.env
+        assert three_last.store.values() == two_last.store.values()
+        assert sim.config_key(three_last) != sim.config_key(two_last)
+        finished = [run_until_quiescent(cfg)[0].store.values()["d"] for cfg in ends]
+        assert finished == [IntV(3), IntV(2)]
+        verdict, finals = memo_explore(scenario, Exhaustive(), monkeypatch)
+        assert verdict.ok, verdict.violations
+        assert {v for _, defs in finals for n, v, _ in defs if n == "d"} == {IntV(2), IntV(3)}
+        # without the action the two orders end apart, in stores that differ
+        # only in code, so a claim that they commute fails confluence
+        verdict = explore(Scenario(initial, rebinds, independent=True), Exhaustive())
+        assert (verdict.runs, verdict.states, verdict.configs) == (2, 4, 5)
+        assert verdict.violations == ["confluence violated: 2 distinct final stores across 2 schedules"]
 
     def test_equal_actions_from_one_submitter_meet(self, monkeypatch):
         # either copy of the action leads to one config, under either key

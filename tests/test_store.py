@@ -11,12 +11,10 @@ from meerkat.store import (
     BoolV,
     Change,
     ClosureV,
-    DefCell,
     EvalError,
     IntV,
     Store,
     UNIT_V,
-    VarCell,
     eval_expr,
     init_cells,
     merge_defs,
@@ -46,11 +44,11 @@ class TestEval:
         assert eval_expr(store, {}, parse_expr("x + 1")) == IntV(2)
 
     def test_actions_are_suspended_values(self):
-        _, store, _ = build(LISTING)
-        before = store_to_json(store)
+        env, store, _ = build(LISTING)
+        before = store_to_json(store, env)
         v = eval_expr(store, {}, parse_expr("action { x := 0 }"))
         assert isinstance(v, ActionV)
-        assert store_to_json(store) == before
+        assert store_to_json(store, env) == before
 
     def test_division_by_zero(self):
         with pytest.raises(EvalError) as exc:
@@ -98,9 +96,9 @@ class TestEval:
 class TestInitCells:
     def test_listing_initial_values(self):
         _, store, result = build(LISTING)
-        assert store.vars["x"] == VarCell(IntV(1))
-        assert store.defs["inc1"].c == IntV(2)
-        assert store.defs["inc2"].c == IntV(3)
+        assert store.vars["x"] == IntV(1)
+        assert store.defs["inc1"] == IntV(2)
+        assert store.defs["inc2"] == IntV(3)
         assert {c.name: c.new for c in result.changes} == {
             "x": IntV(1),
             "inc1": IntV(2),
@@ -110,8 +108,8 @@ class TestInitCells:
     def test_reevolve_definition_recomputes_dependents(self):
         env, store, _ = build(LISTING)
         env2, store2, result = build("def inc1 = x + 10;", env, store, txn=2)
-        assert store2.defs["inc1"].c == IntV(11)
-        assert store2.defs["inc2"].c == IntV(12)
+        assert store2.defs["inc1"] == IntV(11)
+        assert store2.defs["inc2"] == IntV(12)
         assert store2.vars["x"] is store.vars["x"]
         assert Change("inc1", IntV(2), IntV(11)) in result.changes
         assert "inc2" in result.recomputed
@@ -126,28 +124,29 @@ class TestInitCells:
         env, store, _ = build(LISTING)
         program = parse_program("def boom = x / 0;")
         delta = infer_program(env, program)
-        snapshot = store_to_json(store)
+        snapshot = store_to_json(store, env)
         with pytest.raises(EvalError):
             init_cells(store, env_merge(env, delta), program, 2)
-        assert store_to_json(store) == snapshot
+        assert store_to_json(store, env) == snapshot
         assert "boom" not in store
 
     def test_redeclared_var_resets_cell_and_propagates(self):
         env, store, _ = build(LISTING)
         env2, store2, _ = build("var x = 5;", env, store, txn=2)
-        assert store2.vars["x"] == VarCell(IntV(5))
-        assert store2.defs["inc1"].c == IntV(6)
-        assert store2.defs["inc2"].c == IntV(7)
+        assert store2.vars["x"] == IntV(5)
+        assert store2.defs["inc1"] == IntV(6)
+        assert store2.defs["inc2"] == IntV(7)
 
     def test_later_declaration_updates_earlier_one_in_same_wave(self):
         # g is installed against the old x, then the wave sees the new x
         env, store, _ = build("var x = 1;")
         env2, store2, _ = build("def g = x + 1; var x = 5;", env, store, txn=2)
-        assert store2.defs["g"].c == IntV(6)
+        assert store2.defs["g"] == IntV(6)
 
-    def test_new_def_cell_holds_value_and_expression(self):
-        _, store, _ = build(LISTING)
-        assert store.defs["inc1"] == DefCell(IntV(2), parse_expr("x + 1"))
+    def test_a_definition_keeps_its_value_in_the_store_and_its_code_on_its_binding(self):
+        env, store, _ = build(LISTING)
+        assert store.defs["inc1"] == IntV(2)
+        assert env.get("inc1").expr == parse_expr("x + 1")
         assert store.txn == 1
 
 
@@ -155,9 +154,9 @@ class TestPropagate:
     def test_listing_propagation(self):
         env, store, _ = build(LISTING)
         store2, result = propagate(store, env, {"x": IntV(2)}, 2)
-        assert store2.vars["x"] == VarCell(IntV(2))
-        assert store2.defs["inc1"].c == IntV(3)
-        assert store2.defs["inc2"].c == IntV(4)
+        assert store2.vars["x"] == IntV(2)
+        assert store2.defs["inc1"] == IntV(3)
+        assert store2.defs["inc2"] == IntV(4)
         assert [c for c in result.changes] == [
             Change("inc1", IntV(2), IntV(3)),
             Change("inc2", IntV(3), IntV(4)),
@@ -177,13 +176,13 @@ class TestPropagate:
     def test_diamond_recomputes_each_definition_once_in_order(self):
         src = "var a = 1; def b = a + 1; def c = a + 2; def d = b + c;"
         env, store, _ = build(src)
-        assert store.defs["d"].c == IntV(5)
+        assert store.defs["d"] == IntV(5)
         store2, result = propagate(store, env, {"a": IntV(10)}, 2)
         assert result.recomputed.count("d") == 1
         assert set(result.recomputed) == {"b", "c", "d"}
         assert result.recomputed.index("d") > result.recomputed.index("b")
         assert result.recomputed.index("d") > result.recomputed.index("c")
-        assert store2.defs["d"].c == IntV(23)
+        assert store2.defs["d"] == IntV(23)
 
     def test_unaffected_definitions_are_not_recomputed(self):
         src = (
@@ -198,15 +197,15 @@ class TestPropagate:
             if name not in result.recomputed:
                 assert cell is store.defs[name], name
         assert store2.vars["z"] is store.vars["z"]
-        assert store.defs["c"].c == IntV(4)  # the input store is untouched
-        assert store2.defs["c"].c == IntV(12)
+        assert store.defs["c"] == IntV(4)  # the input store is untouched
+        assert store2.defs["c"] == IntV(12)
 
     def test_fault_rolls_back_everything(self):
         env, store, _ = build("var x = 1; def d = 10 / x;")
-        snapshot = store_to_json(store)
+        snapshot = store_to_json(store, env)
         with pytest.raises(EvalError):
             propagate(store, env, {"x": IntV(0)}, 2)
-        assert store_to_json(store) == snapshot
+        assert store_to_json(store, env) == snapshot
         assert store.txn == 1
 
     def test_writing_a_definition_is_rejected(self):
@@ -220,7 +219,7 @@ class TestPropagate:
         env, s1, _ = build(LISTING)
         s2, r2 = propagate(s1, env, {"x": IntV(2)}, 2)
         s3, _ = propagate(s2, env, {"x": IntV(5)}, 3)
-        assert [s.defs["inc1"].c for s in (s1, s2, s3)] == [IntV(2), IntV(3), IntV(6)]
+        assert [s.defs["inc1"] for s in (s1, s2, s3)] == [IntV(2), IntV(3), IntV(6)]
         assert [s.txn for s in (s1, s2, s3)] == [1, 2, 3]
         assert Change("inc1", IntV(2), IntV(3)) in r2.changes
 
@@ -238,7 +237,7 @@ class TestPropagate:
             for t in sorted(writes):
                 if t <= txn:
                     rebuilt, _ = propagate(rebuilt, env, writes[t], t)
-            assert store_to_json(snap) == store_to_json(rebuilt), txn
+            assert store_to_json(snap, env) == store_to_json(rebuilt, env), txn
 
 
 class TestSnapshotRead:
@@ -288,11 +287,11 @@ class TestMergeDefs:
         merged_vars["a"] = st1.vars["a"]
         merged_vars["b"] = st2.vars["b"]
         merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a"}, {"b"})
-        assert merged["s"].c == IntV(3)
+        assert merged["s"] == IntV(3)
         # serial oracle, both orders
         serial_ab, _ = propagate(st1, env, {"b": IntV(2)}, 3)
         serial_ba, _ = propagate(st2, env, {"a": IntV(1)}, 4)
-        assert merged["s"].c == serial_ab.defs["s"].c == serial_ba.defs["s"].c
+        assert merged["s"] == serial_ab.defs["s"] == serial_ba.defs["s"]
         # and the merge is symmetric
         swapped = merge_defs(st2.defs, st1.defs, merged_vars, env, {"b"}, {"a"})
         assert swapped == merged
@@ -318,15 +317,8 @@ class TestMergeDefs:
         st2, _ = propagate(store, env, {"z": IntV(2)}, 3)
         merged_vars = {"a": st1.vars["a"], "z": st2.vars["z"]}
         merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a"}, {"z"})
-        assert merged["p"].c == IntV(2)
-        assert merged["q"].c == IntV(3)
-
-    def test_diverging_expressions_are_rejected(self):
-        env, store, _ = self.base()
-        st1, _ = propagate(store, env, {"a": IntV(1)}, 2)
-        _, st2, _ = build("def s = a * b;", env, store, txn=2)  # not a common base
-        with pytest.raises(ValueError):
-            merge_defs(st1.defs, st2.defs, dict(store.vars), env, {"a"}, ())
+        assert merged["p"] == IntV(2)
+        assert merged["q"] == IntV(3)
 
     def test_maps_over_different_names_are_rejected(self):
         env, store, _ = self.base()
@@ -341,7 +333,7 @@ class TestMergeDefs:
         st2, _ = propagate(store, env, {"b": IntV(2)}, 3)
         merged_vars = {**store.vars, "a": st1.vars["a"], "b": st2.vars["b"]}
         merged = merge_defs(st1.defs, st2.defs, merged_vars, env, {"a"}, {"b"})
-        assert merged["p"].c == IntV(3)
+        assert merged["p"] == IntV(3)
         assert merged["q"] is store.defs["q"]
 
     def test_a_cell_downstream_of_one_side_only_is_that_sides_cell(self):
@@ -356,7 +348,7 @@ class TestMergeDefs:
             assert merged["p"] is st1.defs["p"]
             assert merged["q"] is st2.defs["q"] and merged["s"] is st2.defs["s"]
             # downstream of both: recomputed over both writes
-            assert merged["r"].c == IntV(2 + 4)
+            assert merged["r"] == IntV(2 + 4)
 
 
 class TestWaveOrder:
@@ -460,18 +452,19 @@ class TestDependencySoundness:
                     lines.append(f"def {name} = {body};")
                 bound.append(name)
             env, store, _ = build(" ".join(lines))
-            for name, cell in store.defs.items():
-                _, deps = infer_expr(env, {}, cell.e)
+            for name in store.defs:
+                code = env.get(name).expr
+                _, deps = infer_expr(env, {}, code)
                 vs, ds = transitive_reads(env, deps)
                 seen: set[str] = set()
-                eval_expr(recording(store, seen), {}, cell.e)
+                eval_expr(recording(store, seen), {}, code)
                 assert seen and seen <= vs | ds, (name, seen, vs | ds)  # every body reads a name
 
 
 class TestSerialization:
     def test_store_json_shape(self):
-        _, store, _ = build(LISTING)
-        doc = store_to_json(store)
+        env, store, _ = build(LISTING)
+        doc = store_to_json(store, env)
         assert doc == {
             "txn": 1,
             "vars": {"x": 1},
