@@ -9,12 +9,12 @@ describing what happened; nothing here blocks, so a scheduler (the
 network server, the REPL, or the exploration harness) owns all sequencing
 decisions.  Nothing here shares mutable state either, with one exception:
 each `Submission` caches pure functions of its item and the config it
-steps from.  An evolution's plan, alone or with partners, is the env it
-would commit or the report that refuses it, kept against the one
-`TypeEnv` object it was planned against; a `do`'s lock plan, with the
-bindings its typing looked up, outlives an evolution that leaves them all
-as they were; and a `do`'s solo wave is kept against the store and env it
-ran from, for the pairs fired there.
+steps from.  A plan, a `do`'s lock plan or an evolution's (alone or with
+partners), is kept with the bindings it read and outlives an evolution
+that leaves them all as they were.  An evolution's plan is a verdict and
+a typed delta: it builds the env it commits only when it commits.  A
+`do`'s solo wave is kept against the store and env it ran from, for the
+pairs fired there.
 
 Evolution approval follows a lock discipline: two evolutions may commit in
 one step only when they rebind disjoint names and neither reads a name the
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol
 
 from .store import (
@@ -55,13 +55,14 @@ from .store import (
     propagate,
     wave_order,
 )
-from .syntax import DoStmt, Program
+from .syntax import DoStmt, Program, mentions
 from .typesys import (
     Action,
     Base,
     CompatReport,
     DoPlan,
     Func,
+    Lookups,
     TypeCheckError,
     TypeEnv,
     check_do,
@@ -76,12 +77,13 @@ from .typesys import (
 class Submission:
     """One queued item together with who submitted it.
 
-    `plans` caches what this item's steps derive under the environment
-    held at `plans["env"]`: at `()` the `do`'s lock plan (see `_do_plan`)
-    or the lone evolution's plan, under later partners' ids the plan they
-    form together, and at `"wave"` the `do`'s latest `_solo_wave`.
-    It takes no part in equality or hashing, and it dies with the
-    submission when that leaves the queue.
+    `plans` caches what this item's steps derive.  Each plan is a `_Plan`
+    (see `_Plan.stands`): at `()` the `do`'s lock plan (see `_do_plan`)
+    or the lone evolution's plan, and under later partners' ids the plan
+    they form together (see `_evolution_plan`).  At `"names"` it keeps an
+    evolution's rebound and mentioned names, and at `"wave"` the `do`'s
+    latest `_solo_wave`.  It takes no part in equality or hashing, and it
+    dies with the submission when that leaves the queue.
     """
 
     item: Program | DoStmt
@@ -201,30 +203,70 @@ def outcome_to_json(o: StepOutcome) -> dict:
 
 def submit_evolution(cfg: Config, r: Program, who: object = "anon") -> Config:
     """Enqueue a declaration sequence; nothing else changes."""
-    return replace(cfg, q_r=cfg.q_r + (Submission(r, who),))
+    return Config(cfg.env, cfg.store, cfg.q_r + (Submission(r, who),), cfg.q_do)
 
 
 def submit_do(cfg: Config, d: DoStmt, who: object = "anon") -> Config:
     """Enqueue a user action; nothing else changes."""
-    return replace(cfg, q_do=cfg.q_do + (Submission(d, who),))
+    return Config(cfg.env, cfg.store, cfg.q_r, cfg.q_do + (Submission(d, who),))
+
+
+# ---------------------------------------------------------------------------
+# Kept plans
+# ---------------------------------------------------------------------------
+
+class _Plan:
+    """A plan kept on a submission, under the ids of the partners it was
+    made with (which it holds, so no other object takes their ids): its
+    `result`, the `env` it was derived or last found to stand under, and
+    `reads`, what its derivation read (keyed as `CompatReport.reads` is),
+    or None when that was the whole env."""
+
+    __slots__ = ("env", "partners", "reads", "result")
+
+    def __init__(self, env: TypeEnv, partners: tuple, reads: dict | None, result):
+        if isinstance(result, Exception):
+            result = result.with_traceback(None)  # so it keeps no frames or stores
+        self.env, self.partners, self.reads, self.result = env, partners, reads, result
+
+    def stands(self, env: TypeEnv) -> bool:
+        """Whether the plan holds under `env`, another env than its own.
+
+        One rule serves both queues: a plan stands under an env that
+        leaves every binding and readers entry it read as it was, checked
+        by identity first and then by equality.  An accepted evolution
+        plan read its env by a delta-local check, which holds only on an
+        env marked as accepted; it is re-based onto `env`, so that it
+        builds the env it commits from `env`.
+        """
+        result = self.result
+        if self.reads is None or isinstance(result, CompatReport) and not env._well_formed:
+            return False
+        for key, was in self.reads.items():
+            now = env.readers().get(key[0]) if isinstance(key, tuple) else env.get(key)
+            if now is not was and now != was:
+                return False
+        if isinstance(result, CompatReport):
+            self.result = CompatReport(base=env, delta=result.delta, reads=result.reads)
+        self.env = env
+        return True
 
 
 # ---------------------------------------------------------------------------
 # Evolution steps
 # ---------------------------------------------------------------------------
 
-def _merge_evolutions(
-    env: TypeEnv, programs: Sequence[Program]
-) -> TypeEnv | TypeCheckError | CompatReport:
-    """Plan evolutions that commit together under the lock discipline.
+def _merge_evolutions(env: TypeEnv, programs: Sequence[Program]) -> CompatReport | TypeCheckError:
+    """Plan evolutions that commit together under the lock discipline,
+    afresh.
 
-    Returns the env that `compatible` merged from their combined delta and
-    accepted, which is the env to commit, or the report that refuses them:
-    a write conflict when two programs rebind the same name, the type
-    error, or the compatibility report of the combined delta.  Each
-    program is typed with every other program's rebound names hidden (a
-    write lock admits only its owner, for reading too); a single program
-    is typed against `env` itself.
+    Returns the compatibility report of their combined delta, whose
+    `merged` is the env to commit when it is ok, or the type error that
+    refuses them: a write conflict when two programs rebind the same name,
+    or a program that does not type.  Each program is typed with every
+    other program's rebound names hidden (a write lock admits only its
+    owner, for reading too); a single program is typed against `env`
+    itself.
     """
     write_sets = [frozenset(d.name for d in r.decls) for r in programs]
     written: set[str] = set()
@@ -241,38 +283,55 @@ def _merge_evolutions(
     combined = deltas[0]
     for delta in deltas[1:]:
         combined = env_merge(combined, delta)
-    report = compatible(env, combined)
-    return report.merged if report.ok else report
+    return compatible(env, combined)
 
 
-def _evolution_plan(
-    env: TypeEnv, subs: Sequence[Submission]
-) -> TypeEnv | TypeCheckError | CompatReport:
-    """`_merge_evolutions` of the queued evolutions `subs` under `env`, computed
-    once: the env they would commit together, or the report that refuses them.
+def _footprint(sub: Submission) -> tuple[frozenset[str], frozenset[str]]:
+    """The names the queued evolution in `sub` rebinds and the names it
+    mentions, kept on `sub`."""
+    names = sub.plans.get("names")
+    if names is None:
+        names = sub.plans["names"] = (frozenset(d.name for d in sub.item.decls), mentions(sub.item))
+    return names
 
-    The result is cached on the first submission, keyed by the partners
-    that follow it and valid while `env` is the very object it was planned
-    against: a `TypeEnv` is immutable, and only an accepted evolution makes
-    a new one, so the first lookup under another env drops every entry.
-    Partners are held in their entry and matched with `is`, so a reused
-    `id` never matches.  A cached error keeps no traceback, and so no
-    frames or stores.
+
+def _evolution_plan(env: TypeEnv, subs: Sequence[Submission]) -> CompatReport | TypeCheckError:
+    """`_merge_evolutions` of the queued evolutions `subs` under `env`,
+    planned once: the report whose `merged` env they would commit
+    together, or the type error or report that refuses them.
+
+    The plan is kept on the first submission, keyed by the partners that
+    follow it (see `_Plan.stands`).  Besides what `compatible` read, it
+    read each name the programs rebind or mention, which covers every
+    lookup their typing makes.  A pair is typed from its singles when both type, their
+    rebind sets are disjoint and neither mentions a name the other
+    rebinds: hiding the other's names then changes no lookup, so the
+    pair's delta is the singles' deltas merged and only `compatible` runs.
+    Any other pair is planned afresh.
     """
     first, partners = subs[0], tuple(subs[1:])
-    cache = first.plans
-    if cache.get("env") is not env:
-        cache.clear()
-        cache["env"] = env
     key = tuple(map(id, partners))
-    hit = cache.get(key)
-    if hit is not None and all(a is b for a, b in zip(hit[0], partners)):
-        return hit[1]
-    result = _merge_evolutions(env, [s.item for s in subs])
-    if isinstance(result, Exception):
-        result = result.with_traceback(None)
-    cache[key] = (partners, result)
-    return result
+    hit = first.plans.get(key)
+    if hit is not None and (hit.env is env or hit.stands(env)):
+        return hit.result
+    result = None
+    if len(subs) == 2:
+        (w1, m1), (w2, m2) = map(_footprint, subs)
+        if w1.isdisjoint(w2) and w1.isdisjoint(m2) and w2.isdisjoint(m1):
+            p1, p2 = _evolution_plan(env, subs[:1]), _evolution_plan(env, subs[1:])
+            if isinstance(p1, CompatReport) and isinstance(p2, CompatReport):
+                result = compatible(env, env_merge(p1.delta, p2.delta))
+    if result is None:
+        result = _merge_evolutions(env, [s.item for s in subs])
+    reads = result.reads if isinstance(result, CompatReport) else {}
+    if reads is not None:  # else `compatible` scanned the whole env
+        reads = {n: env.get(n) for s in subs for names in _footprint(s) for n in names} | reads
+    first.plans[key] = hit = _Plan(env, partners, reads, result)
+    return hit.result
+
+
+def _accepts(plan: CompatReport | TypeCheckError) -> bool:
+    return isinstance(plan, CompatReport) and plan.ok
 
 
 def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, StepOutcome]:
@@ -281,9 +340,12 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
     The scheduler fires one ("evolve_one") or two ("evolve_two"), but the
     premises generalize: pairwise-disjoint rebind sets, each submission
     typed with every other submission's rebound names hidden, and the
-    combined delta compatible with the environment.  On success the new
-    bindings overwrite-merge into the environment and the store is updated
-    under a single transaction; on any failure the store stays untouched.
+    combined delta compatible with the environment.  The picks' plan is
+    the one `enabled_steps` read (see `_evolution_plan`).  On success the
+    new bindings overwrite-merge into the environment, which the plan
+    builds on its first commit from `cfg.env` and shares with every later
+    one, and the store is updated under a single transaction; on any
+    failure the store stays untouched.
     A failed premise finally rejects a single pick, which leaves the queue;
     with several picks every entry stays queued and the rejection is
     non-final.  A runtime fault finally rejects every pick.  The picks are
@@ -294,16 +356,17 @@ def step_evolve_many(cfg: Config, picks: Sequence[Submission]) -> tuple[Config, 
     assert all(isinstance(r, Program) for r in programs)
     whos = tuple(p.who for p in picks)
     planned = _evolution_plan(cfg.env, picks)
-    if not isinstance(planned, TypeEnv):
+    if not _accepts(planned):
         if len(picks) == 1:
             return Config(cfg.env, cfg.store, remaining, cfg.q_do), Rejected(planned, whos)
         return cfg, Rejected(planned, whos, final=False)
+    env = planned.merged
     try:
         union_prog = Program(tuple(d for r in programs for d in r.decls))
-        new_store, prop = init_cells(cfg.store, planned, union_prog, cfg.next_txn)
+        new_store, prop = init_cells(cfg.store, env, union_prog, cfg.next_txn)
     except EvalError as err:
         return Config(cfg.env, cfg.store, remaining, cfg.q_do), Rejected(err, whos)
-    new_cfg = Config(planned, new_store, remaining, cfg.q_do)
+    new_cfg = Config(env, new_store, remaining, cfg.q_do)
     return new_cfg, Accepted(prop.changes, prop.txn, whos, prop.recomputed)
 
 
@@ -337,43 +400,20 @@ def _run_action(store: Store, d: DoStmt) -> dict[str, Value]:
     return pending
 
 
-class _Lookups:
-    """An env for `check_do`, which reads an env only through `get`, that
-    keeps in `seen` each name looked up and the binding found (None if
-    unbound).  Any other use of it as an env fails loudly."""
-
-    __slots__ = ("env", "seen")
-
-    def __init__(self, env: TypeEnv):
-        self.env, self.seen = env, {}
-
-    def get(self, name: str):
-        self.seen[name] = binding = self.env.get(name)
-        return binding
-
-
 def _do_plan(env: TypeEnv, sub: Submission) -> DoPlan | TypeCheckError:
     """The lock plan of the queued `do` in `sub` under `env`, or the type
     error that refuses it.  It is typed once: the scheduling step and the
-    step that fires it read the same plan, and a lookup that finds it
-    cached under `env` allocates nothing.  It stands under another env
-    whose bindings equal those of every name its typing looked up, bound
-    or not.  A cached error keeps no traceback."""
-    cache = sub.plans
-    hit = cache.get(())
-    if hit is not None and cache["env"] is not env:
-        if not all(env.get(n) == b for n, b in hit[0].items()):
-            hit = None
-        cache["env"] = env
-    if hit is not None:
-        return hit[1]
-    lookups = _Lookups(env)
-    try:
-        plan: DoPlan | TypeCheckError = check_do(lookups, sub.item)
-    except TypeCheckError as err:
-        plan = err.with_traceback(None)
-    cache["env"], cache[()] = env, (lookups.seen, plan)
-    return plan
+    step that fires it read the same plan.  It read the binding of every
+    name its typing looked up, bound or not (see `_Plan.stands`)."""
+    hit = sub.plans.get(())
+    if hit is None or hit.env is not env and not hit.stands(env):
+        lookups = Lookups(env)
+        try:
+            plan: DoPlan | TypeCheckError = check_do(lookups, sub.item)
+        except TypeCheckError as err:
+            plan = err
+        hit = sub.plans[()] = _Plan(env, (), lookups.reads, plan)
+    return hit.result
 
 
 def _solo_wave(
@@ -512,7 +552,7 @@ class Step:
 
 def evolve_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     """Would these two evolutions be accepted together right now (statically)?"""
-    return isinstance(_evolution_plan(cfg.env, (s1, s2)), TypeEnv)
+    return _accepts(_evolution_plan(cfg.env, (s1, s2)))
 
 
 class _Options(Sequence):
@@ -578,6 +618,10 @@ def enabled_steps(cfg: Config) -> Sequence[Step]:
     pair); actions are always steppable one at a time and additionally as
     lock-compatible pairs.  When evolutions are pending but none is
     approvable in any combination, the only evolution step is queue death.
+    Each evolution's plan, alone and with each partner, is kept while what
+    it read stands (see `_evolution_plan`): after a commit a step re-plans
+    only the plans whose reads the commit changed, so a drain of r
+    independent evolutions types each once and checks each pair once.
     With two or more queued actions the step reads each one's plan once,
     indexes the actions by the variables they write and looks each one's
     reads and writes up in that index; an action that does not type pairs
@@ -587,7 +631,7 @@ def enabled_steps(cfg: Config) -> Sequence[Step]:
     """
     head: list[Step] = []
     singles = [
-        i for i, s in enumerate(cfg.q_r) if isinstance(_evolution_plan(cfg.env, (s,)), TypeEnv)
+        i for i, s in enumerate(cfg.q_r) if _accepts(_evolution_plan(cfg.env, (s,)))
     ]
     head.extend(Step("evolve_one", i) for i in singles)
     pair_found = False

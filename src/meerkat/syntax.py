@@ -626,6 +626,19 @@ def _walk(e: Expr) -> Iterator[tuple[Expr, int]]:
         stack.extend((kid, depth + 1) for kid in kids)
 
 
+def mentions(program: Program) -> frozenset[str]:
+    """Every name the code of `program` mentions, as a `Ref` or a write
+    target, lambda parameters included: more than typing it looks up."""
+    names: set[str] = set()
+    for d in program.decls:
+        for e, _ in _walk(d.init):
+            if isinstance(e, Ref):
+                names.add(e.name)
+            elif isinstance(e, ActionLit):
+                names.update(w.target for w in e.body.writes)
+    return frozenset(names)
+
+
 def _expr_depth(e: Expr) -> int:
     """The number of nodes on the longest path down from `e`."""
     return max(depth for _, depth in _walk(e))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 from collections import abc
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .syntax import (
@@ -180,11 +181,12 @@ class TypeEnv:
     """Ordered, immutable map of top-level names to bindings: the one dependency graph.
 
     Besides its bindings an env keeps four derived facts: its reverse
-    edges (`readers()`), its `well_formed` report, a mark that a passing
-    `compatible` merged it, and `wave_orders`, the store's memo of each
-    write set's wave order (see `store.wave_order`), which holds at most
-    `len(env)` entries.  The mark is not a report: `well_formed` never
-    reads it, so auditing an accepted env still scans it.
+    edges (`readers()`), its `well_formed` report, a mark that it is the
+    merged env of a passing `compatible`, and `wave_orders`, the store's
+    memo of each write set's wave order (see `store.wave_order`), which
+    holds at most `len(env)` entries.  The mark is not a report:
+    `well_formed` never reads it, so auditing an accepted env still scans
+    it.
     """
 
     __slots__ = ("_bindings", "_readers", "_scan", "_well_formed", "wave_orders")
@@ -275,15 +277,47 @@ class Violation:
 
 @dataclass(frozen=True)
 class CompatReport:
-    """What `compatible` found.  An ok report also carries the merged env
-    it accepted, which is the env to commit; it takes no part in equality."""
+    """What `compatible` found when it checked `delta` on top of `base`.
+
+    An ok report's `merged` is the env to commit, built on first read and
+    kept.  `reads` is what an ok delta-local check read of `base`: each
+    name's binding (None if unbound) and, under `(name,)`, the definitions
+    `base.readers()` listed for it.  It is None when the check scanned the
+    whole env.  Only `violations` takes part in equality.
+    """
 
     violations: tuple[Violation, ...] = ()
-    merged: TypeEnv | None = field(default=None, compare=False, repr=False)
+    base: TypeEnv | None = field(default=None, compare=False, repr=False)
+    delta: TypeEnv | None = field(default=None, compare=False, repr=False)
+    reads: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @cached_property
+    def merged(self) -> TypeEnv | None:
+        """`base` overwritten by `delta`, marked as accepted, with its
+        reverse edges patched from `base`'s instead of derived from every
+        binding; None for a rejection."""
+        if not self.ok:
+            return None
+        base, merged = self.base, env_merge(self.base, self.delta)
+        readers = dict(base.readers())
+        for name, b in self.delta.items():
+            old_b = base.get(name)
+            old_reads = frozenset() if old_b is None or old_b.is_state else old_b.deps.names()
+            new_reads = frozenset() if b.is_state else b.deps.names()
+            for dep in old_reads - new_reads:
+                rest = readers[dep] - {name}
+                if rest:
+                    readers[dep] = rest
+                else:
+                    del readers[dep]
+            for dep in new_reads - old_reads:
+                readers[dep] = readers.get(dep, frozenset()) | {name}
+        merged._readers, merged._well_formed = readers, True
+        return merged
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
@@ -311,7 +345,7 @@ def well_formed(env: TypeEnv) -> CompatReport:
     return env._scan
 
 
-def _violations(env: TypeEnv, names: Sequence[str]) -> list[Violation]:
+def _violations(env: TypeEnv | Lookups, names: Sequence[str]) -> list[Violation]:
     """The inconsistent bindings among `names`, in the order given, then
     the cycles reachable from them: a DFS from each name in sorted order,
     taking reads in sorted order and skipping unbound names, reports every
@@ -341,7 +375,8 @@ def _violations(env: TypeEnv, names: Sequence[str]) -> list[Violation]:
         stack = [iter(env.get(root).deps or ())]
         while stack:
             for nxt, _ in stack[-1]:
-                if nxt not in env:
+                bound = env.get(nxt)
+                if bound is None:
                     continue
                 seen = state.get(nxt)
                 if seen == 1:
@@ -350,12 +385,31 @@ def _violations(env: TypeEnv, names: Sequence[str]) -> list[Violation]:
                 elif seen is None:
                     state[nxt] = 1
                     trail.append(nxt)
-                    stack.append(iter(env.get(nxt).deps or ()))
+                    stack.append(iter(bound.deps or ()))
                     break
             else:
                 state[trail.pop()] = 2
                 stack.pop()
     return violations
+
+
+class Lookups:
+    """An env for a check that reads its env only through `get`: `base`,
+    overwritten by `delta` if one is given, keeping in `reads` each base
+    binding looked up (None if unbound).  `compatible` walks one instead
+    of a merged copy, and `check_do` can type through one.  Any other use
+    of it as an env fails loudly."""
+
+    __slots__ = ("base", "delta", "reads")
+
+    def __init__(self, base: TypeEnv, delta: TypeEnv | None = None):
+        self.base, self.delta, self.reads = base, delta, {}
+
+    def get(self, name: str) -> Binding | None:
+        b = None if self.delta is None else self.delta.get(name)
+        if b is None:
+            self.reads[name] = b = self.base.get(name)
+        return b
 
 
 def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
@@ -368,32 +422,33 @@ def compatible(base: TypeEnv, delta: TypeEnv) -> CompatReport:
     rebound in the same delta; `base.readers()` lists those dependents.
 
     When `base` is marked as accepted, only what the delta touches is
-    checked: the kind flips and stale dependents above, and the violations
+    checked, by lookups in `delta` and then `base` rather than in a merged
+    copy: the kind flips and stale dependents above, and the violations
     among the delta's names and reachable from them (a base reader of a
     name rebound at another type is a stale dependent, and a new cycle
-    must pass through a delta name).  Any other base, and anything the
-    local check finds, takes the whole-env scan, so a rejection lists
-    every violation of the merged env in the same order either way.  An
-    ok report carries the merged env, marked as accepted, with its reverse
-    edges patched from `base`'s.
+    must pass through a delta name).  Its report keeps what it read.  Any
+    other base, and anything the local check finds, takes the whole-env
+    scan, so a rejection lists every violation of the merged env in the
+    same order either way.  An ok report builds its merged env on first
+    read of `merged`; the scan builds it at once.
     """
-    merged = env_merge(base, delta)
-    violations = _delta_violations(base, delta)
-    if not (base._well_formed and not violations and not _violations(merged, delta.names())):
-        violations[:0] = well_formed(merged).violations
-        if violations:
-            return CompatReport(tuple(violations))
-    _patch_derived(base, delta, merged)
-    merged._well_formed = True
-    return CompatReport(merged=merged)
+    local = Lookups(base, delta)
+    violations = _delta_violations(base, delta, local.reads)
+    if base._well_formed and not violations and not _violations(local, delta.names()):
+        return CompatReport(base=base, delta=delta, reads=local.reads)
+    report = CompatReport(base=base, delta=delta)
+    violations[:0] = well_formed(report.merged).violations
+    return CompatReport(tuple(violations), base, delta) if violations else report
 
 
-def _delta_violations(base: TypeEnv, delta: TypeEnv) -> list[Violation]:
+def _delta_violations(base: TypeEnv, delta: TypeEnv, reads: dict) -> list[Violation]:
     """The kind flips and stale dependents of applying `delta` to `base`,
-    each rebound name's stale dependents in `base`'s env order."""
+    each rebound name's stale dependents in `base`'s env order.  Each
+    delta name's base binding, and the readers of each whose type changes,
+    go into `reads`."""
     violations: list[Violation] = []
     for name, new_b in delta.items():
-        old_b = base.get(name)
+        old_b = reads[name] = base.get(name)
         if old_b is None:
             continue
         if old_b.is_state != new_b.is_state:
@@ -402,7 +457,8 @@ def _delta_violations(base: TypeEnv, delta: TypeEnv) -> list[Violation]:
                 Violation("kind_flip", name, f"'{name}' changed from {was} to {now}")
             )
         if old_b.ty != new_b.ty:
-            stale = {n for n in base.readers().get(name, ()) if n not in delta}
+            readers = reads[(name,)] = base.readers().get(name)
+            stale = {n for n in readers or () if n not in delta}
             if stale:
                 violations.extend(
                     Violation(
@@ -414,25 +470,6 @@ def _delta_violations(base: TypeEnv, delta: TypeEnv) -> list[Violation]:
                     if dep_name in stale
                 )
     return violations
-
-
-def _patch_derived(base: TypeEnv, delta: TypeEnv, merged: TypeEnv) -> None:
-    """Give `merged` (`base` overwritten by `delta`) its reverse edges,
-    patched from `base`'s instead of derived from every binding."""
-    readers = dict(base.readers())
-    for name, b in delta.items():
-        old_b = base.get(name)
-        old_reads = frozenset() if old_b is None or old_b.is_state else old_b.deps.names()
-        new_reads = frozenset() if b.is_state else b.deps.names()
-        for dep in old_reads - new_reads:
-            rest = readers[dep] - {name}
-            if rest:
-                readers[dep] = rest
-            else:
-                del readers[dep]
-        for dep in new_reads - old_reads:
-            readers[dep] = readers.get(dep, frozenset()) | {name}
-    merged._readers = readers
 
 
 def topo_order(env: TypeEnv, names: Iterable[str]) -> list[str]:

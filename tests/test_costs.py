@@ -1,0 +1,60 @@
+"""Cost gates: counts of work, not time, asserted as growth laws.
+
+A benchmark runs at fixed sizes on shared machines, so it cannot tell a
+cost that grows with the input from one that does not.  These tests count
+the operations a drain makes at several sizes and bound how the counts
+grow, so a regression in growth fails here on any machine.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import meerkat.runtime
+import meerkat.typesys
+from meerkat.runtime import Accepted, RandomSchedule, initial_config, run_until_quiescent, submit_evolution
+from meerkat.syntax import parse_program
+
+PAIRS = 600
+
+
+@pytest.fixture(scope="module")
+def installed():
+    """The program of `PAIRS` var/def pairs `var v_k = k; def d_k = v_k * 2 + 1;`."""
+    source = " ".join(f"var v_{k} = {k}; def d_{k} = v_{k} * 2 + 1;" for k in range(PAIRS))
+    return initial_config(parse_program(source))
+
+
+def counting(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the calls of each `meerkat.typesys` function in `names`,
+    wherever the runtime or the type checker calls it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(meerkat.typesys, name)
+
+        def wrapper(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (meerkat.runtime, meerkat.typesys):
+            if getattr(module, name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("r", [10, 20, 40])
+def test_draining_independent_evolutions_plans_at_most_quadratically(installed, monkeypatch, r):
+    # r evolutions `def e_k = d_k + 1;` over disjoint names: every single
+    # and every pair is approvable, and a commit changes nothing another
+    # plan read, so each program is typed once and each pair checked once
+    # (r and r(r+1)/2 here); re-planning every pair after every commit
+    # makes O(r^3) of both
+    cfg = installed
+    for k in range(r):
+        cfg = submit_evolution(cfg, parse_program(f"def e_{k} = d_{k} + 1;"), f"p{k}")
+    calls = counting(monkeypatch, "infer_program", "compatible")
+    cfg, outcomes = run_until_quiescent(cfg, RandomSchedule(1))
+    assert all(isinstance(o, Accepted) for o in outcomes)
+    assert {f"e_{k}" for k in range(r)} <= set(cfg.env.names())
+    assert calls["infer_program"] <= r * r, calls
+    assert calls["compatible"] <= r * r, calls

@@ -44,7 +44,17 @@ from meerkat.runtime import (
 from meerkat.simharness import build_config, load_scenario, validate_wave
 from meerkat.store import Change, EvalError, IntV, Store, StringV, eval_expr, propagate
 from meerkat.syntax import parse_do, parse_program
-from meerkat.typesys import TypeCheckError, TypeEnv, check_do, topo_order, well_formed
+from meerkat.typesys import (
+    INT,
+    Binding,
+    CompatReport,
+    DepSet,
+    TypeCheckError,
+    TypeEnv,
+    check_do,
+    topo_order,
+    well_formed,
+)
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -462,7 +472,8 @@ def reference_enabled_steps(cfg: Config) -> tuple[Step, ...]:
     from `check_do` and `_merge_evolutions`, with no cache."""
 
     def approvable(*subs: Submission) -> bool:
-        return isinstance(_merge_evolutions(cfg.env, [s.item for s in subs]), TypeEnv)
+        report = _merge_evolutions(cfg.env, [s.item for s in subs])
+        return isinstance(report, CompatReport) and report.ok
 
     def do_plan(sub: Submission):
         try:
@@ -557,6 +568,39 @@ def counting_calls(monkeypatch, *names: str) -> dict[str, int]:
     return calls
 
 
+# a cycle can close through the base's b and e (see TestEvolveTwo)
+CYCLE_BASE = "var x = 0; var y = 1; def c = x + 2; def b = c + 1; def a = x; def e = a + 1;"
+EVOLUTIONS = (
+    "def a = b + 1;",  # with the next: a cycle through b and e
+    "def c = e + 1;",
+    "def a = y * 2;",  # rebinds a again
+    "def n = a + c;",  # a new definition
+    "def m = n + 1;",  # mentions a name another program rebinds
+    "def n = y + 1; def m = n * 2;",
+    "def f = nope;",  # does not type
+    "def g = true + 1;",
+    'var x = "s";',  # retypes x under its readers
+    'var x = "s"; def c = 2; def a = 3;',  # retypes x with its readers
+    "def c = true;",  # retypes c under its reader b
+    "var a = 5;",  # kind flips
+    "def y = 3;",
+    "def e = x + y;",  # changes e's reads
+)
+ACTIONS = ("action { x := x + 1 }", "action { y := a }", "action { x := n }")
+
+
+@st.composite
+def evolution_queues(draw):
+    """The config `CYCLE_BASE` with 0-8 queued evolutions drawn from
+    `EVOLUTIONS`, 0-3 queued actions and a seed for picks."""
+    cfg = quiesced(CYCLE_BASE)
+    for k in range(draw(st.integers(0, 8))):
+        cfg = submit_evolution(cfg, parse_program(draw(st.sampled_from(EVOLUTIONS))), f"p{k}")
+    for k in range(draw(st.integers(0, 3))):
+        cfg = submit_do(cfg, parse_do(f"do ({draw(st.sampled_from(ACTIONS))})"), f"u{k}")
+    return cfg, draw(st.integers(0, 2**16))
+
+
 class TestPlanCache:
     def test_a_cached_plan_does_not_survive_an_env_change(self):
         cfg = quiesced("var x = 0;")
@@ -600,20 +644,69 @@ class TestPlanCache:
                     cfg = after
                 assert not cfg.q_r and not cfg.q_do
 
+    @settings(max_examples=150, deadline=None)
+    @given(evolution_queues())
+    def test_evolution_plans_equal_uncached_plans_at_every_step(self, queued):
+        # besides the step it follows, each config fires a sibling step
+        # first, so kept plans go back and forth between envs as the
+        # explorer's walk moves them
+        cfg, seed = queued
+        rng = random.Random(seed)
+        while options := enabled_steps(cfg):
+            assert tuple(options) == reference_enabled_steps(cfg)
+            for step in (options[rng.randrange(len(options))], options[rng.randrange(len(options))]):
+                after, outcomes = apply_step(cfg, step)
+                after_fresh, outcomes_fresh = apply_step(with_fresh_submissions(cfg), step)
+                assert after == after_fresh
+                assert list(map(comparable, outcomes)) == list(map(comparable, outcomes_fresh))
+                assert check_config(after) == []
+            cfg = after
+        assert not cfg.q_r and not cfg.q_do
+
+    def test_a_pair_the_lock_rule_refuses_keeps_its_report(self):
+        for first, second, text in (
+            ("def inc1 = x + 5;", "def d = inc1 * 2;", "UnboundName: 'inc1' is not bound at 1:9"),
+            ("def d = inc1 * 2;", "def inc1 = x + 5;", "UnboundName: 'inc1' is not bound at 1:9"),
+            ("def inc1 = x + 5;", "def inc1 = x + 7;", "WriteConflict: submissions rebind the same names ['inc1']"),
+        ):
+            cfg = submit_evolution(submit_evolution(quiesced(), parse_program(first), "p1"), parse_program(second), "p2")
+            assert Step("evolve_two", 0, 1) not in enabled_steps(cfg)
+            cfg2, outcome = step_evolve_many(cfg, cfg.q_r)
+            assert cfg2 is cfg and isinstance(outcome, Rejected)
+            assert (str(outcome.report), outcome.final, outcome.notified) == (text, False, ("p1", "p2"))
+
+    def test_a_kept_plan_sees_a_cycle_that_a_commit_closes(self):
+        # each alone is fine; once one commits, the other closes a cycle
+        # through the base's b and e, which only its cycle walk read
+        cfg = quiesced(CYCLE_BASE)
+        cfg = submit_evolution(cfg, parse_program("def a = b + 1;"), "p1")
+        cfg = submit_evolution(cfg, parse_program("def c = e + 1;"), "p2")
+        assert tuple(enabled_steps(cfg)) == (Step("evolve_one", 0), Step("evolve_one", 1))
+        for k in (0, 1):
+            after, _ = apply_step(cfg, Step("evolve_one", k))
+            assert tuple(enabled_steps(after)) == (Step("queue_die"),)
+
+    def test_a_kept_evolution_plan_needs_an_env_known_well_formed(self):
+        # an env no commit made is scanned whole, as the uncached planner does
+        cfg = submit_evolution(quiesced(CYCLE_BASE), parse_program("def n = x + 1;"), "p")
+        assert tuple(enabled_steps(cfg)) == (Step("evolve_one", 0),)
+        cfg = replace(cfg, env=TypeEnv({**dict(cfg.env.items()), "z": Binding(INT, DepSet.of({"nope": INT}))}))
+        assert tuple(enabled_steps(cfg)) == reference_enabled_steps(cfg) == (Step("queue_die"),)
+
     def test_plans_live_on_the_submission_and_follow_the_env(self):
         cfg = quiesced("var x = 0;")
         cfg = submit_do(cfg, parse_do("do (action { x := x + 1 })"), "u")
         cfg = submit_do(cfg, parse_do("do (action { x := 1 })"), "v")
         enabled_steps(cfg)
         sub = cfg.q_do[0]
-        assert sub.plans["env"] is cfg.env and set(sub.plans) == {"env", ()}
+        assert sub.plans[()].env is cfg.env and set(sub.plans) == {()}
         # the cache takes no part in equality or hashing
         twin = Submission(sub.item, sub.who)
         assert twin == sub and hash(twin) == hash(sub) and twin.plans == {}
         cfg = submit_evolution(cfg, parse_program("def d = x * 2;"), "p")
         cfg, _ = apply_step(cfg, Step("evolve_one", 0))
         enabled_steps(cfg)
-        assert sub.plans["env"] is cfg.env
+        assert sub.plans[()].env is cfg.env
 
     def test_a_plan_outside_an_evolutions_footprint_still_goes_stale(self):
         # the `do` reads and writes nothing the evolution rebinds, yet it
@@ -624,7 +717,7 @@ class TestPlanCache:
         cfg = submit_do(cfg, parse_do("do ((fn f => action { v := 1 }) (fn x => w + 1))"), "a")
         cfg = submit_do(cfg, parse_do("do (action { u := 1 })"), "b")
         assert Step("do_two", 0, 1) in enabled_steps(cfg)
-        cached = cfg.q_do[0].plans[()][1]
+        cached = cfg.q_do[0].plans[()].result
         assert (cached.reads(), cached.writes) == (frozenset(), frozenset({"v"}))
         cfg = submit_evolution(cfg, parse_program('var w = "s";'), "p")
         cfg, outcomes = run_until_quiescent(cfg)
@@ -638,8 +731,8 @@ class TestPlanCache:
         cfg = submit_do(cfg, parse_do("do (action { x := x + 1 })"), "u")
         cfg = submit_do(cfg, parse_do("do (action { z := y })"), "v")
         enabled_steps(cfg)
-        kept = cfg.q_do[0].plans[()][1]
-        assert isinstance(cfg.q_do[1].plans[()][1], TypeCheckError)
+        kept = cfg.q_do[0].plans[()].result
+        assert isinstance(cfg.q_do[1].plans[()].result, TypeCheckError)
         cfg = submit_evolution(cfg, parse_program("var y = 5; def d = z * 2;"), "p")
         cfg, _ = apply_step(cfg, Step("evolve_one", 0))
         calls = counting_calls(monkeypatch, "check_do")
@@ -647,7 +740,7 @@ class TestPlanCache:
         # `u` looked up `x` alone, which kept its binding; `v` looked up
         # `y`, unbound then and bound now, so only `v` types again
         assert calls["check_do"] == 1
-        assert _do_plan(cfg.env, cfg.q_do[0]) is kept and cfg.q_do[0].plans["env"] is cfg.env
+        assert _do_plan(cfg.env, cfg.q_do[0]) is kept and cfg.q_do[0].plans[()].env is cfg.env
         assert Step("do_two", 0, 1) in steps
         cfg, outcomes = run_until_quiescent(cfg)
         assert [type(o) for o in outcomes] == [Executed, Executed]
