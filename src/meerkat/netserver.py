@@ -37,11 +37,14 @@ waits until it is writable.  So clients observe only committed transactions,
 in commit order.  Session sockets set ``TCP_NODELAY``: a small reply is not
 held back behind an unacknowledged one.
 
-A session's messages are handled in the order it sent them, and it reads
+A session's requests are enqueued in the order it sent them, and it reads
 its own writes: a ``read``, ``env`` or ``dump`` is answered after every
 ``evolve`` and ``do`` the same session sent before it has committed or
-been refused, even within one batch.  ``subscribe`` has no reply; it is in
-effect once a later request on the same session has been answered.
+been refused, even within one batch.  Its pipelined submissions are not
+ordered against each other: the schedule may commit a later one first, so
+a client that needs order waits for each terminal reply before it sends
+the next.  ``subscribe`` has no reply; it is in effect once a later
+request on the same session has been answered.
 
 A session is closed only at EOF, on a refused hello (a version mismatch),
 when its outbound buffer overflows or when it sends an overlong line, never

@@ -33,6 +33,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Protocol
 
 from .store import (
@@ -437,11 +438,13 @@ def _solo_wave(
     return result
 
 
-def _locks_compatible(p1: DoPlan | TypeCheckError, p2: DoPlan | TypeCheckError) -> bool:
-    """The lock rule for two actions, given their `_do_plan`s: both type,
-    their write sets are disjoint and neither reads a variable the other
-    writes.  `enabled_steps` applies the same rule to a whole queue at
-    once, through an index of the variables each action writes."""
+def do_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
+    """The lock rule for two queued actions, written once: both of their
+    `_do_plan`s under `cfg.env` type, their write sets are disjoint and
+    neither reads a variable the other writes.  `enabled_steps` applies it
+    to a whole queue through an index of who writes what, checking no
+    pair, and `step_do_many` confirms its picks here."""
+    p1, p2 = _do_plan(cfg.env, s1), _do_plan(cfg.env, s2)
     return (
         isinstance(p1, DoPlan)
         and isinstance(p2, DoPlan)
@@ -449,15 +452,6 @@ def _locks_compatible(p1: DoPlan | TypeCheckError, p2: DoPlan | TypeCheckError) 
         and p1.read_vars.isdisjoint(p2.writes)
         and p2.read_vars.isdisjoint(p1.writes)
     )
-
-
-def do_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
-    """Lock check for running two queued actions concurrently: the two
-    `_do_plan` lookups under `cfg.env`, then `_locks_compatible`'s set
-    logic.  A scheduling step does not check pairs at all: `enabled_steps`
-    reads each queued plan once and finds the conflicting pairs through an
-    index of who writes what, which `step_do_many`'s check here confirms."""
-    return _locks_compatible(_do_plan(cfg.env, s1), _do_plan(cfg.env, s2))
 
 
 def step_do_many(
@@ -564,7 +558,8 @@ class _Options(Sequence):
     later actions that action `i` may not pair with, or is None when it
     pairs with none; `starts[i]` is the index of row `i`'s first pair.
     Element k and the length equal those of the full tuple, so a recorded
-    pick names the same step.
+    pick names the same step.  The order is written once, in `__getitem__`,
+    through which `Sequence` iterates.
     """
 
     __slots__ = ("head", "n", "clashes", "starts", "size")
@@ -598,16 +593,6 @@ class _Options(Sequence):
             j += 1
         return Step("do_two", i, j)
 
-    def __iter__(self) -> Iterator[Step]:
-        yield from self.head
-        for i in range(self.n):
-            yield Step("do_one", i)
-        for i, row in enumerate(self.clashes):
-            if row is not None:
-                for j in range(i + 1, self.n):
-                    if j not in row:
-                        yield Step("do_two", i, j)
-
 
 def enabled_steps(cfg: Config) -> Sequence[Step]:
     """Every step the scheduler may fire from this configuration, as a
@@ -629,18 +614,11 @@ def enabled_steps(cfg: Config) -> Sequence[Step]:
     plus the actions' footprints and their conflicts, not a check per pair
     of actions; a lone action is not typed here at all.
     """
-    head: list[Step] = []
-    singles = [
-        i for i, s in enumerate(cfg.q_r) if _accepts(_evolution_plan(cfg.env, (s,)))
-    ]
-    head.extend(Step("evolve_one", i) for i in singles)
-    pair_found = False
-    for i in range(len(cfg.q_r)):
-        for j in range(i + 1, len(cfg.q_r)):
-            if evolve_pair_viable(cfg, cfg.q_r[i], cfg.q_r[j]):
-                head.append(Step("evolve_two", i, j))
-                pair_found = True
-    if cfg.q_r and not singles and not pair_found:
+    q_r = cfg.q_r
+    head = [Step("evolve_one", i) for i, s in enumerate(q_r) if _accepts(_evolution_plan(cfg.env, (s,)))]
+    pairs = combinations(range(len(q_r)), 2)
+    head += [Step("evolve_two", i, j) for i, j in pairs if evolve_pair_viable(cfg, q_r[i], q_r[j])]
+    if q_r and not head:
         head.append(Step("queue_die"))
     n = len(cfg.q_do)
     clashes: list[set[int] | None] = []
@@ -665,21 +643,22 @@ def enabled_steps(cfg: Config) -> Sequence[Step]:
 
 
 def apply_step(cfg: Config, step: Step) -> tuple[Config, tuple[StepOutcome, ...]]:
-    """Fire one step from `enabled_steps`."""
-    if step.kind == "evolve_one":
-        cfg2, out = step_evolve_many(cfg, (cfg.q_r[step.i],))
-        return cfg2, (out,)
-    if step.kind == "evolve_two":
-        cfg2, out = step_evolve_many(cfg, (cfg.q_r[step.i], cfg.q_r[step.j]))
-        return cfg2, (out,)
-    if step.kind == "do_one":
-        return step_do_many(cfg, (cfg.q_do[step.i],))
-    if step.kind == "do_two":
-        return step_do_many(cfg, (cfg.q_do[step.i], cfg.q_do[step.j]))
+    """Fire one step from `enabled_steps`: queue death, or the picks that
+    a `do_*` or `evolve_*` step names by queue index (`i`, and `j` too for
+    a pair), fired together through that queue's `_many` function.  Any
+    other kind raises `ValueError`."""
     if step.kind == "queue_die":
-        cfg2, out = step_queue_die(cfg)
-        return cfg2, (out,)
-    raise ValueError(f"unknown step kind {step.kind!r}")
+        cfg, out = step_queue_die(cfg)
+        return cfg, (out,)
+    do = step.kind in ("do_one", "do_two")
+    if not do and step.kind not in ("evolve_one", "evolve_two"):
+        raise ValueError(f"unknown step kind {step.kind!r}")
+    queue = cfg.q_do if do else cfg.q_r
+    picks = (queue[step.i],) if step.kind.endswith("_one") else (queue[step.i], queue[step.j])
+    if do:
+        return step_do_many(cfg, picks)
+    cfg, out = step_evolve_many(cfg, picks)
+    return cfg, (out,)
 
 
 class ScheduleSource(Protocol):
@@ -690,15 +669,18 @@ class ScheduleSource(Protocol):
 
 
 class RandomSchedule:
-    """Seeded uniformly random scheduler; the default for live services."""
+    """Seeded uniformly random scheduler; the default for live services.
+    With `record` it keeps the index of every pick in `picks`, a list that
+    `FixedSchedule` replays; without, it keeps nothing that grows."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, record: bool = False):
         self.rng = random.Random(seed)
-        self.picks: list[int] = []
+        self.picks: list[int] | None = [] if record else None
 
     def choose(self, cfg: Config, options: Sequence[Step]) -> Step:
         k = self.rng.randrange(len(options))
-        self.picks.append(k)
+        if self.picks is not None:
+            self.picks.append(k)
         return options[k]
 
 
@@ -714,11 +696,15 @@ class PickOutOfRange(ValueError):
     against another configuration."""
 
 
+class PicksRanOut(IndexError):
+    """A replayed schedule has no pick left while steps are still enabled."""
+
+
 class FixedSchedule:
     """Replays a recorded sequence of option indices.
 
-    `choose` raises `IndexError` once the picks run out, and
-    `PickOutOfRange` for a pick that no enabled step answers.
+    `choose` raises `PicksRanOut`, an `IndexError`, once the picks run
+    out, and `PickOutOfRange` for a pick that no enabled step answers.
     """
 
     def __init__(self, picks: Sequence[int]):
@@ -727,7 +713,7 @@ class FixedSchedule:
 
     def choose(self, cfg: Config, options: Sequence[Step]) -> Step:
         if self.pos >= len(self.picks):
-            raise IndexError("replay schedule exhausted")
+            raise PicksRanOut("replay schedule exhausted")
         k = self.picks[self.pos]
         self.pos += 1
         if not 0 <= k < len(options):

@@ -64,7 +64,9 @@ from .runtime import (
     Config,
     FixedSchedule,
     PickOutOfRange,
+    PicksRanOut,
     RandomSchedule,
+    ScheduleSource,
     Step,
     StepOutcome,
     apply_step,
@@ -227,10 +229,22 @@ def build_config(scenario: Scenario) -> Config:
     return cfg
 
 
-def _audit_step(cfg: Config, outs, verdict: Verdict):
-    for o in outs:
-        verdict.violations.extend(validate_wave(cfg.env, o))
-    verdict.violations.extend(check_config(cfg))
+def _audited_run(cfg: Config, schedule: ScheduleSource, verdict: Verdict) -> Config:
+    """Seeded mode's and `replay`'s one run loop: fire and audit the steps
+    `schedule` picks from `cfg`, and return the config it stopped at.  A
+    replay stops early when its picks run out, or with a violation when one
+    names no enabled step; any other error reaches the caller."""
+    try:
+        for _, cfg, outs in run_steps(cfg, schedule):
+            verdict.states += 1
+            for o in outs:
+                verdict.violations.extend(validate_wave(cfg.env, o))
+            verdict.violations.extend(check_config(cfg))
+    except PicksRanOut:
+        pass  # the recorded schedule ended before quiescence
+    except PickOutOfRange as err:
+        verdict.violations.append(f"replay diverged: {err}")
+    return cfg
 
 
 def _finish_run(cfg: Config, verdict: Verdict, finals: set):
@@ -414,11 +428,8 @@ def explore(scenario: Scenario, mode: Seeded | Exhaustive = Seeded()) -> Verdict
     start = build_config(scenario)
     if isinstance(mode, Seeded):
         for k in range(mode.runs):
-            schedule = RandomSchedule(mode.seed + k)
-            cfg = start
-            for _, cfg, outs in run_steps(start, schedule):
-                verdict.states += 1
-                _audit_step(cfg, outs, verdict)
+            schedule = RandomSchedule(mode.seed + k, record=True)
+            cfg = _audited_run(start, schedule, verdict)
             if cfg.q_r or cfg.q_do:
                 verdict.violations.append("progress violated: pending work but no enabled step")
             _finish_run(cfg, verdict, finals)
@@ -436,17 +447,11 @@ def explore(scenario: Scenario, mode: Seeded | Exhaustive = Seeded()) -> Verdict
 
 
 def replay(scenario: Scenario, trace: dict) -> Verdict:
-    """Re-run a single recorded schedule; reproduces its violations exactly."""
+    """Re-run a single recorded schedule; reproduces its violations exactly.
+    Picks that run out replay their prefix, checked by the oracle only if
+    it quiesced; a fault in a step is raised, not taken for the end."""
     verdict = Verdict()
-    cfg = build_config(scenario)
-    try:
-        for _, cfg, outs in run_steps(cfg, FixedSchedule(trace["picks"])):
-            verdict.states += 1
-            _audit_step(cfg, outs, verdict)
-    except IndexError:
-        pass  # the recorded schedule ended before quiescence
-    except PickOutOfRange as err:
-        verdict.violations.append(f"replay diverged: {err}")
+    cfg = _audited_run(build_config(scenario), FixedSchedule(trace["picks"]), verdict)
     if not cfg.q_r and not cfg.q_do:
         verdict.violations.extend(check_oracle(cfg))
         verdict.runs += 1

@@ -11,9 +11,20 @@ from __future__ import annotations
 import pytest
 
 import meerkat.runtime
+import meerkat.store
 import meerkat.typesys
-from meerkat.runtime import Accepted, RandomSchedule, initial_config, run_until_quiescent, submit_evolution
-from meerkat.syntax import parse_program
+from meerkat.runtime import (
+    Accepted,
+    Executed,
+    RandomSchedule,
+    initial_config,
+    run_until_quiescent,
+    submit_do,
+    submit_evolution,
+)
+from meerkat.store import IntV
+from meerkat.syntax import parse_do, parse_program
+from meerkat.typesys import TypeEnv
 
 PAIRS = 600
 
@@ -58,3 +69,42 @@ def test_draining_independent_evolutions_plans_at_most_quadratically(installed, 
     assert {f"e_{k}" for k in range(r)} <= set(cfg.env.names())
     assert calls["infer_program"] <= r * r, calls
     assert calls["compatible"] <= r * r, calls
+
+
+def one_cell_do_work(monkeypatch, pairs: int) -> tuple[int, int, tuple[str, ...]]:
+    """The `eval_expr` calls and `TypeEnv.get` lookups that one
+    `do (action { v_0 := v_0 + 1 })` makes, from submission to commit, on
+    the program of `pairs` var/def pairs, and the definitions it recomputes."""
+    source = " ".join(f"var v_{k} = {k}; def d_{k} = v_{k} * 2 + 1;" for k in range(pairs))
+    cfg = submit_do(initial_config(parse_program(source)), parse_do("do (action { v_0 := v_0 + 1 })"), "u")
+    calls = {"eval_expr": 0, "get": 0}
+    evaluate, get = meerkat.store.eval_expr, TypeEnv.get
+
+    def counted_eval(*args, **kwargs):
+        calls["eval_expr"] += 1
+        return evaluate(*args, **kwargs)
+
+    def counted_get(env, name):
+        calls["get"] += 1
+        return get(env, name)
+
+    with monkeypatch.context() as patch:
+        for module in (meerkat.store, meerkat.runtime):
+            patch.setattr(module, "eval_expr", counted_eval)
+        patch.setattr(TypeEnv, "get", counted_get)
+        cfg, (outcome,) = run_until_quiescent(cfg)
+    assert isinstance(outcome, Executed) and cfg.store.vars["v_0"] == IntV(1)
+    return calls["eval_expr"], calls["get"], outcome.recomputed
+
+
+def test_a_one_cell_do_does_the_same_work_at_any_program_size(monkeypatch):
+    """A pin: a one-cell transaction's evaluations, env lookups and
+    recomputed definitions track the cells it touches, not the size of the
+    program (9 evaluations and 5 lookups at both sizes when it landed).
+
+    Not counted: the copies of the store's value dicts that every
+    transaction makes (ROADMAP item 4), which still grow with the program.
+    """
+    small, large = one_cell_do_work(monkeypatch, 200), one_cell_do_work(monkeypatch, 1_600)
+    assert small == large, (small, large)
+    assert small[2] == ("d_0",)

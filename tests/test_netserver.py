@@ -40,6 +40,27 @@ def make_state(source: str | None = None) -> ServerState:
     return ServerState(cfg=cfg)
 
 
+def test_the_server_schedule_keeps_no_history():
+    # a server's schedule lives as long as the process: what it holds
+    # must not grow with the number of turns it has stepped
+    state = make_state(LISTING)
+    session = state.sessions[1] = Session(id=1)
+
+    def turns(n: int):
+        for k in range(n):
+            message = {"type": "do", "req": k, "expr": "do (action { x := x + 1 })"}
+            state.turn([(session, message)], lambda sid, payload: None)
+
+    def held() -> int:
+        return sum(len(v) for v in vars(state.schedule).values() if isinstance(v, (list, dict, set, tuple)))
+
+    turns(10)
+    before = held()
+    turns(1_000)
+    assert held() == before
+    assert state.cfg.store.vars["x"].v == 1 + 1_010
+
+
 class TestHandleMessage:
     def test_env_on_empty_server(self):
         state = make_state()

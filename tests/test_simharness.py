@@ -177,7 +177,7 @@ class TestScenarios:
         from meerkat.runtime import RandomSchedule, enabled_steps, apply_step
 
         cfg = build_config(scenario)
-        schedule = RandomSchedule(5)
+        schedule = RandomSchedule(5, record=True)
         while True:
             options = enabled_steps(cfg)
             if not options:
@@ -189,7 +189,7 @@ class TestScenarios:
 
     def test_replay_of_a_schedule_prefix_runs_only_its_steps(self):
         scenario = self.confluence()
-        schedule = RandomSchedule(0)
+        schedule = RandomSchedule(0, record=True)
         run_until_quiescent(build_config(scenario), schedule)
         assert len(schedule.picks) == 2  # the two actions one at a time
         for k in range(len(schedule.picks)):
@@ -197,6 +197,25 @@ class TestScenarios:
             assert verdict.ok, verdict.violations
             assert verdict.states == k
             assert verdict.runs == 0  # no oracle runs on a non-quiescent config
+
+    def test_a_fault_in_a_step_reaches_the_replay_caller(self, monkeypatch):
+        # only a pick list that runs out ends a replay early: an IndexError
+        # raised inside a step is a fault, not the end of the schedule
+        scenario = load_scenario(str(SAMPLES / "scenario_confluence.json"))
+        trace = {"kind": "picks", "picks": [0, 0]}  # u1's action, then u2's
+        assert replay(scenario, trace).runs == 1
+
+        def faulty_step(cfg, step):
+            raise IndexError("a fault inside a step")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(meerkat.runtime, "apply_step", faulty_step)
+            with pytest.raises(IndexError, match="a fault inside a step"):
+                replay(scenario, trace)
+        # a truncated pick list still replays its prefix, with no violation
+        verdict = replay(scenario, {"kind": "picks", "picks": [0]})
+        assert verdict.ok, verdict.violations
+        assert (verdict.states, verdict.runs) == (1, 0)
 
     def test_replay_of_an_out_of_range_pick_is_a_violation(self):
         # the two actions offer three steps first (each alone, or the pair)
