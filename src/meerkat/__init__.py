@@ -65,6 +65,7 @@ from .runtime import (
     apply_step,
     check_config,
     enabled_steps,
+    first_step,
     initial_config,
     run_steps,
     run_until_quiescent,

@@ -31,7 +31,7 @@ One thread runs one ``selectors`` loop.  Each pass accepts connections,
 reads every ready session and hands the batch of lines, in arrival order, to
 `ServerState.turn`, the engine's one turn, which holds no socket (the
 embedded REPL runs it too).  The turn handles each line, steps the runtime
-to quiescence with a seeded random schedule and queues every reply; the loop
+to quiescence under `runtime.first_step` and queues every reply; the loop
 then writes them with non-blocking sends, and what a socket cannot take yet
 waits until it is writable.  So clients observe only committed transactions,
 in commit order.  Session sockets set ``TCP_NODELAY``: a small reply is not
@@ -40,11 +40,11 @@ held back behind an unacknowledged one.
 A session's requests are enqueued in the order it sent them, and it reads
 its own writes: a ``read``, ``env`` or ``dump`` is answered after every
 ``evolve`` and ``do`` the same session sent before it has committed or
-been refused, even within one batch.  Its pipelined submissions are not
-ordered against each other: the schedule may commit a later one first, so
-a client that needs order waits for each terminal reply before it sends
-the next.  ``subscribe`` has no reply; it is in effect once a later
-request on the same session has been answered.
+been refused, even within one batch.  Each step fires the oldest
+approvable evolution, else the oldest action, so actions commit in arrival
+order, across sessions too, and each submission is answered within its
+turn.  ``subscribe`` has no reply; it is in effect once a later request on
+the same session has been answered.
 
 A session is closed only at EOF, on a refused hello (a version mismatch),
 when its outbound buffer overflows or when it sends an overlong line, never
@@ -82,9 +82,9 @@ from .runtime import (
     Config,
     Executed,
     QueueDied,
-    RandomSchedule,
     Rejected,
     StepOutcome,
+    first_step,
     initial_config,
     outcome_to_json,
     run_steps,
@@ -117,7 +117,6 @@ class ServerState:
 
     cfg: Config
     open_mode: bool = False  # let user-role sessions evolve code
-    schedule: RandomSchedule = field(default_factory=RandomSchedule)
     sessions: dict[int, Session] = field(default_factory=dict)
     subscribers: dict[str, set[int]] = field(default_factory=dict)  # no empty sets
 
@@ -152,7 +151,7 @@ class ServerState:
         def quiesce():
             submitted.clear()
             try:
-                for step, cfg, outcomes in run_steps(self.cfg, self.schedule):
+                for step, cfg, outcomes in run_steps(self.cfg, first_step):
                     commit(cfg, step.to_json(), outcomes)
             except Exception:
                 sys.excepthook(*sys.exc_info())
@@ -287,11 +286,10 @@ class MeerkatServer:
         initial: Program | None = None,
         open_mode: bool = False,
         trace_path: str | None = None,
-        seed: int = 0,
     ):
         self.bind, self.trace_path = bind, trace_path
         cfg = initial_config(initial)  # a refused program raises ValueError
-        self.state = ServerState(cfg, open_mode, RandomSchedule(seed))
+        self.state = ServerState(cfg, open_mode)
         self.listener: socket.socket | None = None
         self.selector = selectors.DefaultSelector()
         self.thread: threading.Thread | None = None
@@ -503,7 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--init", metavar="FILE.mk", help="program to evolve before accepting clients")
     parser.add_argument("--open", action="store_true", help="let user-role sessions evolve code")
     parser.add_argument("--trace", metavar="FILE", help="append step outcomes as JSON lines")
-    parser.add_argument("--seed", type=int, default=0, help="schedule seed")
+    # ignored: the schedule has no seed, but `ServerProcess` in perfbench/live.py passes it
+    parser.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     bind = parse_address(args.bind)
     if bind is None:
@@ -518,9 +517,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot load {args.init}: {err}", file=sys.stderr)
             return 1
     try:
-        server = MeerkatServer(
-            bind=bind, initial=initial, open_mode=args.open, trace_path=args.trace, seed=args.seed
-        )
+        server = MeerkatServer(bind=bind, initial=initial, open_mode=args.open, trace_path=args.trace)
     except ValueError as err:  # the --init program was refused
         print(f"error: cannot load {args.init}: {err}", file=sys.stderr)
         return 1

@@ -1,14 +1,13 @@
 """Interactive client for the Meerkat runtime.
 
-One protocol client with two transports.  ``--connect host:port`` talks to
-a live server.  ``--embedded`` runs the server's engine in-process for one
-programmer session: each message it sends is one
-`netserver.ServerState.turn`, the same turn the server runs on each batch,
-under a seeded schedule, so a fault inside a step is answered as the
-server answers it.  A command sends one request and prints its reply, or
-for ``:watch`` and ``:unwatch`` one message that has no reply; `describe`
-renders every reply and pushed event in both modes, so they print the
-same lines.  The embedded mode is the zero-setup way to try the language
+One protocol client with two transports.  ``--connect host:port`` talks to a
+live server.  ``--embedded`` runs the server's engine in-process for one
+programmer session: each message it sends is one `netserver.ServerState.turn`,
+the same turn the server runs on each batch, so a fault inside a step is
+answered as the server answers it.  A command sends one request and prints its
+reply, or for ``:watch`` and ``:unwatch`` one message that has no reply;
+`describe` renders every reply and pushed event in both modes, so they print
+the same lines.  The embedded mode is the zero-setup way to try the language
 and the backbone of the deterministic golden tests.
 
 Commands:
@@ -26,9 +25,9 @@ Commands:
     :quit
 
 Exit codes: 0 clean, 1 usage error, 2 connection loss.  With ``--script``
-the commands come from a file.  Only an embedded transcript is byte-stable
-for a fixed ``--seed``: a server pushes `! ...` change events on their own,
-after the reply that ends a command, so one may print a command late.
+the commands come from a file.  Only an embedded transcript is byte-stable:
+a server pushes `! ...` change events on their own, after the reply that
+ends a command, so one may print a command late.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import sys
 import threading
 
 from .netserver import PROTOCOL_VERSION, ServerState, Session, parse_address
-from .runtime import RandomSchedule, initial_config
+from .runtime import initial_config
 
 
 class ConnectionLost(Exception):
@@ -146,12 +145,12 @@ class Client:
 
 class EmbeddedBackend(Client):
     """The server's engine in-process, for one programmer session: each
-    payload is one `ServerState.turn` under a seeded schedule."""
+    payload is one `ServerState.turn`."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         super().__init__()
         self.session = Session(id=1)
-        self.state = ServerState(cfg=initial_config(), schedule=RandomSchedule(seed), sessions={1: self.session})
+        self.state = ServerState(cfg=initial_config(), sessions={1: self.session})
 
     def send(self, payload: dict):
         self.state.turn([(self.session, payload)], lambda _sid, msg: self._receive(msg))
@@ -292,7 +291,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--connect", metavar="HOST:PORT", help="attach to a running server")
     parser.add_argument("--embedded", action="store_true", help="run an in-process stepper")
     parser.add_argument("--script", metavar="FILE", help="read commands from FILE")
-    parser.add_argument("--seed", type=int, default=0, help="schedule seed for --embedded")
     args = parser.parse_args(argv)
     if bool(args.connect) == bool(args.embedded):
         print("error: exactly one of --connect or --embedded is required", file=sys.stderr)
@@ -308,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"connection lost: {err}", file=sys.stderr)
             return 2
     else:
-        backend = EmbeddedBackend(seed=args.seed)
+        backend = EmbeddedBackend()
 
     script_fh = None
     if args.script:

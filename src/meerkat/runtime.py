@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Protocol
+from itertools import chain, combinations
 
 from .store import (
     ActionV,
@@ -549,6 +548,20 @@ def evolve_pair_viable(cfg: Config, s1: Submission, s2: Submission) -> bool:
     return _accepts(_evolution_plan(cfg.env, (s1, s2)))
 
 
+def _evolution_head(cfg: Config) -> Iterator[Step]:
+    """`enabled_steps`' evolution steps, built one at a time: the approvable
+    `evolve_one`s, then `evolve_two`s, else queue death if any is queued."""
+    q_r = cfg.q_r
+    pairs = combinations(range(len(q_r)), 2)
+    steps = chain(
+        (Step("evolve_one", i) for i, s in enumerate(q_r) if _accepts(_evolution_plan(cfg.env, (s,)))),
+        (Step("evolve_two", i, j) for i, j in pairs if evolve_pair_viable(cfg, q_r[i], q_r[j])),
+    )
+    if first := next(steps, Step("queue_die") if q_r else None):
+        yield first
+        yield from steps
+
+
 class _Options(Sequence):
     """The steps `enabled_steps` offers, each built only when it is read.
 
@@ -614,12 +627,7 @@ def enabled_steps(cfg: Config) -> Sequence[Step]:
     plus the actions' footprints and their conflicts, not a check per pair
     of actions; a lone action is not typed here at all.
     """
-    q_r = cfg.q_r
-    head = [Step("evolve_one", i) for i, s in enumerate(q_r) if _accepts(_evolution_plan(cfg.env, (s,)))]
-    pairs = combinations(range(len(q_r)), 2)
-    head += [Step("evolve_two", i, j) for i, j in pairs if evolve_pair_viable(cfg, q_r[i], q_r[j])]
-    if q_r and not head:
-        head.append(Step("queue_die"))
+    head = tuple(_evolution_head(cfg))
     n = len(cfg.q_do)
     clashes: list[set[int] | None] = []
     if n >= 2:
@@ -639,7 +647,7 @@ def enabled_steps(cfg: Config) -> Sequence[Step]:
                     for j in writers.get(v, ()):
                         if j != i:
                             clashes[min(i, j)].add(max(i, j))
-    return _Options(tuple(head), n, clashes)
+    return _Options(head, n, clashes)
 
 
 def apply_step(cfg: Config, step: Step) -> tuple[Config, tuple[StepOutcome, ...]]:
@@ -661,34 +669,31 @@ def apply_step(cfg: Config, step: Step) -> tuple[Config, tuple[StepOutcome, ...]
     return cfg, (out,)
 
 
-class ScheduleSource(Protocol):
-    def choose(self, cfg: Config, options: Sequence[Step]) -> Step:
-        """Pick one of `options`, the nonempty result of `enabled_steps`.
-        Read it only through `len`, indexing and iteration: it is a lazy
-        sequence, not a tuple."""
+Schedule = Callable[[Config], Step | None]
+
+
+def first_step(cfg: Config) -> Step | None:
+    """The server's schedule: `enabled_steps(cfg)[0]`, or None when no step
+    is enabled.  That is the first approvable evolution step or queue
+    death, else `do_one` of the oldest action, found without typing an
+    action or building a clash row."""
+    return next(_evolution_head(cfg), Step("do_one", 0) if cfg.q_do else None)
 
 
 class RandomSchedule:
-    """Seeded uniformly random scheduler; the default for live services.
-    With `record` it keeps the index of every pick in `picks`, a list that
-    `FixedSchedule` replays; without, it keeps nothing that grows."""
+    """Seeded uniformly random choice among `enabled_steps`; it keeps each
+    pick's index in `picks`, a list that `FixedSchedule` replays."""
 
-    def __init__(self, seed: int = 0, record: bool = False):
+    def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
-        self.picks: list[int] | None = [] if record else None
+        self.picks: list[int] = []
 
-    def choose(self, cfg: Config, options: Sequence[Step]) -> Step:
-        k = self.rng.randrange(len(options))
-        if self.picks is not None:
-            self.picks.append(k)
-        return options[k]
-
-
-class FirstSchedule:
-    """Always fires the first enabled step; a deterministic baseline."""
-
-    def choose(self, cfg: Config, options: Sequence[Step]) -> Step:
-        return options[0]
+    def __call__(self, cfg: Config) -> Step | None:
+        options = enabled_steps(cfg)
+        if not options:
+            return None
+        self.picks.append(self.rng.randrange(len(options)))
+        return options[self.picks[-1]]
 
 
 class PickOutOfRange(ValueError):
@@ -703,7 +708,7 @@ class PicksRanOut(IndexError):
 class FixedSchedule:
     """Replays a recorded sequence of option indices.
 
-    `choose` raises `PicksRanOut`, an `IndexError`, once the picks run
+    A call raises `PicksRanOut`, an `IndexError`, once the picks run
     out, and `PickOutOfRange` for a pick that no enabled step answers.
     """
 
@@ -711,7 +716,10 @@ class FixedSchedule:
         self.picks = list(picks)
         self.pos = 0
 
-    def choose(self, cfg: Config, options: Sequence[Step]) -> Step:
+    def __call__(self, cfg: Config) -> Step | None:
+        options = enabled_steps(cfg)
+        if not options:
+            return None
         if self.pos >= len(self.picks):
             raise PicksRanOut("replay schedule exhausted")
         k = self.picks[self.pos]
@@ -721,31 +729,27 @@ class FixedSchedule:
         return options[k]
 
 
-def run_steps(cfg: Config, schedule: ScheduleSource) -> Iterator[tuple[Step, Config, tuple[StepOutcome, ...]]]:
-    """The one schedule loop: while any step is enabled, let `schedule`
-    choose one, fire it and yield `(step, after, outcomes)`.
-
-    Every scheduler iterates this generator, so each fired step is seen in
-    one place.  It stops when no step is enabled, which leaves pending
-    work only if progress fails; an exception from `schedule.choose` (a
-    replayed schedule running out) propagates to the caller.
+def run_steps(cfg: Config, schedule: Schedule) -> Iterator[tuple[Step, Config, tuple[StepOutcome, ...]]]:
+    """The one schedule loop: while `schedule(cfg)`, one of `enabled_steps(cfg)`
+    or None exactly when none is enabled, names a step, fire it and yield
+    `(step, after, outcomes)`.  Every scheduler iterates this generator, so
+    each fired step is seen in one place.  Stopping leaves pending work only
+    if progress fails; an exception from `schedule` (a replayed schedule
+    running out) propagates to the caller.
     """
-    while options := enabled_steps(cfg):
-        step = schedule.choose(cfg, options)
+    while (step := schedule(cfg)) is not None:
         cfg, outcomes = apply_step(cfg, step)
         yield step, cfg, outcomes
 
 
-def run_until_quiescent(
-    cfg: Config, schedule: ScheduleSource | None = None
-) -> tuple[Config, list[StepOutcome]]:
+def run_until_quiescent(cfg: Config, schedule: Schedule = first_step) -> tuple[Config, list[StepOutcome]]:
     """Fire schedule-chosen steps until both queues are empty.
 
     Terminates because every step removes at least one queue entry or is
     queue death, which empties the evolution queue outright.
     """
     outcomes: list[StepOutcome] = []
-    for _, cfg, outs in run_steps(cfg, schedule or FirstSchedule()):
+    for _, cfg, outs in run_steps(cfg, schedule):
         outcomes.extend(outs)
     assert not cfg.q_r and not cfg.q_do
     return cfg, outcomes

@@ -66,7 +66,7 @@ from .runtime import (
     PickOutOfRange,
     PicksRanOut,
     RandomSchedule,
-    ScheduleSource,
+    Schedule,
     Step,
     StepOutcome,
     apply_step,
@@ -229,7 +229,7 @@ def build_config(scenario: Scenario) -> Config:
     return cfg
 
 
-def _audited_run(cfg: Config, schedule: ScheduleSource, verdict: Verdict) -> Config:
+def _audited_run(cfg: Config, schedule: Schedule, verdict: Verdict) -> Config:
     """Seeded mode's and `replay`'s one run loop: fire and audit the steps
     `schedule` picks from `cfg`, and return the config it stopped at.  A
     replay stops early when its picks run out, or with a violation when one
@@ -428,7 +428,7 @@ def explore(scenario: Scenario, mode: Seeded | Exhaustive = Seeded()) -> Verdict
     start = build_config(scenario)
     if isinstance(mode, Seeded):
         for k in range(mode.runs):
-            schedule = RandomSchedule(mode.seed + k, record=True)
+            schedule = RandomSchedule(mode.seed + k)
             cfg = _audited_run(start, schedule, verdict)
             if cfg.q_r or cfg.q_do:
                 verdict.violations.append("progress violated: pending work but no enabled step")

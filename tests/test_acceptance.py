@@ -513,7 +513,7 @@ class _Client:
 
 def test_criterion_9_end_to_end_protocol():
     with criterion(9, "loopback workload equals a single-client serial replay", 30.0):
-        server = MeerkatServer(bind=("127.0.0.1", 0), initial=parse_program(INIT_PROGRAM), seed=11)
+        server = MeerkatServer(bind=("127.0.0.1", 0), initial=parse_program(INIT_PROGRAM))
         server.start()
         try:
             evolutions = [

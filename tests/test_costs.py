@@ -13,6 +13,7 @@ import pytest
 import meerkat.runtime
 import meerkat.store
 import meerkat.typesys
+from meerkat.netserver import ServerState, Session
 from meerkat.runtime import (
     Accepted,
     Executed,
@@ -69,6 +70,32 @@ def test_draining_independent_evolutions_plans_at_most_quadratically(installed, 
     assert {f"e_{k}" for k in range(r)} <= set(cfg.env.names())
     assert calls["infer_program"] <= r * r, calls
     assert calls["compatible"] <= r * r, calls
+
+
+@pytest.mark.parametrize("q", [50, 100, 200])
+def test_a_server_turn_schedules_a_hot_cell_drain_in_linear_work(monkeypatch, q):
+    # q pipelined actions on one cell: the server fires the oldest each
+    # step, so each action is typed once, when it fires, and no step
+    # enumerates the queue.  A schedule that draws from `enabled_steps`
+    # types every queued action each step, O(q^2) plans in all (1,324 at
+    # q = 50)
+    state = ServerState(initial_config(parse_program("var x = 0;")))
+    session = state.sessions[1] = Session(id=1)
+    batch = [(session, {"type": "do", "req": k, "expr": "do (action { x := x + 1 })"}) for k in range(q)]
+    calls = dict.fromkeys(("_do_plan", "enabled_steps"), 0)
+    for name in calls:
+        original = getattr(meerkat.runtime, name)
+
+        def wrapper(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(meerkat.runtime, name, wrapper)
+    replies = []
+    state.turn(batch, lambda sid, payload: replies.append(payload))
+    assert calls == {"_do_plan": q, "enabled_steps": 0}
+    assert [(p["type"], p["req"]) for p in replies] == [("executed", k) for k in range(q)]
+    assert state.cfg.store.vars["x"] == IntV(q)
 
 
 def one_cell_do_work(monkeypatch, pairs: int) -> tuple[int, int, tuple[str, ...]]:

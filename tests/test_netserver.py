@@ -26,7 +26,7 @@ from meerkat.netserver import (
     Session,
     handle_message,
 )
-from meerkat.runtime import RandomSchedule, initial_config, run_until_quiescent, submit_do, submit_evolution
+from meerkat.runtime import initial_config, run_until_quiescent, submit_do, submit_evolution
 from meerkat.syntax import parse_do, parse_program
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
@@ -41,8 +41,8 @@ def make_state(source: str | None = None) -> ServerState:
 
 
 def test_the_server_schedule_keeps_no_history():
-    # a server's schedule lives as long as the process: what it holds
-    # must not grow with the number of turns it has stepped
+    # a server's state lives as long as the process: no container it holds
+    # may grow with the number of turns it has stepped
     state = make_state(LISTING)
     session = state.sessions[1] = Session(id=1)
 
@@ -51,14 +51,45 @@ def test_the_server_schedule_keeps_no_history():
             message = {"type": "do", "req": k, "expr": "do (action { x := x + 1 })"}
             state.turn([(session, message)], lambda sid, payload: None)
 
-    def held() -> int:
-        return sum(len(v) for v in vars(state.schedule).values() if isinstance(v, (list, dict, set, tuple)))
+    def held() -> dict[str, int]:
+        fields = {**vars(state), **{f"cfg.{k}": v for k, v in vars(state.cfg).items()}}
+        return {k: len(v) for k, v in fields.items() if isinstance(v, (list, dict, set, tuple))}
 
     turns(10)
     before = held()
     turns(1_000)
     assert held() == before
     assert state.cfg.store.vars["x"].v == 1 + 1_010
+
+
+def test_a_sessions_pipelined_writes_commit_in_the_order_sent():
+    # `x := 1; x := 2` sent in one batch ends at x = 2, with the replies in
+    # request order, turn after turn
+    state = make_state("var x = 0;")
+    session = state.sessions[1] = Session(id=1)
+    for turn in range(40):
+        first, second = 2 * turn + 1, 2 * turn + 2
+        batch = [(session, {"type": "do", "req": v, "expr": f"do (action {{ x := {v} }})"}) for v in (first, second)]
+        sent = []
+        state.turn(batch, lambda sid, payload: sent.append(payload))
+        assert [(p["type"], p["req"]) for p in sent] == [("executed", first), ("executed", second)]
+        assert state.cfg.store.vars["x"].v == second
+
+
+def test_sessions_interleaved_submissions_commit_in_arrival_order():
+    # two sessions alternate writes to eight cells; a third watches them
+    # all, and the txn of each change follows the order the writes arrived
+    state = make_state(" ".join(f"var v_{k} = 0;" for k in range(8)))
+    writers = [state.sessions.setdefault(sid, Session(id=sid)) for sid in (1, 2)]
+    watcher = state.sessions[3] = Session(id=3)
+    batch = [(watcher, {"type": "subscribe", "name": f"v_{k}"}) for k in range(8)]
+    batch += [(writers[k % 2], {"type": "do", "req": k, "expr": f"do (action {{ v_{k} := 1 }})"}) for k in range(8)]
+    sent = []
+    state.turn(batch, lambda sid, payload: sent.append((sid, payload)))
+    txn = {p["name"]: p["txn"] for sid, p in sent if sid == 3 and p["type"] == "changed"}
+    assert [txn[f"v_{k}"] for k in range(8)] == sorted(set(txn.values()))
+    for w in writers:
+        assert [p["req"] for sid, p in sent if sid == w.id] == list(range(w.id - 1, 8, 2))
 
 
 class TestHandleMessage:
@@ -815,8 +846,9 @@ REPO = Path(__file__).resolve().parents[1]
 def test_cli_serves_on_its_main_thread_and_exits_on_sigint():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
     with subprocess.Popen(
+        # perfbench/live.py passes --seed on every launch, so it must still parse
         [sys.executable, "-m", "meerkat.netserver", "--bind", "127.0.0.1:0",
-         "--init", str(REPO / "samples" / "listing1.mk")],
+         "--init", str(REPO / "samples" / "listing1.mk"), "--seed", "1"],
         stdout=subprocess.PIPE,
         env=env,
     ) as proc:
@@ -884,7 +916,6 @@ def dump_and_read_all(state: ServerState) -> tuple[dict, dict]:
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     n=st.integers(min_value=2, max_value=3),
-    seed=st.integers(min_value=0, max_value=1 << 16),
     turns=st.lists(
         st.tuples(
             st.one_of(st.none(), st.integers(min_value=0, max_value=2)),  # a session to close first
@@ -894,13 +925,9 @@ def dump_and_read_all(state: ServerState) -> tuple[dict, dict]:
         max_size=5,
     ),
 )
-def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, seed, turns):
+def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, turns):
     sessions = [Session(id=k + 1, role=("programmer", "user", "programmer")[k]) for k in range(n)]
-    state = ServerState(
-        cfg=initial_config(parse_program(LISTING)),
-        schedule=RandomSchedule(seed),
-        sessions={s.id: s for s in sessions},
-    )
+    state = ServerState(cfg=initial_config(parse_program(LISTING)), sessions={s.id: s for s in sessions})
     subs: dict[str, set[int]] = {}  # the subscriptions the batches asked for
     last_txn: dict[int, int] = {}
     pushed = set()
@@ -914,7 +941,7 @@ def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, seed, t
                 state.unsubscribe(name, sessions[close].id)
             for who in subs.values():
                 who.discard(sessions[close].id)
-        batch, expected, untagged = [], {}, Counter()
+        batch, expected, untagged, queued_dos = [], {}, Counter(), set()
         # a read, env or dump after its session's own submission steps
         # first: the req it answers, and the subscriptions in force then
         submitted, steps = set(), []
@@ -934,6 +961,8 @@ def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, seed, t
                     expected[req] = session.id
                     if msg.get("type") in ("evolve", "do"):
                         submitted.add(session.id)
+                    if msg.get("type") == "do" and isinstance(msg.get("expr"), str):
+                        queued_dos.add(req)
                     elif msg.get("type") in ("read", "env", "dump") and session.id in submitted:
                         steps.append((req, {name: set(who) for name, who in subs.items()}))
                         submitted.clear()
@@ -953,6 +982,9 @@ def test_turns_answer_every_request_once_and_push_only_to_subscribers(n, seed, t
         assert Counter(sid for sid, p in replies if "req" not in p) == +untagged
         assert all(p.get("reason") != "internal" for _, p in replies)
         assert state.subscribers == {name: who for name, who in subs.items() if who}
+        for sid in state.sessions:  # a session's queued dos are answered in the order it sent them
+            answered = [p["req"] for s, p in replies if s == sid and p.get("req") in queued_dos]
+            assert answered == sorted(answered)
         steps.append((None, subs))  # the step that ends the turn
         k = 0
         for sid, p in sent:

@@ -17,10 +17,10 @@ from meerkat.syntax import parse_program
 LISTING_PATH = "samples/listing1.mk"
 
 
-def run_script(tmp_path, capsys, lines, extra_args=()):
+def run_script(tmp_path, capsys, lines):
     script = tmp_path / "script.txt"
     script.write_text("\n".join(lines) + "\n")
-    code = main(["--embedded", "--script", str(script), *extra_args])
+    code = main(["--embedded", "--script", str(script)])
     return code, capsys.readouterr().out
 
 
@@ -62,8 +62,8 @@ def test_transcripts_are_byte_stable(tmp_path, capsys):
         ":read inc1",
         ":quit",
     ]
-    _, first = run_script(tmp_path, capsys, lines, extra_args=["--seed", "3"])
-    _, second = run_script(tmp_path, capsys, lines, extra_args=["--seed", "3"])
+    _, first = run_script(tmp_path, capsys, lines)
+    _, second = run_script(tmp_path, capsys, lines)
     assert first == second
 
 
@@ -134,7 +134,7 @@ def test_an_embedded_step_fault_is_answered_and_the_session_goes_on(monkeypatch,
         return real(cfg, step)
 
     monkeypatch.setattr(meerkat.runtime, "apply_step", faulty)
-    repl = Repl(EmbeddedBackend(3))
+    repl = Repl(EmbeddedBackend())
     assert repl.run_line(":evolve var x = 1;")
     assert repl.run_line(":evolve var x = 1;")
     armed.append(True)
@@ -237,9 +237,9 @@ def test_embedded_and_connected_print_the_same_lines(tmp_path, capsys, script):
         path = tmp_path / "script.txt"
         path.write_text("\n".join(script) + "\n")
         script = str(path)
-    assert main(["--embedded", "--seed", "3", "--script", script]) == 0
+    assert main(["--embedded", "--script", script]) == 0
     embedded = capsys.readouterr().out.splitlines()
-    srv = MeerkatServer(bind=("127.0.0.1", 0), seed=3)
+    srv = MeerkatServer(bind=("127.0.0.1", 0))
     srv.start()
     try:
         host, port = srv.address

@@ -32,6 +32,7 @@ from meerkat.runtime import (
     do_pair_viable,
     enabled_steps,
     evolve_pair_viable,
+    first_step,
     initial_config,
     run_steps,
     run_until_quiescent,
@@ -458,11 +459,8 @@ class TestQuiescence:
         cfg = submit_do(cfg, parse_do("do (action { x := 7 })"), "u1")
         cfg = submit_do(cfg, parse_do("do (action { })"), "u2")
         schedule = RandomSchedule(3)
-        while True:
-            options = enabled_steps(cfg)
-            if not options:
-                break
-            cfg, _ = apply_step(cfg, schedule.choose(cfg, options))
+        while (step := schedule(cfg)) is not None:
+            cfg, _ = apply_step(cfg, step)
             assert check_config(cfg) == []
 
 
@@ -636,7 +634,7 @@ class TestPlanCache:
                         assert do_pair_viable(cfg, cfg.q_do[i], cfg.q_do[j]) == do_pair_viable(
                             fresh, fresh.q_do[i], fresh.q_do[j]
                         )
-                    step = schedule.choose(cfg, options)
+                    step = schedule(cfg)
                     after, outcomes = apply_step(cfg, step)
                     after_fresh, outcomes_fresh = apply_step(fresh, step)
                     assert after == after_fresh
@@ -1075,3 +1073,52 @@ class TestMultiPickMerge:
             assert got_cfg.store.defs == one_at_a_time.store.defs
             assert {who for o in got if isinstance(o, ActionFailed) for who in o.notified} == failed
             assert got_cfg.q_do == one_at_a_time.q_do
+
+
+def assert_first_step_refines(cfg: Config, seed: int) -> None:
+    """At every config of a seeded random run from `cfg`, and of the run
+    `first_step` drives from it: `first_step` is `enabled_steps`' first
+    step, or None exactly when no step is enabled."""
+    rng = random.Random(seed)
+    for walk in ("random", "first"):
+        at = cfg
+        while True:
+            step = first_step(at)  # before `enabled_steps` warms the plans
+            options = enabled_steps(at)
+            assert step == (options[0] if options else None)
+            if step is None:
+                break
+            at, _ = apply_step(at, step if walk == "first" else options[rng.randrange(len(options))])
+        assert not at.q_r and not at.q_do
+
+
+class TestFirstStep:
+    # the server's schedule refines the nondeterministic one: it fires a
+    # step the explorer offers, and stops only when the explorer would
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(evolution_queues(), mixed_queues()))
+    def test_it_is_the_first_enabled_step_of_queued_work(self, queued):
+        assert_first_step_refines(*queued)
+
+    @settings(max_examples=100, deadline=None)
+    @given(merge_cases(), st.integers(0, 2**16))
+    def test_it_is_the_first_enabled_step_of_merge_configs(self, case, seed):
+        program, actions = case
+        cfg = quiesced(program)
+        for k, body in enumerate(actions):
+            cfg = submit_do(cfg, parse_do(f"do ({body})"), f"u{k}")
+        assert_first_step_refines(cfg, seed)
+
+    @pytest.mark.parametrize("source", ["samples", "burst"])
+    def test_it_is_the_first_enabled_step_of_bursts_and_samples(self, source):
+        if source == "samples":
+            paths = sorted(SAMPLES.glob("scenario_*.json"))
+            assert paths
+            starts = [build_config(load_scenario(str(p))) for p in paths]
+        else:
+            starts = [burst_config(seed) for seed in range(3)]
+        for start in starts:
+            for seed in range(20):
+                assert_first_step_refines(start, seed)
+

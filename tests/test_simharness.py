@@ -174,22 +174,19 @@ class TestScenarios:
         seeded = explore(scenario, Seeded(runs=1, seed=5))
         assert seeded.ok
         # record one run's picks by hand and replay them
-        from meerkat.runtime import RandomSchedule, enabled_steps, apply_step
+        from meerkat.runtime import RandomSchedule, apply_step
 
         cfg = build_config(scenario)
-        schedule = RandomSchedule(5, record=True)
-        while True:
-            options = enabled_steps(cfg)
-            if not options:
-                break
-            cfg, _ = apply_step(cfg, schedule.choose(cfg, options))
+        schedule = RandomSchedule(5)
+        while (step := schedule(cfg)) is not None:
+            cfg, _ = apply_step(cfg, step)
         verdict = replay(scenario, {"kind": "picks", "picks": schedule.picks})
         assert verdict.ok
         assert observable(cfg) == observable(build_and_run(scenario, schedule.picks))
 
     def test_replay_of_a_schedule_prefix_runs_only_its_steps(self):
         scenario = self.confluence()
-        schedule = RandomSchedule(0, record=True)
+        schedule = RandomSchedule(0)
         run_until_quiescent(build_config(scenario), schedule)
         assert len(schedule.picks) == 2  # the two actions one at a time
         for k in range(len(schedule.picks)):
@@ -230,17 +227,16 @@ class TestScenarios:
 
 
 def build_and_run(scenario, picks):
-    from meerkat.runtime import FixedSchedule, enabled_steps, apply_step
+    from meerkat.runtime import FixedSchedule, apply_step
 
     cfg = build_config(scenario)
     schedule = FixedSchedule(picks)
     while True:
-        options = enabled_steps(cfg)
-        if not options:
-            return cfg
         try:
-            step = schedule.choose(cfg, options)
+            step = schedule(cfg)
         except IndexError:
+            return cfg
+        if step is None:
             return cfg
         cfg, _ = apply_step(cfg, step)
 
