@@ -58,8 +58,11 @@ can make the server buffer more than that.
 A fault inside a step or while building its replies (a bug, not bad input)
 is written to stderr; every submission still queued gets one ``failed`` or
 final ``rejected`` reply with reason ``internal``, and the loop keeps serving
-the last committed state.  ``meerkat-server --init FILE`` refuses to start,
-and says why, when FILE's program is not accepted.
+the last committed state.  A fault while handling one request is written to
+stderr too, that request alone is answered with ``{"type": "error",
+"reason": "internal", "req": s}``, and the turn goes on.
+``meerkat-server --init FILE`` refuses to start, and says why, when FILE's
+program is not accepted.
 """
 
 from __future__ import annotations
@@ -134,7 +137,8 @@ class ServerState:
         quiescence first, so it sees its own submissions.  Every reply and
         event goes to `send(sid, payload)` in order; each step's records go
         to the file `trace`.  A step's replies are built before it commits,
-        so a fault there or in a step takes the fault path described above."""
+        so a fault there, in a step or in handling one message takes the
+        fault path described above."""
 
         def commit(cfg: Config, record: dict, outcomes):
             replies = [m for outcome in outcomes for m in outcome_messages(self, outcome)]
@@ -172,7 +176,12 @@ class ServerState:
                 submitted.add(session.id)
             elif kind in ("read", "env", "dump") and session.id in submitted:
                 quiesce()
-            for sid, payload in handle_message(self, session, msg):
+            try:
+                replies = handle_message(self, session, msg)
+            except Exception:
+                sys.excepthook(*sys.exc_info())
+                replies = [(session.id, {"type": "error", "reason": "internal", "req": msg.get("req")})]
+            for sid, payload in replies:
                 send(sid, payload)
         quiesce()
 

@@ -17,6 +17,9 @@ Operator precedence, loosest to tightest:
 
 `if` and `fn` extend as far right as possible.  `//` starts a line comment.
 
+The lexer matches one compiled pattern per token.  Identifiers and digits
+are ASCII, and an integer literal has at most 19 significant digits.
+
 Unary operators exist only in the surface syntax: `!e` parses to
 `if e then false else true` and `-e` to `0 - e` (a minus directly on an
 integer literal folds into the literal).
@@ -24,9 +27,10 @@ integer literal folds into the literal).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -198,21 +202,21 @@ KEYWORDS = {
     "var", "def", "action", "do", "fn", "if", "then", "else", "true", "false",
 }
 
-_PUNCT = [
-    ("==", "=="), ("=>", "=>"), (":=", ":="), ("&&", "&&"), ("||", "||"),
-    ("=", "="), (";", ";"), ("{", "{"), ("}", "}"), ("(", "("), (")", ")"),
-    ("+", "+"), ("-", "-"), ("*", "*"), ("/", "/"), ("<", "<"), ("!", "!"),
-]
-
+# One alternative per token class, tried in order at each position; the
+# two-character operators come before their one-character prefixes.
+_LEX = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]|//[^\n]*)+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<punct>==|=>|:=|&&|\|\||[=;{}()+\-*/<!])"
+    r"|(?P<int>[0-9]+)"
+    r'|(?P<string>")'
+)
+_STRING_RUN = re.compile(r'[^"\\\n]*')  # the plain characters of a string literal
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-
-_DIGITS = set("0123456789")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | _DIGITS
+_INT_DIGITS = len(str(INT_MAX + 1))  # 19 significant digits at most
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "string" | "ident" | a keyword | a punctuation string | "eof"
     text: str
     line: int
@@ -221,80 +225,55 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
-    """Lex `source` into tokens. Raises ParseError on malformed input."""
+    """Lex `source` into tokens, one match of `_LEX` each. Raises
+    ParseError on malformed input, including non-ASCII identifiers or
+    digits and integer literals of more than 19 significant digits."""
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
+    i, n, line, line_start = 0, len(source), 1, 0
     while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-        if ch in _DIGITS:
-            l0, c0 = line, col
-            start = i
-            while i < n and source[i] in _DIGITS:
-                advance()
-            text = source[start:i]
-            value = int(text)
-            if value > INT_MAX + 1:  # +1 leaves room for a folded unary minus
-                raise ParseError(f"integer literal {text} out of 64-bit range", l0, c0)
-            tokens.append(Token("int", text, l0, c0, value))
-            continue
-        if ch == '"':
-            l0, c0 = line, col
-            advance()
+        col = i - line_start + 1
+        m = _LEX.match(source, i)
+        if m is None:
+            raise ParseError(f"unexpected character {source[i]!r}", line, col)
+        kind, j = m.lastgroup, m.end()
+        if kind == "skip":
+            k = source.rfind("\n", i, j)
+            if k >= 0:
+                line += source.count("\n", i, j)
+                line_start = k + 1
+        elif kind == "ident":
+            text = m.group()
+            tokens.append(Token(text if text in KEYWORDS else "ident", text, line, col))
+        elif kind == "punct":
+            text = m.group()
+            tokens.append(Token(text, text, line, col))
+        elif kind == "int":
+            text = m.group()
+            digits = text.lstrip("0") or "0"
+            # +1 leaves room for a folded unary minus
+            if len(digits) > _INT_DIGITS or (value := int(digits)) > INT_MAX + 1:
+                raise ParseError(f"integer literal {text} out of 64-bit range", line, col)
+            tokens.append(Token("int", text, line, col, value))
+        else:  # a string: its plain runs, then one escape at a time
             buf = []
             while True:
-                if i >= n or source[i] == "\n":
-                    raise ParseError("unterminated string literal", l0, c0)
-                c = source[i]
-                if c == '"':
-                    advance()
+                run = _STRING_RUN.match(source, j)
+                buf.append(run.group())
+                j = run.end()
+                if j >= n or source[j] == "\n":
+                    raise ParseError("unterminated string literal", line, col)
+                if source[j] == '"':
+                    j += 1
                     break
-                if c == "\\":
-                    advance()
-                    if i >= n or source[i] not in _ESCAPES:
-                        raise ParseError("invalid string escape", line, col)
-                    buf.append(_ESCAPES[source[i]])
-                    advance()
-                else:
-                    buf.append(c)
-                    advance()
-            tokens.append(Token("string", "".join(buf), l0, c0, "".join(buf)))
-            continue
-        if ch in _IDENT_START:
-            l0, c0 = line, col
-            start = i
-            while i < n and source[i] in _IDENT_CONT:
-                advance()
-            text = source[start:i]
-            kind = text if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, l0, c0))
-            continue
-        for pat, kind in _PUNCT:
-            if source.startswith(pat, i):
-                tokens.append(Token(kind, pat, line, col))
-                advance(len(pat))
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+                # a backslash; the escape is named by the character after it
+                if (escape := _ESCAPES.get(source[j + 1 : j + 2])) is None:
+                    raise ParseError("invalid string escape", line, j - line_start + 2)
+                buf.append(escape)
+                j += 2
+            text = "".join(buf)
+            tokens.append(Token("string", text, line, col, text))
+        i = j
+    tokens.append(Token("eof", "", line, i - line_start + 1))
     return tokens
 
 

@@ -8,6 +8,8 @@ grow, so a regression in growth fails here on any machine.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import meerkat.runtime
@@ -24,7 +26,7 @@ from meerkat.runtime import (
     submit_evolution,
 )
 from meerkat.store import IntV
-from meerkat.syntax import parse_do, parse_program
+from meerkat.syntax import parse_do, parse_program, tokenize
 from meerkat.typesys import TypeEnv
 
 PAIRS = 600
@@ -135,3 +137,28 @@ def test_a_one_cell_do_does_the_same_work_at_any_program_size(monkeypatch):
     small, large = one_cell_do_work(monkeypatch, 200), one_cell_do_work(monkeypatch, 1_600)
     assert small == large, (small, large)
     assert small[2] == ("d_0",)
+
+
+def test_lexing_makes_a_bounded_number_of_python_calls_per_token():
+    """The lexer matches one compiled pattern per token, so the Python-level
+    calls it makes track the tokens, not the characters: one per token
+    (building it) when it landed.  A lexer that calls a helper for every
+    character made 4.0 calls per token on this program."""
+    # the benchmark's live server start-up program: 300 var/def pairs and
+    # an aggregate over every tenth definition, 601 declarations in all
+    decls = [f"var v_{k} = {k * 37 % 100};\ndef d_{k} = v_{k} * 2 + 1;" for k in range(300)]
+    decls.append("def agg = " + " + ".join(f"d_{k}" for k in range(0, 300, 10)) + ";")
+    source = "\n".join(decls) + "\n"
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        tokens = tokenize(source)
+    finally:
+        sys.setprofile(None)
+    assert len(parse_program(source).decls) == 601
+    assert calls <= 2 * len(tokens), (calls, len(tokens))

@@ -633,6 +633,40 @@ def test_deep_expressions_are_rejected_and_the_server_keeps_serving(server):
     other.close()
 
 
+def test_a_long_integer_literal_is_rejected_and_the_server_keeps_serving(server):
+    # 4,301 digits pass CPython's int-string conversion limit, far under
+    # LINE_LIMIT; the lexer must refuse the literal before converting it
+    c, other = Client(server.address), Client(server.address)
+    c.recv(), other.recv()
+    reply = c.request({"type": "do", "expr": f"do (action {{ x := {'9' * 4301} }})"}, req=1)
+    assert (reply["type"], reply["reason"]) == ("rejected", "parse")
+    assert reply["detail"]["message"].endswith("out of 64-bit range")
+    assert other.request({"type": "read", "name": "inc2"}, req=2)["value"] == 3
+    c.close()
+    other.close()
+
+
+def test_a_fault_handling_one_request_answers_it_and_the_server_keeps_serving(server, monkeypatch, capsys):
+    def faulty(source):
+        raise RuntimeError("a bug handling a request")
+
+    monkeypatch.setattr(meerkat.netserver, "parse_do", faulty)
+    a, b = Client(server.address), Client(server.address)
+    a.recv(), b.recv()
+    a.send({"type": "do", "req": 1, "expr": "do (action { x := 5 })"})
+    a.send({"type": "read", "req": 2, "name": "x"})
+    assert [a.recv() for _ in range(2)] == [
+        {"type": "error", "reason": "internal", "req": 1},
+        {"type": "value", "req": 2, "value": 1},
+    ]
+    assert b.request({"type": "read", "name": "inc2"}, req=3)["value"] == 3
+    reply = b.request({"type": "evolve", "code": "def inc3 = inc2 + 1;"}, req=4)
+    assert reply["type"] == "accepted"
+    a.close()
+    b.close()
+    assert "RuntimeError: a bug handling a request" in capsys.readouterr().err
+
+
 def test_a_session_that_does_not_read_stalls_no_one():
     # each dump is about 70 kB, so 200 of them fill the socket buffers and
     # most of the replies must wait until the hog's socket is writable again

@@ -21,6 +21,7 @@ from meerkat.syntax import (
     ParseError,
     Program,
     Ref,
+    Token,
     Write,
     _LEVELS,
     _walk,
@@ -28,6 +29,7 @@ from meerkat.syntax import (
     parse_expr,
     parse_program,
     render,
+    tokenize,
 )
 
 LISTING = "var x = 1; def inc1 = x + 1; def inc2 = inc1 + 1;"
@@ -150,6 +152,141 @@ class TestLexing:
         assert a == b
 
 
+INT_MAX_PLUS_1 = 2**63
+
+# (source, tokens as (kind, text, line, col[, value]), the eof token last)
+GOLDEN_TOKENS = [
+    pytest.param(
+        "var def action do fn if then else true false",
+        [("var", "var", 1, 1), ("def", "def", 1, 5), ("action", "action", 1, 9), ("do", "do", 1, 16),
+         ("fn", "fn", 1, 19), ("if", "if", 1, 22), ("then", "then", 1, 25), ("else", "else", 1, 30),
+         ("true", "true", 1, 35), ("false", "false", 1, 40), ("eof", "", 1, 45)],
+        id="keywords",
+    ),
+    pytest.param(
+        "== => := && || = ; { } ( ) + - * / < !",
+        [("==", "==", 1, 1), ("=>", "=>", 1, 4), (":=", ":=", 1, 7), ("&&", "&&", 1, 10),
+         ("||", "||", 1, 13), ("=", "=", 1, 16), (";", ";", 1, 18), ("{", "{", 1, 20), ("}", "}", 1, 22),
+         ("(", "(", 1, 24), (")", ")", 1, 26), ("+", "+", 1, 28), ("-", "-", 1, 30), ("*", "*", 1, 32),
+         ("/", "/", 1, 34), ("<", "<", 1, 36), ("!", "!", 1, 38), ("eof", "", 1, 39)],
+        id="punctuation",
+    ),
+    pytest.param(
+        "a=b==c=>d===e=>=f",
+        [("ident", "a", 1, 1), ("=", "=", 1, 2), ("ident", "b", 1, 3), ("==", "==", 1, 4),
+         ("ident", "c", 1, 6), ("=>", "=>", 1, 7), ("ident", "d", 1, 9), ("==", "==", 1, 10),
+         ("=", "=", 1, 12), ("ident", "e", 1, 13), ("=>", "=>", 1, 14), ("=", "=", 1, 16),
+         ("ident", "f", 1, 17), ("eof", "", 1, 18)],
+        id="equals-longest-first",
+    ),
+    pytest.param(
+        "_x1 x_ X9 varx do_ 12ab",
+        [("ident", "_x1", 1, 1), ("ident", "x_", 1, 5), ("ident", "X9", 1, 8), ("ident", "varx", 1, 11),
+         ("ident", "do_", 1, 16), ("int", "12", 1, 20, 12), ("ident", "ab", 1, 22), ("eof", "", 1, 24)],
+        id="identifiers",
+    ),
+    pytest.param(
+        "0 007 9223372036854775807",
+        [("int", "0", 1, 1, 0), ("int", "007", 1, 3, 7),
+         ("int", "9223372036854775807", 1, 7, 2**63 - 1), ("eof", "", 1, 26)],
+        id="integers",
+    ),
+    pytest.param(
+        "9223372036854775808",
+        [("int", "9223372036854775808", 1, 1, INT_MAX_PLUS_1), ("eof", "", 1, 20)],
+        id="int-max-plus-1",
+    ),
+    pytest.param(
+        "-9223372036854775808",
+        [("-", "-", 1, 1), ("int", "9223372036854775808", 1, 2, INT_MAX_PLUS_1), ("eof", "", 1, 21)],
+        id="int-min",
+    ),
+    pytest.param(
+        "0009223372036854775808",
+        [("int", "0009223372036854775808", 1, 1, INT_MAX_PLUS_1), ("eof", "", 1, 23)],
+        id="leading-zeros",
+    ),
+    pytest.param(
+        '"a\\n\\t\\r\\"\\\\b" ""',
+        [("string", 'a\n\t\r"\\b', 1, 1, 'a\n\t\r"\\b'), ("string", "", 1, 16, ""), ("eof", "", 1, 18)],
+        id="string-escapes",
+    ),
+    pytest.param(
+        '"x // y" z',
+        [("string", "x // y", 1, 1, "x // y"), ("ident", "z", 1, 10), ("eof", "", 1, 11)],
+        id="comment-inside-string",
+    ),
+    pytest.param("x // end", [("ident", "x", 1, 1), ("eof", "", 1, 9)], id="comment-at-eof"),
+    pytest.param(
+        "a/b//c\n/d",
+        [("ident", "a", 1, 1), ("/", "/", 1, 2), ("ident", "b", 1, 3), ("/", "/", 2, 1),
+         ("ident", "d", 2, 2), ("eof", "", 2, 3)],
+        id="slash-and-comment",
+    ),
+    pytest.param(
+        'x\t=\t"\t"',
+        [("ident", "x", 1, 1), ("=", "=", 1, 3), ("string", "\t", 1, 5, "\t"), ("eof", "", 1, 8)],
+        id="tabs",
+    ),
+    pytest.param("a\r\nb\r\n", [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("eof", "", 3, 1)], id="crlf"),
+    pytest.param("\n\n  x  ", [("ident", "x", 3, 3), ("eof", "", 3, 6)], id="eof-after-spaces"),
+    pytest.param("", [("eof", "", 1, 1)], id="empty"),
+]
+
+# (source, message, line, col) of the lexer's ParseError
+GOLDEN_ERRORS = [
+    pytest.param(":", "unexpected character ':'", 1, 1, id="lone-colon"),
+    pytest.param("a & b", "unexpected character '&'", 1, 3, id="lone-amp"),
+    pytest.param("a | b", "unexpected character '|'", 1, 3, id="lone-bar"),
+    pytest.param("a > b", "unexpected character '>'", 1, 3, id="greater"),
+    pytest.param("x :=: y", "unexpected character ':'", 1, 5, id="colon-after-assign"),
+    pytest.param("x = 1 // ok\n\t@", "unexpected character '@'", 2, 2, id="after-comment-and-tab"),
+    pytest.param("a\x0cb", "unexpected character '\\x0c'", 1, 2, id="form-feed"),
+    pytest.param("x\n ٣", "unexpected character '٣'", 2, 2, id="arabic-digit"),
+    pytest.param("é", "unexpected character 'é'", 1, 1, id="e-acute"),
+    pytest.param('"abc', "unterminated string literal", 1, 1, id="unterminated-at-eof"),
+    pytest.param('x\n  "abc\ny"', "unterminated string literal", 2, 3, id="unterminated-at-newline"),
+    pytest.param('"a\\q"', "invalid string escape", 1, 4, id="bad-escape"),
+    pytest.param('x "a\\', "invalid string escape", 1, 6, id="backslash-at-eof"),
+    pytest.param('"a\\\n"', "invalid string escape", 1, 4, id="backslash-newline"),
+    pytest.param(
+        "x 9223372036854775809",
+        "integer literal 9223372036854775809 out of 64-bit range", 1, 3,
+        id="int-max-plus-2",
+    ),
+    pytest.param(
+        "9" * 4301, f"integer literal {'9' * 4301} out of 64-bit range", 1, 1,
+        id="past-int-max-str-digits",
+    ),
+]
+
+
+class TestGoldenLexer:
+    @pytest.mark.parametrize(("source", "tokens"), GOLDEN_TOKENS)
+    def test_tokens(self, source, tokens):
+        assert tokenize(source) == [Token(*row) for row in tokens]
+
+    @pytest.mark.parametrize(("source", "message", "line", "col"), GOLDEN_ERRORS)
+    def test_errors(self, source, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            tokenize(source)
+        assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+    def test_int_max_plus_1_is_an_int_only_when_negated(self):
+        assert parse_expr("-0009223372036854775808") == Lit(-INT_MAX_PLUS_1)
+        with pytest.raises(ParseError) as exc:
+            parse_expr("0009223372036854775808")
+        assert (exc.value.message, exc.value.line, exc.value.col) == (
+            "integer literal 0009223372036854775808 out of 64-bit range", 1, 1,
+        )
+
+    def test_a_long_literal_is_refused_at_its_significant_digits(self):
+        # leading zeros do not count toward the 19-digit bound
+        assert parse_expr("0" * 5000 + "42") == Lit(42)
+        with pytest.raises(ParseError, match="out of 64-bit range"):
+            parse_do(f"do (action {{ x := {'9' * 20} }})")
+
+
 class TestErrors:
     def test_error_carries_position_and_expectations(self):
         with pytest.raises(ParseError) as exc:
@@ -270,6 +407,51 @@ def test_roundtrip_programs(ast):
 def test_roundtrip_do(ast):
     stmt = DoStmt(ast)
     assert parse_do(render(stmt)) == stmt
+
+
+separators = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", " \n\t", " // note\n", "\n// \"quoted\" // x\n", " //\r\n"])
+
+
+def token_gaps(text: str) -> list[int]:
+    """The offsets of the spaces `render` puts between tokens: every space
+    outside a string literal."""
+    gaps, in_string, escaped = [], False, False
+    for i, ch in enumerate(text):
+        if escaped:
+            escaped = False
+        elif in_string and ch == "\\":
+            escaped = True
+        elif ch == '"':
+            in_string = not in_string
+        elif ch == " " and not in_string:
+            gaps.append(i)
+    return gaps
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs, st.data())
+def test_every_token_sits_at_its_position(ast, data):
+    # splice whitespace and comments between the rendered tokens, then
+    # check each token's (line, col) against the source text itself
+    plain = render(ast)
+    pieces, start = [], 0
+    for gap in token_gaps(plain):
+        pieces += [plain[start:gap], data.draw(separators)]
+        start = gap + 1
+    pieces.append(plain[start:])
+    source = data.draw(separators) + "".join(pieces) + data.draw(st.sampled_from(["", " // end", "\n"]))
+    tokens = tokenize(source)
+    assert [(t.kind, t.text, t.value) for t in tokens] == [(t.kind, t.text, t.value) for t in tokenize(plain)]
+    lines = source.split("\n")
+    offsets = [sum(len(line) + 1 for line in lines[: t.line - 1]) + t.col - 1 for t in tokens]
+    for tok, at in zip(tokens, offsets):
+        if tok.kind == "string":
+            assert source[at] == '"'
+        else:
+            assert source.startswith(tok.text, at), (tok, source)
+    ends = [at + len(tok.text) + 2 * (tok.kind == "string") for tok, at in zip(tokens, offsets)]
+    assert all(end <= nxt for end, nxt in zip(ends, offsets[1:])), source
+    assert offsets[-1] == len(source)
 
 
 @settings(max_examples=300, deadline=None)
