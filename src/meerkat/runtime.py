@@ -34,6 +34,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from operator import attrgetter
 
 from .store import (
     ActionV,
@@ -81,9 +82,11 @@ class Submission:
     (see `_Plan.stands`): at `()` the `do`'s lock plan (see `_do_plan`)
     or the lone evolution's plan, and under later partners' ids the plan
     they form together (see `_evolution_plan`).  At `"names"` it keeps an
-    evolution's rebound and mentioned names, and at `"wave"` the `do`'s
-    latest `_solo_wave`.  It takes no part in equality or hashing, and it
-    dies with the submission when that leaves the queue.
+    evolution's rebound and mentioned names, at `"wave"` the `do`'s latest
+    `_solo_wave`, and at `"head"`, on the first queued evolution, the
+    latest evolution head with the env and queue it was built from (see
+    `_kept_head`).  It takes no part in equality or hashing, and it dies
+    with the submission when that leaves the queue.
     """
 
     item: Program | DoStmt
@@ -474,8 +477,10 @@ def step_do_many(
     every survivor: it sits at the first survivor's place among the
     outcomes and carries the last survivor's transaction.  Its
     `recomputed` is the `wave_order` of all the survivors' writes; like
-    every wave order, it is derived once per env and write set.  The picks
-    are the queued objects themselves, matched by identity (see `_remove`).
+    every wave order, it is derived once per env and write set.  Its
+    `changes` are built from the survivors' solo waves (see
+    `_merged_changes`).  The picks are the queued objects themselves,
+    matched by identity (see `_remove`).
     """
     remaining = _remove(cfg.q_do, picks)
     assert all(isinstance(p.item, DoStmt) for p in picks), "picks must be queued actions"
@@ -485,6 +490,7 @@ def step_do_many(
     base = store = cfg.store
     outcomes: list = []
     whos: list = []  # each survivor's submitter
+    waves: list[PropagationResult] = []  # each survivor's solo wave
     written: set[str] = set()  # every survivor's variable writes
     for k, pick in enumerate(picks):
         solo = _do_plan(cfg.env, pick)
@@ -505,21 +511,40 @@ def step_do_many(
                 continue
             store = Store(merged_vars, defs, txn)
         else:
-            place, first = len(outcomes), prop
+            place = len(outcomes)
             outcomes.append(None)
             store = alone if alone.txn == txn else Store(alone.vars, alone.defs, txn)
         whos.append(pick.who)
+        waves.append(prop)
         written |= pending.keys()
     if not whos:
         return Config(cfg.env, cfg.store, cfg.q_r, remaining), tuple(outcomes)
-    changes, recomputed = first.changes, first.recomputed
-    if len(whos) > 1:
+    changes, recomputed = waves[0].changes, waves[0].recomputed
+    if len(waves) > 1:
         recomputed = wave_order(cfg.env, written)
-        # a definition may change only once several writes land, so diff
-        # every written or recomputed name against the base
-        changes = diff({n: base.value_of(n) for n in written.union(recomputed)}, store)
+        changes = _merged_changes(base, store, waves)
     outcomes[place] = Executed(changes, store.txn, tuple(whos), recomputed)
     return Config(cfg.env, store, cfg.q_r, remaining), tuple(outcomes)
+
+
+def _merged_changes(base: Store, store: Store, waves: Sequence[PropagationResult]) -> tuple[Change, ...]:
+    """The changes, by name, from `base` to `store`, into which the solo
+    `waves` of several lock-compatible actions run from `base` merged.
+
+    A variable is written by one wave, and `merge_defs` takes a definition
+    downstream of one wave's writes only from that wave, so the change of
+    every name one wave alone wrote or recomputed is that wave's own.  Only
+    a definition downstream of two or more waves may take a value no wave
+    gave it, so only those are diffed against `base`.
+    """
+    seen: set[str] = set()
+    shared: set[str] = set()
+    for wave in waves:
+        shared.update(seen.intersection(wave.recomputed))
+        seen.update(wave.recomputed)
+    changes = [c for wave in waves for c in wave.changes if c.name not in shared]
+    changes += diff({n: base.defs[n] for n in shared}, store)
+    return tuple(sorted(changes, key=attrgetter("name")))
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +587,20 @@ def _evolution_head(cfg: Config) -> Iterator[Step]:
         yield from steps
 
 
+def _kept_head(cfg: Config) -> tuple[Step, ...]:
+    """`_evolution_head(cfg)` in full.  It depends on `cfg.env` and
+    `cfg.q_r` alone, so it is kept on the first queued evolution with the
+    very env and queue it was built from: an action step returns both as
+    they were, and the step after it reuses the head."""
+    if not cfg.q_r:
+        return ()
+    plans = cfg.q_r[0].plans
+    hit = plans.get("head")
+    if hit is None or hit[0] is not cfg.env or hit[1] is not cfg.q_r:
+        hit = plans["head"] = (cfg.env, cfg.q_r, tuple(_evolution_head(cfg)))
+    return hit[2]
+
+
 class _Options(Sequence):
     """The steps `enabled_steps` offers, each built only when it is read.
 
@@ -569,7 +608,9 @@ class _Options(Sequence):
     each of the `n` queued actions, then a `do_two` for each lock-compatible
     pair `(i, j)`, `i < j`, by `i` and then `j`.  `clashes[i]` holds the
     later actions that action `i` may not pair with, or is None when it
-    pairs with none; `starts[i]` is the index of row `i`'s first pair.
+    pairs with none; a row is sorted once, when it is first read, so a
+    schedule that reads one step sorts one row.  `starts[i]` is the index
+    of row `i`'s first pair.
     Element k and the length equal those of the full tuple, so a recorded
     pick names the same step.  The order is written once, in `__getitem__`,
     through which `Sequence` iterates.
@@ -577,7 +618,7 @@ class _Options(Sequence):
 
     __slots__ = ("head", "n", "clashes", "starts", "size")
 
-    def __init__(self, head: tuple[Step, ...], n: int, clashes: list[set[int] | None]):
+    def __init__(self, head: tuple[Step, ...], n: int, clashes: list[set[int] | list[int] | None]):
         self.head, self.n, self.clashes = head, n, clashes
         self.starts: list[int] = []
         size = len(head) + n
@@ -600,7 +641,10 @@ class _Options(Sequence):
             return Step("do_one", k - len(self.head))
         i = bisect_right(self.starts, k) - 1
         j = i + 1 + k - self.starts[i]
-        for c in sorted(self.clashes[i]):  # skip the clashes up to the j-th partner
+        row = self.clashes[i]
+        if isinstance(row, set):
+            row = self.clashes[i] = sorted(row)
+        for c in row:  # skip the clashes up to the j-th partner
             if c > j:
                 break
             j += 1
@@ -620,6 +664,9 @@ def enabled_steps(cfg: Config) -> Sequence[Step]:
     it read stands (see `_evolution_plan`): after a commit a step re-plans
     only the plans whose reads the commit changed, so a drain of r
     independent evolutions types each once and checks each pair once.
+    The evolution steps themselves depend only on the env and the
+    evolution queue, which an action step leaves as they were, so the
+    head is walked once per env and queue and kept (see `_kept_head`).
     With two or more queued actions the step reads each one's plan once,
     indexes the actions by the variables they write and looks each one's
     reads and writes up in that index; an action that does not type pairs
@@ -627,7 +674,7 @@ def enabled_steps(cfg: Config) -> Sequence[Step]:
     plus the actions' footprints and their conflicts, not a check per pair
     of actions; a lone action is not typed here at all.
     """
-    head = tuple(_evolution_head(cfg))
+    head = _kept_head(cfg)
     n = len(cfg.q_do)
     clashes: list[set[int] | None] = []
     if n >= 2:

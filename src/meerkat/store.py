@@ -314,15 +314,19 @@ def wave_order(env: TypeEnv, written: Iterable[str]) -> tuple[str, ...]:
     """The definitions a wave writing the names `written` recomputes: all
     those transitively downstream of a written name, in dependency order.
     Derived once per env and write set and kept in the env's `wave_orders`,
-    which holds at most `len(env)` entries and drops its oldest to make
+    which holds at most `2 * len(env)` entries and drops its oldest to make
     room: the env is immutable, so an entry is never stale, and a
     long-lived env does not grow with its clients' distinct write sets.
+    Twice the bindings, because the steps fired from one config use the
+    order of each queued action's writes and of each pair's union, and
+    both fit; at `len(env)` the pairs' orders evict the singles' orders
+    that the next config needs again.
     Callers on two threads at worst derive one order twice."""
     key = frozenset(written)
     memo = env.wave_orders
     order = memo.get(key)
     if order is None:
-        if memo and len(memo) >= len(env):
+        if memo and len(memo) >= 2 * len(env):
             del memo[next(iter(memo))]
         readers = env.readers()
         affected: set[str] = set()

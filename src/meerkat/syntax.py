@@ -214,6 +214,15 @@ _LEX = re.compile(
 _STRING_RUN = re.compile(r'[^"\\\n]*')  # the plain characters of a string literal
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _INT_DIGITS = len(str(INT_MAX + 1))  # 19 significant digits at most
+_QUOTED_DIGITS = 40  # a longer literal is quoted by its first digits and its length
+
+
+def _out_of_range(text: str, line: int, col: int) -> ParseError:
+    """The error for an integer literal outside the 64-bit range, quoting
+    `text` whole only when it is short, so a reply stays small."""
+    if len(text) > _QUOTED_DIGITS:
+        text = f"{text[:_QUOTED_DIGITS]}... ({len(text)} digits)"
+    return ParseError(f"integer literal {text} out of 64-bit range", line, col)
 
 
 class Token(NamedTuple):
@@ -252,7 +261,7 @@ def tokenize(source: str) -> list[Token]:
             digits = text.lstrip("0") or "0"
             # +1 leaves room for a folded unary minus
             if len(digits) > _INT_DIGITS or (value := int(digits)) > INT_MAX + 1:
-                raise ParseError(f"integer literal {text} out of 64-bit range", line, col)
+                raise _out_of_range(text, line, col)
             tokens.append(Token("int", text, line, col, value))
         else:  # a string: its plain runs, then one escape at a time
             buf = []
@@ -434,7 +443,7 @@ class _Parser:
             if tok.kind == "int":
                 self.next()
                 if tok.value > INT_MAX:
-                    raise ParseError(f"integer literal {tok.text} out of 64-bit range", tok.line, tok.col)
+                    raise _out_of_range(tok.text, tok.line, tok.col)
                 return Lit(tok.value, span)
             if tok.kind == "string":
                 self.next()

@@ -184,7 +184,7 @@ class TypeEnv:
     edges (`readers()`), its `well_formed` report, a mark that it is the
     merged env of a passing `compatible`, and `wave_orders`, the store's
     memo of each write set's wave order (see `store.wave_order`), which
-    holds at most `len(env)` entries.  The mark is not a report:
+    holds at most `2 * len(env)` entries.  The mark is not a report:
     `well_formed` never reads it, so auditing an accepted env still scans
     it.
     """

@@ -19,12 +19,17 @@ from meerkat.netserver import ServerState, Session
 from meerkat.runtime import (
     Accepted,
     Executed,
+    FixedSchedule,
+    PicksRanOut,
     RandomSchedule,
+    Step,
     initial_config,
+    run_steps,
     run_until_quiescent,
     submit_do,
     submit_evolution,
 )
+from meerkat.simharness import Exhaustive, Scenario, ScenarioItem, explore
 from meerkat.store import IntV
 from meerkat.syntax import parse_do, parse_program, tokenize
 from meerkat.typesys import TypeEnv
@@ -98,6 +103,68 @@ def test_a_server_turn_schedules_a_hot_cell_drain_in_linear_work(monkeypatch, q)
     assert calls == {"_do_plan": q, "enabled_steps": 0}
     assert [(p["type"], p["req"]) for p in replies] == [("executed", k) for k in range(q)]
     assert state.cfg.store.vars["x"] == IntV(q)
+
+
+def test_action_steps_walk_the_evolution_queue_once(installed, monkeypatch):
+    # 2 approvable evolutions and 20 actions: an action step leaves the env
+    # and the evolution queue as they were, so the evolution head that the
+    # first step built serves all 20.  Walking the queue every step checks
+    # the evolution pair once per step, 21 times here
+    cfg = installed
+    for k in range(2):
+        cfg = submit_evolution(cfg, parse_program(f"def e_{k} = d_{k} + 1;"), f"p{k}")
+    for k in range(20):
+        cfg = submit_do(cfg, parse_do(f"do (action {{ v_{k} := v_{k} + 1 }})"), f"u{k}")
+    env, q_r = cfg.env, cfg.q_r
+    calls = 0
+    original = meerkat.runtime.evolve_pair_viable
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(meerkat.runtime, "evolve_pair_viable", counted)
+    fired = []
+    # each step's options: evolve_one 0, evolve_one 1, evolve_two 0 1, then
+    # the actions; the 21st call finds the evolutions still enabled
+    with pytest.raises(PicksRanOut):
+        for step, cfg, _ in run_steps(cfg, FixedSchedule([3] * 20)):
+            fired.append(step)
+    assert fired == [Step("do_one", 0)] * 20
+    assert cfg.env is env and cfg.q_r is q_r and not cfg.q_do
+    assert [cfg.store.vars[f"v_{k}"] for k in range(20)] == [IntV(k + 1) for k in range(20)]
+    assert calls == 1
+
+
+def test_a_verdict_derives_few_wave_orders(monkeypatch):
+    """A pin: the benchmark's `explore_verdict` scenario at seed 301 derives
+    68 wave orders per verdict (at most 70 allowed).  When the memo held
+    one order per binding, the orders of one config's pairs evicted those
+    of its singles, and a verdict derived 288."""
+    initial = "var a0 = 2; var a1 = 4; var a2 = 4; var a3 = 4; var a4 = 7; var a5 = 7;"
+    initial += " def s = a0 + a1 + a2; def t = s * 2;"
+    items = (
+        ScenarioItem("do", "do (action { a1 := 21 })", "u1"),
+        ScenarioItem("evolve", "def e_2 = t + 2;", "p2"),
+        ScenarioItem("do", "do (action { a3 := 19 })", "u4"),
+        ScenarioItem("evolve", "def e_1 = t + 1;", "p1"),
+        ScenarioItem("do", "do (action { a5 := 48 })", "u0"),
+        ScenarioItem("do", "do (action { a4 := 83 })", "u3"),
+        ScenarioItem("do", "do (action { a0 := 34 })", "u2"),
+    )
+    derived = 0
+    topo_order = meerkat.store.topo_order
+
+    def counted(*args):
+        nonlocal derived
+        derived += 1
+        return topo_order(*args)
+
+    monkeypatch.setattr(meerkat.store, "topo_order", counted)  # `wave_order` calls it only to derive
+    verdict = explore(Scenario(initial, items, independent=True), Exhaustive())
+    assert (verdict.ok, verdict.schedules_complete, verdict.states, verdict.runs) == (True, True, 800, 16_320)
+    assert derived <= 70, derived
 
 
 def one_cell_do_work(monkeypatch, pairs: int) -> tuple[int, int, tuple[str, ...]]:

@@ -646,6 +646,24 @@ def test_a_long_integer_literal_is_rejected_and_the_server_keeps_serving(server)
     other.close()
 
 
+def test_a_megabyte_literal_is_rejected_in_a_reply_under_a_kilobyte(server):
+    # a line just under LINE_LIMIT; the error quotes a bounded prefix of
+    # the literal, so the reply does not grow with the request
+    c = Client(server.address)
+    try:
+        c.recv()
+        for literal in ("9" * 1_000_000, "0" * 1_000_000 + "9223372036854775808"):
+            c.send({"type": "do", "req": 1, "expr": f"do (action {{ x := {literal} }})"})
+            line = c.reader.readline()
+            reply = json.loads(line)
+            assert (reply["type"], reply["reason"], reply["req"]) == ("rejected", "parse", 1)
+            assert reply["detail"]["message"].endswith(f"... ({len(literal)} digits) out of 64-bit range")
+            assert len(line.encode("utf-8")) < 1024
+        assert c.request({"type": "read", "name": "inc2"}, req=2)["value"] == 3
+    finally:
+        c.close()
+
+
 def test_a_fault_handling_one_request_answers_it_and_the_server_keeps_serving(server, monkeypatch, capsys):
     def faulty(source):
         raise RuntimeError("a bug handling a request")

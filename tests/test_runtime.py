@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -43,7 +43,7 @@ from meerkat.runtime import (
     submit_evolution,
 )
 from meerkat.simharness import build_config, load_scenario, validate_wave
-from meerkat.store import Change, EvalError, IntV, Store, StringV, eval_expr, propagate
+from meerkat.store import Change, EvalError, IntV, Store, StringV, diff, eval_expr, propagate
 from meerkat.syntax import parse_do, parse_program
 from meerkat.typesys import (
     INT,
@@ -1073,6 +1073,33 @@ class TestMultiPickMerge:
             assert got_cfg.store.defs == one_at_a_time.store.defs
             assert {who for o in got if isinstance(o, ActionFailed) for who in o.notified} == failed
             assert got_cfg.q_do == one_at_a_time.q_do
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases())
+    # `a := 2` then `b := -2` faults `s` in the merge; `t` is downstream
+    # of `c` and `e`, and `u` of every pick
+    @example(("var a = 1; var b = 1; var c = 1; var e = 2; def s = 12 / (a + b); def t = c + e; def u = s + t;",
+              ("action { a := 2 }", "action { b := -2 }", "action { c := 5 }", "action { e := 3 }")))
+    # a pick that writes its variable's own value changes nothing
+    @example(("var a = 1; var b = 1; var c = 1; def s = a + b; def t = b + c;",
+              ("action { a := a }", "action { b := 3 }", "action { c := c * 1 }")))
+    def test_a_merged_change_list_equals_a_full_diff_against_the_base(self, case):
+        # the reference derivation: diff every written or recomputed name
+        # of the survivors against the base, as `step_do_many` once did
+        program, actions = case
+        cfg = quiesced(program)
+        for k, body in enumerate(actions):
+            cfg = submit_do(cfg, parse_do(f"do ({body})"), f"u{k}")
+        for size in range(2, len(cfg.q_do) + 1):
+            for picks in permutations(cfg.q_do, size):
+                if not all(do_pair_viable(cfg, p, q) for p, q in combinations(picks, 2)):
+                    continue
+                after, outcomes = step_do_many(cfg, picks)
+                for o in outcomes:
+                    if isinstance(o, Executed) and len(o.who) > 1:
+                        written = {n for p in picks if p.who in o.who for n in _do_plan(cfg.env, p).writes}
+                        want = diff({n: cfg.store.value_of(n) for n in written.union(o.recomputed)}, after.store)
+                        assert o.changes == want
 
 
 def assert_first_step_refines(cfg: Config, seed: int) -> None:

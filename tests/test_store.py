@@ -364,7 +364,7 @@ class TestWaveOrder:
         # an equal env derives its own
         assert wave_order(TypeEnv(env.items()), {"a", "b"}) is not order
 
-    def test_the_memo_holds_at_most_one_entry_per_binding(self):
+    def test_the_memo_holds_at_most_two_entries_per_binding(self):
         n = 13
         source = " ".join(f"var v_{k} = {k};" for k in range(n))
         source += " " + " ".join(f"def d_{k} = v_{k} + v_{(k + 1) % n};" for k in range(n))
@@ -373,19 +373,35 @@ class TestWaveOrder:
         for mask in range(1, 5_001):
             written = {v for k, v in enumerate(names) if mask >> k & 1}
             order = wave_order(env, written)
-            assert len(env.wave_orders) <= len(env)
+            assert len(env.wave_orders) <= 2 * len(env)
             if mask % 97 == 0:
                 readers = {f"d_{k}" for k in range(n) if {f"v_{k}", f"v_{(k + 1) % n}"} & written}
                 assert order == tuple(topo_order(env, readers))
 
-    def test_a_full_memo_drops_its_oldest_entry(self):
+    def test_a_memo_full_at_twice_the_bindings_drops_its_oldest_entry(self):
         env, _, _ = build("var a = 0; var b = 0; def p = a + 1; def q = b + 1;")
-        kept = [wave_order(env, w) for w in ({"a"}, {"b"}, {"p"}, {"q"})]
-        assert len(env.wave_orders) == len(env) == 4
-        assert wave_order(env, {"a", "b"}) == ("p", "q")
-        assert list(env.wave_orders) == [frozenset(w) for w in ({"b"}, {"p"}, {"q"}, {"a", "b"})]
+        # the install's order is the oldest entry, and the eighth evicts it
+        written = [{"a"}, {"b"}, {"p"}, {"q"}, {"a", "b"}, {"a", "p"}, {"b", "q"}, {"p", "q"}]
+        kept = [wave_order(env, w) for w in written]
+        assert len(env.wave_orders) == 2 * len(env) == 8
+        assert list(env.wave_orders) == [frozenset(w) for w in written]
+        assert wave_order(env, {"a", "q"}) == ("p",)
+        assert list(env.wave_orders) == [frozenset(w) for w in (*written[1:], {"a", "q"})]
         # the newest entries survive the eviction and are not derived again
-        assert all(wave_order(env, w) is order for w, order in zip(({"b"}, {"p"}, {"q"}), kept[1:]))
+        assert all(wave_order(env, w) is order for w, order in zip(written[1:], kept[1:]))
+
+    def test_a_configs_single_and_pair_orders_fit_in_the_memo(self):
+        # every action's writes and every pair's union, from one config: on
+        # an env of 2k bindings that is k + k(k-1)/2 orders, 10 for k = 4,
+        # and all of them are kept, so the next pass derives none (at a
+        # bound of one entry per binding the pairs evict the singles)
+        env, _, _ = build(
+            "var a = 0; var b = 0; var c = 0; var d = 0; def p = a + b; def q = b + c; def r = c + d; def s = d + a;"
+        )
+        singles = [{"a"}, {"b"}, {"c"}, {"d"}]
+        pairs = [x | y for k, x in enumerate(singles) for y in singles[k + 1 :]]
+        first = [wave_order(env, w) for w in (*singles, *pairs)]
+        assert all(wave_order(env, w) is order for w, order in zip((*singles, *pairs), first))
 
 
 class _Reads(dict):

@@ -255,7 +255,7 @@ GOLDEN_ERRORS = [
         id="int-max-plus-2",
     ),
     pytest.param(
-        "9" * 4301, f"integer literal {'9' * 4301} out of 64-bit range", 1, 1,
+        "9" * 4301, f"integer literal {'9' * 40}... (4301 digits) out of 64-bit range", 1, 1,
         id="past-int-max-str-digits",
     ),
 ]
@@ -279,6 +279,17 @@ class TestGoldenLexer:
         assert (exc.value.message, exc.value.line, exc.value.col) == (
             "integer literal 0009223372036854775808 out of 64-bit range", 1, 1,
         )
+
+    def test_an_error_quotes_a_long_literal_by_its_first_digits(self):
+        # 40 characters are quoted whole, a longer literal by its first 40
+        # and its length, from the lexer and from the parser alike
+        with pytest.raises(ParseError) as exc:
+            tokenize("x " + "1" * 40)
+        assert exc.value.message == f"integer literal {'1' * 40} out of 64-bit range"
+        with pytest.raises(ParseError) as exc:
+            parse_expr("0" * 5000 + "9223372036854775808")
+        assert exc.value.message == f"integer literal {'0' * 40}... (5019 digits) out of 64-bit range"
+        assert (exc.value.line, exc.value.col) == (1, 1)
 
     def test_a_long_literal_is_refused_at_its_significant_digits(self):
         # leading zeros do not count toward the 19-digit bound
